@@ -19,7 +19,7 @@ global maximum before fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -143,19 +143,29 @@ def _model_values(t: np.ndarray, model: GrowthModel, theta: np.ndarray) -> np.nd
         return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
 
 
-def _jacobian(t: np.ndarray, model: GrowthModel, theta: np.ndarray) -> np.ndarray:
-    """d y / d ln(param), columns ordered (y_star, alpha, shape)."""
+def _jacobian_columns(
+    t: np.ndarray, model: GrowthModel, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d y / d ln(param) for (y_star, alpha, shape).
+
+    Like ``_model_values``, broadcasts: theta of shape (3, B, 1) gives B rows.
+    """
     y_star, alpha, shape = np.exp(theta)
     if model is GrowthModel.GOMPERTZ:
         decay = np.exp(-alpha * t)
         y = y_star * np.exp(-shape * decay)
-        return np.column_stack((y, y * alpha * shape * t * decay, -y * shape * decay))
+        return y, y * alpha * shape * t * decay, -y * shape * decay
     decay = np.exp(-alpha * y_star * t)
     denom = 1.0 + shape * decay
     d_raw_y_star = 1.0 / denom + y_star * alpha * t * shape * decay / denom**2
     d_raw_alpha = y_star**2 * t * shape * decay / denom**2
     d_raw_shape = -y_star * decay / denom**2
-    return np.column_stack((y_star * d_raw_y_star, alpha * d_raw_alpha, shape * d_raw_shape))
+    return y_star * d_raw_y_star, alpha * d_raw_alpha, shape * d_raw_shape
+
+
+def _jacobian(t: np.ndarray, model: GrowthModel, theta: np.ndarray) -> np.ndarray:
+    """d y / d ln(param), columns ordered (y_star, alpha, shape)."""
+    return np.column_stack(_jacobian_columns(t, model, theta))
 
 
 def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[float, float, float]:
@@ -386,12 +396,218 @@ class BiPhaseFit:
 
 MIN_SEGMENT_MONTHS = 12
 
+# Pairs of (segment, start) the batched search minimises at once.  A finished
+# pair's row goes to the next pair in the queue, so the search's arrays hold
+# at most this many rows, however many splits there are.
+SEARCH_SLOTS = 64
+# Splits the batched pass ranks within this relative margin of the best refit
+# are refit as well, so rounding in the batched reductions cannot pick the
+# winner.  The two passes' split SSEs agree to ~1e-9 on noisy series.
+_TIE_RTOL = 1e-6
+
 
 def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
     # The floor keeps noiseless comparisons from resolving on numerical dust:
     # any SSE below ~1e-9 of the data's energy counts as "exact", so model
     # preference then falls to the parameter-count penalty alone.
     return n * math.log(max(sse, sse_floor) / n) + n_params * math.log(n)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _residuals(
+    values: np.ndarray, mask: np.ndarray, model: GrowthModel, t: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """values - model per row of theta (B, 3), zero where mask is False."""
+    out = _model_values(t, model, theta.T[..., None])
+    np.subtract(values, out, out=out)
+    out *= mask
+    return out
+
+
+@dataclass
+class _LiveRows:
+    """The (segment, start) pairs the batched search is minimising, one row each."""
+
+    ids: np.ndarray  # pair index
+    values: np.ndarray  # (B, W) segment, zero-padded
+    mask: np.ndarray  # (B, W) False on the padding
+    resid: np.ndarray  # (B, W) masked residuals at theta
+    theta: np.ndarray  # (B, 3) log-parameters
+    grad: np.ndarray  # (B, 3) J^T r at theta
+    hess: np.ndarray  # (B, 3, 3) J^T J at theta
+    damping: np.ndarray
+    sse: np.ndarray
+    iterations: np.ndarray
+    trials: np.ndarray  # rejected trials in the current iteration
+    fresh: np.ndarray  # theta moved: grad and hess are due
+
+    def select(self, keep: np.ndarray) -> "_LiveRows":
+        return _LiveRows(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+    def extend(self, other: "_LiveRows") -> "_LiveRows":
+        return _LiveRows(*(
+            np.concatenate((getattr(self, f.name), getattr(other, f.name))) for f in fields(self)
+        ))
+
+
+def _start_rows(
+    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray,
+    model: GrowthModel, options: FitOptions,
+) -> _LiveRows:
+    """Rows for ``pairs`` at their starts, padded to ``len(t)``."""
+    lengths = np.array([len(segments[pair]) for pair in pairs], dtype=int)
+    values = np.zeros((len(pairs), len(t)))
+    for row, pair in enumerate(pairs):
+        values[row, :lengths[row]] = segments[pair]
+    mask = t < lengths[:, None]
+    theta = np.log(starts[pairs])
+    resid = _residuals(values, mask, model, t, theta)
+    return _LiveRows(
+        ids=pairs, values=values, mask=mask, resid=resid, theta=theta,
+        grad=np.zeros((len(pairs), 3)), hess=np.zeros((len(pairs), 3, 3)),
+        damping=np.full(len(pairs), options.damping_init), sse=_rowdot(resid, resid),
+        iterations=np.ones(len(pairs), dtype=int), trials=np.zeros(len(pairs), dtype=int),
+        fresh=np.ones(len(pairs), dtype=bool),
+    )
+
+
+def _refresh_derivatives(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> None:
+    """J^T r and J^T J at theta for the rows whose theta moved."""
+    rows = np.flatnonzero(live.fresh)
+    jac = _jacobian_columns(t, model, live.theta[rows].T[..., None])
+    mask = live.mask[rows]
+    for col in jac:
+        col *= mask
+    resid = live.resid[rows]
+    for i in range(3):
+        live.grad[rows, i] = _rowdot(jac[i], resid)
+        for j in range(i, 3):
+            live.hess[rows, i, j] = live.hess[rows, j, i] = _rowdot(jac[i], jac[j])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _trial_step(live: _LiveRows, t: np.ndarray, model: GrowthModel, options: FitOptions) -> np.ndarray:
+    """One damped Gauss-Newton trial for every row, as in ``_lm_minimize``.
+
+    Updates the rows in place and returns the mask of rows that finished.
+    """
+    diag = np.arange(3)
+    lhs = live.hess.copy()
+    lhs[:, diag, diag] += live.damping[:, None] * np.maximum(live.hess[:, diag, diag], 1e-12)
+    solved = np.ones(len(lhs), dtype=bool)
+    try:
+        step = np.linalg.solve(lhs, live.grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Only the singular systems lose their trial.
+        step = np.zeros_like(live.grad)
+        for row in range(len(lhs)):
+            try:
+                step[row] = np.linalg.solve(lhs[row], live.grad[row])
+            except np.linalg.LinAlgError:
+                solved[row] = False
+    largest = np.max(np.abs(step), axis=1)
+    step *= np.where(largest > options.max_log_step, options.max_log_step / largest, 1.0)[:, None]
+    candidate = live.theta + step
+    cand_resid = _residuals(live.values, live.mask, model, t, candidate)
+    cand_sse = _rowdot(cand_resid, cand_resid)
+
+    accepted = solved & np.isfinite(cand_sse) & (cand_sse < live.sse)
+    improvement = np.where(live.sse > 0, (live.sse - cand_sse) / live.sse, 0.0)
+    live.theta[accepted] = candidate[accepted]
+    live.resid[accepted] = cand_resid[accepted]
+    live.sse[accepted] = cand_sse[accepted]
+    factor = options.damping_factor
+    live.damping = np.where(accepted, np.maximum(live.damping / factor, 1e-15), live.damping * factor)
+    live.trials = np.where(accepted, 0, live.trials + 1)
+    done = np.where(
+        accepted,
+        (improvement < options.tolerance) | (live.iterations == options.max_iterations),
+        live.trials == 60,
+    )
+    live.iterations += accepted
+    live.fresh = accepted
+    return done
+
+
+def _batched_lm_sse(
+    segments: list[np.ndarray],
+    starts: np.ndarray,
+    model: GrowthModel,
+    options: FitOptions,
+) -> np.ndarray:
+    """Final SSE of ``_lm_minimize`` on each (segment, start) pair, solved together.
+
+    Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]``.  One turn
+    of the loop is one trial step for every live pair: each keeps its own
+    damping, trial count and iteration count and takes the accept, reject
+    and stopping decisions of ``_lm_minimize``; only rounding in the
+    reductions differs.  Rows are padded to the longest live segment and
+    masked; pairs enter longest first, so the padded width only shrinks.
+    """
+    if options.max_iterations < 1:
+        return np.array([
+            _lm_minimize(np.arange(len(seg), dtype=float), seg, model, tuple(start), options)[1]
+            for seg, start in zip(segments, starts)
+        ])
+    lengths = np.array([len(seg) for seg in segments])
+    queue = np.argsort(-lengths, kind="stable")
+    t = np.arange(lengths.max(), dtype=float)
+    out = np.empty(len(segments))
+    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model, options)
+    queued = len(live.ids)
+    while len(live.ids):
+        width = int(lengths[live.ids].max())
+        if width < live.values.shape[1]:
+            live.values, live.mask, live.resid = (
+                live.values[:, :width], live.mask[:, :width], live.resid[:, :width]
+            )
+        if live.fresh.any():
+            _refresh_derivatives(live, t[:width], model)
+        done = _trial_step(live, t[:width], model, options)
+        if done.any():
+            out[live.ids[done]] = live.sse[done]
+            live = live.select(~done)
+            if queued < len(queue):
+                pairs = queue[queued:queued + SEARCH_SLOTS - len(live.ids)]
+                queued += len(pairs)
+                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model, options))
+    return out
+
+
+def _rank_splits(
+    data: np.ndarray, model: GrowthModel, splits: range, options: FitOptions
+) -> np.ndarray:
+    """Combined SSE of each split's two segment fits, from the batched solve.
+
+    Segments go through ``fit_growth``'s checks: one that it would reject
+    makes its splits +inf, and a flat one takes ``fit_growth`` itself.  The
+    prefix and the suffix of each length sit next to each other in the
+    batch, so they share padded rows.
+    """
+    n = len(data)
+    seg_sse: dict[tuple[int, int], float] = {}  # (start, stop) -> best SSE over starts
+    batch: list[tuple[int, int]] = []
+    segments: list[np.ndarray] = []
+    starts: list[tuple[float, float, float]] = []
+    for bounds in sorted({(0, k) for k in splits} | {(k, n) for k in splits}):
+        segment = data[bounds[0]:bounds[1]]
+        if np.any(segment < 0) or not np.any(segment > 0):
+            seg_sse[bounds] = math.inf
+        elif np.ptp(segment) == 0:
+            seg_sse[bounds] = fit_growth(segment, model, options=options, truncate_on_decline=False).sse
+        else:
+            base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
+            for factor in options.rate_start_factors:
+                batch.append(bounds)
+                segments.append(segment)
+                starts.append((base[0], base[1] * factor, base[2]))
+    if batch:
+        for bounds, sse in zip(batch, _batched_lm_sse(segments, np.array(starts), model, options)):
+            seg_sse[bounds] = min(seg_sse.get(bounds, math.inf), sse)
+    return np.array([seg_sse[(0, k)] + seg_sse[(k, n)] for k in splits])
 
 
 def detect_biphase(
@@ -408,6 +624,10 @@ def detect_biphase(
     lowest combined SSE wins.  ``preferred`` is True when the two-segment
     BIC (7 effective parameters) beats the single-fit BIC (3).  Returns None
     when the series is too short.
+
+    A batched solve ranks the splits; the best-ranked split, and every split
+    ranked within rounding of it, is refit with ``fit_growth``, and the
+    refits alone choose the winner (lowest combined SSE, then lowest index).
     """
     if min_segment < MIN_FIT_POINTS:
         raise GrowthFitError(f"min_segment must be at least {MIN_FIT_POINTS}")
@@ -416,8 +636,18 @@ def detect_biphase(
     if n < 2 * min_segment:
         return None
 
+    splits = range(min_segment, n - min_segment + 1)
+    ranked = _rank_splits(data, model, splits, options)
+    sse_floor = max(1e-10, 1e-9 * float(data @ data))
     best = None
-    for breakpoint_index in range(min_segment, n - min_segment + 1):
+    for rank in np.argsort(ranked, kind="stable"):
+        if not math.isfinite(ranked[rank]):
+            break
+        # SSEs closer than the floor are numerical dust (see _bic): only
+        # the refits may order them.
+        if best is not None and ranked[rank] > best[1] + max(_TIE_RTOL * best[1], sse_floor):
+            break
+        breakpoint_index = splits[rank]
         try:
             first = fit_growth(
                 data[:breakpoint_index], model, t_offset=t_offset,
@@ -431,12 +661,11 @@ def detect_biphase(
         except GrowthFitError:
             continue
         combined = first.sse + second.sse
-        if best is None or combined < best[1]:
+        if best is None or (combined, breakpoint_index) < (best[1], best[0]):
             best = (breakpoint_index, combined, first, second)
     if best is None:
         return None
 
-    sse_floor = max(1e-10, 1e-9 * float(data @ data))
     try:
         single = fit_growth(data, model, t_offset=t_offset, options=options, truncate_on_decline=False)
         single_bic = _bic(single.sse, n, 3, sse_floor)

@@ -176,9 +176,13 @@ def record_to_dict(record: CommitRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> CommitRecord:
+    """Inverse of ``record_to_dict``.
+
+    Raises KeyError for a missing field and ValueError for a bad timestamp.
+    """
     stamp = _parse_timestamp(data["authored_at"])
     if stamp is None:
-        raise LogParseError(0, REASON_TIMESTAMP)
+        raise ValueError(REASON_TIMESTAMP)
     return CommitRecord(
         hash=data["hash"],
         author_email=data["author_email"],
@@ -189,10 +193,27 @@ def record_from_dict(data: dict) -> CommitRecord:
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[CommitRecord]:
-    for raw in lines:
-        line = raw.strip()
-        if line:
-            yield record_from_dict(json.loads(line))
+    """Records from JSONL lines as ``record_to_dict`` writes them.
+
+    Blank lines are ignored.  A line that is not such a record raises
+    LogParseError with its 1-based line number.
+    """
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line:
+                yield record_from_dict(json.loads(line))
+    except UnicodeDecodeError:
+        raise  # from reading ``lines``, not from a record
+    except json.JSONDecodeError as exc:
+        raise LogParseError(line_no, f"bad JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise LogParseError(line_no, f"missing field {exc}") from exc
+    except ValueError as exc:
+        raise LogParseError(line_no, str(exc)) from exc
+    except (AttributeError, TypeError) as exc:
+        raise LogParseError(line_no, f"bad record: {exc}") from exc
 
 
 def acquire_repo_log(repo_path: str | Path, include_merges: bool = False) -> Iterator[str]:

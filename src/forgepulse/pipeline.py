@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from .series import (
 )
 
 CACHE_ENV_VAR = "FORGEPULSE_CACHE"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,13 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
 
 
+def _config_int(data: dict, key: str, default: int) -> int:
+    try:
+        return int(data.get(key, default))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {data[key]!r}") from exc
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -278,20 +288,20 @@ def load_run_config(path: str | Path) -> RunConfig:
     if window != "all":
         try:
             window = int(window[4:]) if isinstance(window, str) and window.startswith("last") else int(window)
-        except ValueError as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad metrics_window {window!r}: use 'all', 'lastN', or a month count") from exc
     return RunConfig(
         projects=tuple(projects),
         out_dir=resolve(data.get("out_dir", "forgepulse-out")),
         identity=identity,
         thresholds=thresholds,
-        smoothing_window=int(data.get("smoothing_window", 3)),
+        smoothing_window=_config_int(data, "smoothing_window", 3),
         model=str(data.get("model", "both")),
         include_merges=bool(data.get("include_merges", False)),
         strict=bool(data.get("strict", False)),
         biphase=bool(data.get("biphase", False)),
         metrics_window=window,
-        workers=int(data.get("workers", 1)),
+        workers=_config_int(data, "workers", 1),
     )
 
 
@@ -441,6 +451,12 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         result.error = str(exc)
     except OSError as exc:
         result.error = f"i/o error: {exc}"
+    except Exception as exc:
+        # A fault in one project must not cost the others their artifacts or
+        # the run its summary table.
+        logger.debug("project %s failed", source.name, exc_info=True)
+        message = str(exc).replace("\n", " ")
+        result.error = f"internal error: {type(exc).__name__}: {message}"
     return result
 
 

@@ -176,6 +176,42 @@ def test_run_exit_code_on_failure(tmp_path, capsys):
     assert "broken" in err
 
 
+@pytest.mark.parametrize("key", ["workers", "smoothing_window"])
+def test_run_non_integer_config_field_is_usage_error(tmp_path, capsys, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "projects": [{"name": "fixture", "log": str(DATA_DIR / "fixture_500.log")}],
+        key: "two",
+    }))
+    code, _, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 2
+    assert err == f"config error: {key} must be an integer, got 'two'\n"
+
+
+GOOD_RECORD = json.dumps({
+    "hash": "a" * 40, "author_email": "alice@intel.com", "author_name": "Alice",
+    "authored_at": "2015-03-10T14:22:05+00:00", "is_merge": False,
+})
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ('{"hash": "x"}', "error: line 3: missing field 'authored_at'\n"),
+        ("not json", "error: line 3: bad JSON: Expecting value\n"),
+        (GOOD_RECORD.replace("2015-03-10T14:22:05+00:00", "yesterday"), "error: line 3: bad timestamp\n"),
+        ("[1, 2]", "error: line 3: bad record: list indices must be integers or slices, not str\n"),
+    ],
+    ids=["missing-field", "not-json", "bad-timestamp", "not-an-object"],
+)
+def test_series_bad_jsonl_line_is_typed_error(tmp_path, capsys, bad_line, message):
+    records = tmp_path / "records.jsonl"
+    records.write_text(GOOD_RECORD + "\n\n" + bad_line + "\n" + GOOD_RECORD + "\n")
+    code, _, err = run_cli(capsys, "series", "--in", str(records), "--out", str(tmp_path / "series.json"))
+    assert code == 1
+    assert err == message
+
+
 def test_run_empty_config_is_usage_error(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text('{"projects": []}')

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -12,7 +13,7 @@ from forgepulse import (
     format_record,
     parse_log_stream,
 )
-from forgepulse.ingest import record_from_dict, record_to_dict
+from forgepulse.ingest import read_records_jsonl, record_from_dict, record_to_dict
 
 from conftest import make_line, sha_for
 
@@ -143,6 +144,17 @@ def test_round_trip_canonical_format(record):
 @given(record=commit_records())
 def test_round_trip_jsonl(record):
     assert record_from_dict(record_to_dict(record)) == record
+
+
+def test_jsonl_errors_carry_the_line_number():
+    good = json.dumps(record_to_dict(parse_all([make_line(1)])[0][0]))
+    records = read_records_jsonl([good + "\n", "\n", good + "\n", '{"hash": "x"}\n'])
+    assert next(records).hash == sha_for(1)
+    assert next(records).hash == sha_for(1)
+    with pytest.raises(LogParseError) as info:
+        next(records)
+    assert info.value.line_no == 4
+    assert info.value.reason == "missing field 'authored_at'"
 
 
 @given(

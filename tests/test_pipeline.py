@@ -1,6 +1,8 @@
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from forgepulse import (
@@ -152,6 +154,43 @@ def test_run_pipeline_partial_failure(tmp_path):
     assert csv_text.count("\n") == 2  # header + one surviving row
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_internal_error_stays_in_its_project(tmp_path, monkeypatch, workers):
+    from forgepulse import growth
+
+    calls = itertools.count()  # next() is atomic, so one call fails even on threads
+
+    def fail_first_call(*args, **kwargs):
+        if next(calls) == 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return None
+
+    monkeypatch.setattr(growth, "detect_biphase", fail_first_call)
+    config = make_config(
+        tmp_path,
+        [
+            ProjectSource(name="a", log=DATA_DIR / "fixture_500.log"),
+            ProjectSource(name="b", log=DATA_DIR / "fixture_500.log"),
+        ],
+        biphase=True,
+        workers=workers,
+    )
+    outcome = run_pipeline(config)
+    assert outcome.exit_code == 1
+    errors = {r.name: r.error for r in outcome.results}
+    failed = [name for name, error in errors.items() if error is not None]
+    assert len(failed) == 1
+    assert errors[failed[0]] == "internal error: LinAlgError: Singular matrix"
+    (survivor,) = {"a", "b"} - set(failed)
+    for artifact in ("series.json", "metrics.json", "fit.json", "fit.csv", "summary.json"):
+        assert (tmp_path / "out" / survivor / artifact).exists()
+    csv_lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in csv_lines[1:]] == [survivor]
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["projects"][failed[0]]["status"] == "error"
+    assert report["projects"][survivor] == {"status": "ok", "error": None}
+
+
 def test_run_pipeline_workers(tmp_path):
     config = make_config(
         tmp_path,
@@ -213,6 +252,18 @@ def test_load_run_config_errors(tmp_path):
         load_run_config(path)
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "absent.json")
+    path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "metrics_window": [12]}')
+    with pytest.raises(ConfigError, match="metrics_window"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("key", ["workers", "smoothing_window"])
+@pytest.mark.parametrize("value", ["two", None, [3], float("inf")])
+def test_load_run_config_non_integer_fields(tmp_path, key, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(path)
 
 
 def test_dumps_stable_is_sorted_and_six_digits():
