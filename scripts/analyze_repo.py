@@ -3,7 +3,7 @@
 summary table.
 
     python scripts/analyze_repo.py /path/to/repo [/path/to/other ...] \
-        --out results/ [--include-merges] [--model both] [--biphase]
+        --out results/ [--model both] [--biphase]
 
 Equivalent to writing a run config by hand and calling `forgepulse run`,
 for quick experiments.
@@ -21,7 +21,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("repos", nargs="+", help="git repository paths")
     parser.add_argument("--out", default="forgepulse-out")
-    parser.add_argument("--include-merges", action="store_true")
     parser.add_argument("--model", choices=["gompertz", "logistic", "both"], default="both")
     parser.add_argument("--biphase", action="store_true")
     parser.add_argument("--workers", type=int, default=1)
@@ -33,7 +32,6 @@ def main() -> int:
     config = RunConfig(
         projects=projects,
         out_dir=Path(args.out),
-        include_merges=args.include_merges,
         model=args.model,
         biphase=args.biphase,
         workers=args.workers,

@@ -5,53 +5,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import ConfigError, ForgepulseError
 from .identity import IdentityConfig, load_identity_config
-from .ingest import parse_log_stream, read_records_jsonl
+from .ingest import read_records_jsonl
 from .jsonio import atomic_writer, dumps_stable, write_json_atomic, write_text_atomic
 from .pipeline import (
-    cached_repo_lines,
+    MERGE_POLICY,
     compute_metrics,
     fit_report,
+    ingest,
     load_run_config,
+    parse_window,
     run_pipeline,
     summary_csv,
     summary_text,
+    tee_records,
     ProjectSummary,
 )
 from .series import build_monthly_series, load_series, series_to_dict
-from .ingest import record_to_dict
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if args.repo:
-        lines = cached_repo_lines(Path(args.repo), include_merges=args.include_merges)
-        source = args.repo
-    else:
-        lines = Path(args.log).open(encoding="utf-8")
-        source = args.log
-    records, report = parse_log_stream(lines, strict=args.strict, source=source)
-    if not args.include_merges:
-        records = (r for r in records if not r.is_merge)
-    written = 0
-    try:
-        if args.out == "-":
-            for record in records:
-                sys.stdout.write(dumps_stable(record_to_dict(record), indent=None) + "\n")
-                written += 1
-        else:
-            with atomic_writer(args.out) as sink:
-                for record in records:
-                    sink.write(dumps_stable(record_to_dict(record), indent=None) + "\n")
-                    written += 1
-    finally:
-        if hasattr(lines, "close"):
-            lines.close()
+    records, report = ingest(args.repo, args.log, args.strict)
+    with nullcontext(sys.stdout) if args.out == "-" else atomic_writer(args.out) as sink:
+        written = sum(1 for _ in tee_records(records, sink))
     payload = report.to_dict()
     payload["records_written"] = written
-    payload["merge_policy"] = "included" if args.include_merges else "excluded"
+    payload["merge_policy"] = MERGE_POLICY
     sys.stderr.write(dumps_stable(payload) + "\n")
     return 0
 
@@ -59,34 +42,20 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _identity_from_args(args: argparse.Namespace) -> IdentityConfig:
     if args.identity_config:
         return load_identity_config(args.identity_config, group_providers=args.group_providers)
-    if args.group_providers:
-        return IdentityConfig(group_providers=True)
-    return IdentityConfig()
+    return IdentityConfig(group_providers=args.group_providers)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     identity = _identity_from_args(args)
-    handle = sys.stdin if args.infile == "-" else Path(args.infile).open(encoding="utf-8")
-    try:
+    with nullcontext(sys.stdin) if args.infile == "-" else Path(args.infile).open(encoding="utf-8") as handle:
         series = build_monthly_series(read_records_jsonl(handle), identity)
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
     write_json_atomic(args.out, series_to_dict(series))
     return 0
 
 
-def _parse_window(text: str) -> int | str:
-    if text == "all":
-        return "all"
-    if text.startswith("last"):
-        return int(text[4:])
-    raise ConfigError(f"bad window {text!r}: use 'all' or 'lastN'")
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     series = load_series(args.series)
-    report = compute_metrics(series, _parse_window(args.window))
+    report = compute_metrics(series, parse_window(args.window, "--window"))
     write_json_atomic(args.out, report.to_dict())
     return 0
 
@@ -114,24 +83,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     rows = []
     for path in args.inputs:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows.append(
-            ProjectSummary(
-                project=data["project"],
-                total_contributors=data["total_contributors"],
-                total_orgs=data["total_orgs"],
-                mean_monthly_commits=data["mean_monthly_commits"],
-                active_contrib_range=tuple(data["active_contrib_range"]),
-                monthly_commit_range=tuple(data["monthly_commit_range"]),
-                active_org_range=tuple(data["active_org_range"]),
-                spearman=data["spearman"],
-                spearman_reason=data.get("spearman_reason"),
-                diversity=data["diversity"],
-                diversity_reason=data.get("diversity_reason"),
-                merge_policy=data.get("merge_policy", "excluded"),
-                notes=tuple(data.get("notes", ())),
-            )
-        )
+        try:
+            rows.append(ProjectSummary.from_dict(json.loads(Path(path).read_text(encoding="utf-8"))))
+        except (ValueError, ForgepulseError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ForgepulseError(f"bad summary file {path}: {exc}") from exc
     rows.sort(key=lambda r: r.project)
     if args.out_csv:
         write_text_atomic(args.out_csv, summary_csv(rows))
@@ -153,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_ingest.add_mutually_exclusive_group(required=True)
     source.add_argument("--repo", help="path to a git repository")
     source.add_argument("--log", help="path to a canonical-format log file")
-    p_ingest.add_argument("--include-merges", action="store_true")
     p_ingest.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     p_ingest.add_argument("--out", required=True, help="output JSONL path, or - for stdout")
     p_ingest.set_defaults(func=_cmd_ingest)

@@ -12,10 +12,11 @@ bucketing downstream is timezone-independent.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -61,12 +62,7 @@ class IngestReport:
         self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "records_parsed": self.records_parsed,
-            "records_skipped": self.records_skipped,
-            "skip_reasons": dict(self.skip_reasons),
-        }
+        return asdict(self)
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -216,22 +212,32 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[CommitRecord]:
         raise LogParseError(line_no, f"bad record: {exc}") from exc
 
 
-def acquire_repo_log(repo_path: str | Path, include_merges: bool = False) -> Iterator[str]:
+def ref_state(repo_path: str | Path) -> str:
+    """Digest of HEAD and every ref, which changes whenever the history that
+    ``acquire_repo_log`` streams can.  Raises RepoAcquisitionError on failure."""
+    cmd = ["git", "-C", str(repo_path), "show-ref", "--head"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, errors="replace")
+    except OSError as exc:
+        raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
+    if proc.returncode > 1:  # 1 only says that there is no ref yet
+        raise RepoAcquisitionError(proc.stderr.strip() or f"git exited with {proc.returncode}")
+    return hashlib.sha1(proc.stdout.encode()).hexdigest()
+
+
+def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
     """Stream the canonical dump for all commits reachable from any ref.
 
     Wraps ``git log --all``; the parent-hash list git emits is replaced by a
-    parent count while streaming.  Raises RepoAcquisitionError with git's
-    diagnostic text on any failure.
+    parent count while streaming, so merges stay recognisable.  Raises
+    RepoAcquisitionError with git's diagnostic text on any failure.
     """
     repo_path = Path(repo_path)
     if not repo_path.exists():
         raise RepoAcquisitionError(f"path does not exist: {repo_path}")
-    cmd = ["git", "-C", str(repo_path), "log", "--all", f"--pretty=format:{GIT_LOG_FORMAT}"]
-    if not include_merges:
-        cmd.append("--no-merges")
     try:
         proc = subprocess.Popen(
-            cmd,
+            ["git", "-C", str(repo_path), "log", "--all", f"--pretty=format:{GIT_LOG_FORMAT}"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

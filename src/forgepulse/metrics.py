@@ -51,18 +51,9 @@ class TailResult:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties replaced by the mean rank of the tie group."""
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a tie group covers sorted positions ends - counts .. ends - 1
+    return ((2 * ends - counts - 1) / 2.0 + 1.0)[group]
 
 
 def _as_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

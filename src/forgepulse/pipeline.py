@@ -13,8 +13,10 @@ import hashlib
 import json
 import logging
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import growth, metrics
 from .errors import ConfigError, ForgepulseError, MetricError
 from .identity import IdentityConfig, load_identity_config
-from .ingest import CommitRecord, acquire_repo_log, parse_log_stream, record_to_dict
+from .ingest import CommitRecord, IngestReport, acquire_repo_log, parse_log_stream, record_to_dict, ref_state
 from .jsonio import atomic_writer, dumps_stable, write_json_atomic, write_text_atomic
 from .series import (
     EligibilityThresholds,
@@ -35,6 +37,8 @@ from .series import (
 )
 
 CACHE_ENV_VAR = "FORGEPULSE_CACHE"
+
+MERGE_POLICY = "excluded"  # `ingest` drops merges; summary.json still says so
 
 logger = logging.getLogger(__name__)
 
@@ -55,25 +59,29 @@ class ProjectSummary:
     spearman_reason: str | None
     diversity: float | None
     diversity_reason: str | None
-    merge_policy: str
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "project": self.project,
-            "total_contributors": self.total_contributors,
-            "total_orgs": self.total_orgs,
-            "mean_monthly_commits": self.mean_monthly_commits,
-            "active_contrib_range": list(self.active_contrib_range),
-            "monthly_commit_range": list(self.monthly_commit_range),
-            "active_org_range": list(self.active_org_range),
-            "spearman": self.spearman,
-            "spearman_reason": self.spearman_reason,
-            "diversity": self.diversity,
-            "diversity_reason": self.diversity_reason,
-            "merge_policy": self.merge_policy,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "merge_policy": MERGE_POLICY}
+
+    @classmethod
+    def from_dict(cls, data) -> ProjectSummary:
+        """Inverse of ``to_dict``; the ``*_reason`` fields and ``notes`` may be
+        absent.  Raises ForgepulseError for any other missing or bad field."""
+        if not isinstance(data, dict):
+            raise ForgepulseError(f"summary must be a JSON object, got {type(data).__name__}")
+        optional = {"spearman_reason": None, "diversity_reason": None, "notes": ()}
+        row = {}
+        try:
+            for f in fields(cls):
+                value = data.get(f.name, optional[f.name]) if f.name in optional else data[f.name]
+                row[f.name] = tuple(value) if f.type.startswith("tuple") else value
+        except (KeyError, TypeError) as exc:
+            raise ForgepulseError(f"missing or bad field {f.name!r}") from exc
+        return cls(**row)
+
+
+STATISTICS = ("spearman", "trend", "diversity", "tail")
 
 
 @dataclass(frozen=True)
@@ -90,43 +98,11 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         out: dict = {"window": self.window}
-        if self.spearman is None:
-            out["spearman"] = None
-            out["spearman_reason"] = self.spearman_reason
-        else:
-            out["spearman"] = {
-                "rho": self.spearman.rho,
-                "n": self.spearman.n,
-                "used_tie_correction": self.spearman.used_tie_correction,
-            }
-        if self.trend is None:
-            out["trend"] = None
-            out["trend_reason"] = self.trend_reason
-        else:
-            out["trend"] = {
-                "slope": self.trend.slope,
-                "intercept": self.trend.intercept,
-                "r_squared": self.trend.r_squared,
-            }
-        if self.diversity is None:
-            out["diversity"] = None
-            out["diversity_reason"] = self.diversity_reason
-        else:
-            out["diversity"] = {
-                "simpson": self.diversity.simpson,
-                "diversity": self.diversity.diversity,
-                "n_units": self.diversity.n_units,
-                "shares": dict(self.diversity.shares),
-            }
-        if self.tail is None:
-            out["tail"] = None
-            out["tail_reason"] = self.tail_reason
-        else:
-            out["tail"] = {
-                "alpha_hat": self.tail.alpha_hat,
-                "x_min": self.tail.x_min,
-                "n_tail": self.tail.n_tail,
-            }
+        for name in STATISTICS:
+            result = getattr(self, name)
+            out[name] = None if result is None else asdict(result)
+            if result is None:
+                out[f"{name}_reason"] = getattr(self, f"{name}_reason")
         return out
 
 
@@ -134,38 +110,19 @@ def compute_metrics(series: MonthlySeries, window: int | str = "all") -> Metrics
     """All four statistics, each independently degrading to null + reason."""
     actives = series.values("active_contributors")
     commits = series.values("commits")
-
-    spearman_result = spearman_reason = None
-    trend_result = trend_reason = None
-    diversity_result = diversity_reason = None
-    tail_result = tail_reason = None
-    try:
-        spearman_result = metrics.spearman(actives, commits)
-    except MetricError as exc:
-        spearman_reason = exc.reason
-    try:
-        trend_result = metrics.linear_trend(actives, commits)
-    except MetricError as exc:
-        trend_reason = exc.reason
-    try:
-        diversity_result = metrics.diversity(metrics.org_shares(series, window))
-    except MetricError as exc:
-        diversity_reason = exc.reason
-    try:
-        tail_result = metrics.contribution_tail(list(series.contributor_commits.values()))
-    except MetricError as exc:
-        tail_reason = exc.reason
-    return MetricsReport(
-        spearman=spearman_result,
-        spearman_reason=spearman_reason,
-        trend=trend_result,
-        trend_reason=trend_reason,
-        diversity=diversity_result,
-        diversity_reason=diversity_reason,
-        tail=tail_result,
-        tail_reason=tail_reason,
-        window=str(window),
+    computations = (
+        lambda: metrics.spearman(actives, commits),
+        lambda: metrics.linear_trend(actives, commits),
+        lambda: metrics.diversity(metrics.org_shares(series, window)),
+        lambda: metrics.contribution_tail(list(series.contributor_commits.values())),
     )
+    outcome: dict = {}
+    for name, compute in zip(STATISTICS, computations):
+        try:
+            outcome[name], outcome[f"{name}_reason"] = compute(), None
+        except MetricError as exc:
+            outcome[name], outcome[f"{name}_reason"] = None, exc.reason
+    return MetricsReport(window=str(window), **outcome)
 
 
 def _percentile_range(values: list[int]) -> tuple[float, float]:
@@ -178,7 +135,6 @@ def summarize(
     metrics_report: MetricsReport,
     fits: dict[str, growth.GrowthFit] | None = None,
     project: str = "",
-    merge_policy: str = "excluded",
 ) -> ProjectSummary:
     """Assemble the report row from precomputed metrics.
 
@@ -203,7 +159,6 @@ def summarize(
         spearman_reason=metrics_report.spearman_reason,
         diversity=None if metrics_report.diversity is None else metrics_report.diversity.diversity,
         diversity_reason=metrics_report.diversity_reason,
-        merge_policy=merge_policy,
         notes=tuple(notes),
     )
 
@@ -227,7 +182,6 @@ class RunConfig:
     thresholds: EligibilityThresholds = EligibilityThresholds()
     smoothing_window: int = 3
     model: str = "both"  # gompertz | logistic | both
-    include_merges: bool = False
     strict: bool = False
     biphase: bool = False
     metrics_window: int | str = "all"
@@ -242,6 +196,18 @@ class RunConfig:
             raise ConfigError("smoothing_window must be odd and positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+
+def parse_window(value, key: str = "metrics_window") -> int | str:
+    """A diversity window: "all", "lastN", or (from a run config) an integer
+    N, with N >= 1.  Returns "all" or N; raises ConfigError naming ``key``."""
+    if value == "all":
+        return "all"
+    match = re.fullmatch(r"last([0-9]+)", value) if isinstance(value, str) else None
+    months = int(match[1]) if match else value
+    if type(months) is not int or months < 1:
+        raise ConfigError(f"bad {key} {value!r}: use 'all' or 'lastN' with N >= 1")
+    return months
 
 
 def _config_int(data: dict, key: str, default: int) -> int:
@@ -284,12 +250,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         thresholds = EligibilityThresholds(**data.get("thresholds", {}))
     except TypeError as exc:
         raise ConfigError(f"bad thresholds: {exc}") from exc
-    window = data.get("metrics_window", "all")
-    if window != "all":
-        try:
-            window = int(window[4:]) if isinstance(window, str) and window.startswith("last") else int(window)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad metrics_window {window!r}: use 'all', 'lastN', or a month count") from exc
+    for name, value in asdict(thresholds).items():
+        if type(value) not in (int, float):
+            raise ConfigError(f"threshold {name} must be a number, got {value!r}")
+    if data.get("include_merges"):
+        raise ConfigError("include_merges is not supported: merges are always excluded")
     return RunConfig(
         projects=tuple(projects),
         out_dir=resolve(data.get("out_dir", "forgepulse-out")),
@@ -297,10 +262,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         thresholds=thresholds,
         smoothing_window=_config_int(data, "smoothing_window", 3),
         model=str(data.get("model", "both")),
-        include_merges=bool(data.get("include_merges", False)),
         strict=bool(data.get("strict", False)),
         biphase=bool(data.get("biphase", False)),
-        metrics_window=window,
+        metrics_window=parse_window(data.get("metrics_window", "all")),
         workers=_config_int(data, "workers", 1),
     )
 
@@ -311,25 +275,47 @@ def models_for(selection: str) -> list[growth.GrowthModel]:
     return [growth.GrowthModel(selection)]
 
 
-def cached_repo_lines(repo: Path, include_merges: bool) -> Iterator[str]:
-    """Acquire a repository log, honoring the FORGEPULSE_CACHE directory."""
+def cached_repo_lines(repo: Path) -> Iterator[str]:
+    """Acquire a repository log, honoring the FORGEPULSE_CACHE directory,
+    whose entries are keyed on the repository's path and ref state."""
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
-        yield from acquire_repo_log(repo, include_merges=include_merges)
+        yield from acquire_repo_log(repo)
         return
-    digest = hashlib.sha1(
-        f"{Path(repo).resolve()}|merges={include_merges}".encode()
-    ).hexdigest()
+    digest = hashlib.sha1(f"{Path(repo).resolve()}|{ref_state(repo)}".encode()).hexdigest()
     cache_path = Path(cache_dir) / f"{digest}.log"
     if not cache_path.exists():
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        text = "".join(acquire_repo_log(repo, include_merges=include_merges))
-        write_text_atomic(cache_path, text)
-    with cache_path.open(encoding="utf-8") as handle:
+        write_text_atomic(cache_path, "".join(acquire_repo_log(repo)))
+    yield from _file_lines(cache_path)
+
+
+def _file_lines(path: str | Path) -> Iterator[str]:
+    with Path(path).open(encoding="utf-8") as handle:
         yield from handle
 
 
-def _tee_records(records: Iterable[CommitRecord], sink) -> Iterator[CommitRecord]:
+def ingest(
+    repo: str | Path | None, log: str | Path | None, strict: bool = False
+) -> tuple[Iterator[CommitRecord], IngestReport]:
+    """Merge-free records of a repository, or else of a canonical log file,
+    plus the parse report (complete once the records are exhausted).  This is
+    the program's only merge filter.  The log is opened at the first record
+    and closed when the records end, fail or are closed."""
+    lines = cached_repo_lines(Path(repo)) if repo is not None else _file_lines(log)
+    records, report = parse_log_stream(lines, strict=strict, source=str(repo if repo is not None else log))
+
+    def merge_free() -> Iterator[CommitRecord]:
+        with closing(lines):
+            for record in records:
+                if not record.is_merge:
+                    yield record
+
+    return merge_free(), report
+
+
+def tee_records(records: Iterable[CommitRecord], sink) -> Iterator[CommitRecord]:
+    """Pass records through, writing each to ``sink`` as a records.jsonl line."""
     for record in records:
         sink.write(dumps_stable(record_to_dict(record), indent=None) + "\n")
         yield record
@@ -409,23 +395,9 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         project_dir.mkdir(parents=True, exist_ok=True)
         result.out_dir = project_dir
 
-        if source.repo is not None:
-            lines: Iterable[str] = cached_repo_lines(source.repo, config.include_merges)
-            origin = str(source.repo)
-        else:
-            lines = Path(source.log).open(encoding="utf-8")
-            origin = str(source.log)
-        records, report = parse_log_stream(lines, strict=config.strict, source=origin)
-        if not config.include_merges:
-            records = (r for r in records if not r.is_merge)
-
-        records_path = project_dir / "records.jsonl"
-        try:
-            with atomic_writer(records_path) as sink:
-                series = build_monthly_series(_tee_records(records, sink), config.identity)
-        finally:
-            if hasattr(lines, "close"):
-                lines.close()
+        records, report = ingest(source.repo, source.log, config.strict)
+        with atomic_writer(project_dir / "records.jsonl") as sink:
+            series = build_monthly_series(tee_records(records, sink), config.identity)
         write_json_atomic(project_dir / "ingest_report.json", report.to_dict())
         write_json_atomic(project_dir / "series.json", series_to_dict(series))
 
@@ -438,8 +410,7 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         write_json_atomic(project_dir / "fit.json", fit_payload)
         write_text_atomic(project_dir / "fit.csv", sidecar)
 
-        merge_policy = "included" if config.include_merges else "excluded"
-        summary = summarize(series, metrics_report, fits, project=source.name, merge_policy=merge_policy)
+        summary = summarize(series, metrics_report, fits, project=source.name)
         eligibility = check_eligibility(summary, config.thresholds)
         summary_payload = summary.to_dict()
         summary_payload["eligibility"] = eligibility.to_dict()

@@ -9,7 +9,7 @@ leading/trailing inactivity is not padded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -104,13 +104,6 @@ class MonthlySeries:
             raise SeriesError(f"unknown series field {field_name!r}")
         return [getattr(point, field_name) for point in self.points]
 
-    def org_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for point in self.points:
-            for key, count in point.org_commits.items():
-                totals[key] = totals.get(key, 0) + count
-        return totals
-
 
 def _fallback_unit(raw_email: str) -> tuple[str, OrgUnit]:
     # Garbage author emails (no "@", etc.) still identify a contributor
@@ -125,11 +118,11 @@ def build_monthly_series(
 ) -> MonthlySeries:
     """Aggregate records into a gap-filled monthly series.
 
-    Merge commits are ignored.  Records whose email cannot be normalized are
-    attributed to an Unknown one-person unit keyed by the trimmed, lowercased
-    raw string, so every non-merge record lands in exactly one month bucket
-    (conservation: sum of monthly commit counts equals the non-merge record
-    count).  Order-insensitive.
+    Every record given counts; merges are dropped before this, at ingest.
+    Records whose email cannot be normalized are attributed to an Unknown
+    one-person unit keyed by the trimmed, lowercased raw string, so every
+    record lands in exactly one month bucket (conservation: sum of monthly
+    commit counts equals the record count).  Order-insensitive.
     """
     unit_cache: dict[str, OrgUnit] = {}
     month_commits: dict[int, int] = {}
@@ -138,8 +131,6 @@ def build_monthly_series(
     contributor_commits: dict[str, int] = {}
 
     for record in records:
-        if record.is_merge:
-            continue
         try:
             key = normalize_email(record.author_email)
         except IdentityError:
@@ -220,12 +211,7 @@ class EligibilityReport:
         return self.contributors_ok and self.orgs_ok and self.commit_rate_ok
 
     def to_dict(self) -> dict:
-        return {
-            "contributors_ok": self.contributors_ok,
-            "orgs_ok": self.orgs_ok,
-            "commit_rate_ok": self.commit_rate_ok,
-            "eligible": self.eligible,
-        }
+        return {**asdict(self), "eligible": self.eligible}
 
 
 def check_eligibility(summary, thresholds: EligibilityThresholds = EligibilityThresholds()) -> EligibilityReport:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from forgepulse import pipeline
 from forgepulse.cli import main
+from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
 
 from conftest import DATA_DIR, make_line
 
@@ -49,17 +51,16 @@ def test_ingest_from_repo_drops_merges(tmp_path, capsys, repo_builder):
     repo.commit(date="2015-01-20T00:00:00+00:00")
     repo.branch_and_merge(date="2015-02-01T00:00:00+00:00")
     out = tmp_path / "records.jsonl"
-    code, _, _ = run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))
+    code, _, err = run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))
     assert code == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert all(not r["is_merge"] for r in records)
+    assert len(records) == 3 and all(not r["is_merge"] for r in records)
+    report = json.loads(err)
+    assert (report["records_parsed"], report["records_written"]) == (4, 3)
+    assert report["merge_policy"] == "excluded"
 
-    code, _, _ = run_cli(
-        capsys, "ingest", "--repo", str(repo.root), "--include-merges", "--out", str(out)
-    )
-    assert code == 0
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert sum(r["is_merge"] for r in records) == 1
+    with pytest.raises(SystemExit):  # merges cannot be asked for
+        main(["ingest", "--repo", str(repo.root), "--include-merges", "--out", str(out)])
 
 
 def test_ingest_stdout(capsys):
@@ -109,10 +110,11 @@ def test_metrics_window_flag(tmp_path, capsys):
     assert code == 0
     assert json.loads(metrics.read_text())["window"] == "3"
 
-    code, _, err = run_cli(capsys, "metrics", "--series", str(series),
-                           "--window", "sometimes", "--out", str(metrics))
-    assert code == 2
-    assert "window" in err
+    for bad in ("sometimes", "lastx", "last0", "last-3"):
+        code, _, err = run_cli(capsys, "metrics", "--series", str(series),
+                               "--window", bad, "--out", str(metrics))
+        assert code == 2
+        assert err == f"config error: bad --window {bad!r}: use 'all' or 'lastN' with N >= 1\n"
 
 
 def test_series_group_providers(tmp_path, capsys):
@@ -156,6 +158,23 @@ def test_run_and_summary_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "summary", str(summary_json))
     assert code == 0
     assert "fixture" in out
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"total_contributors": 3}', "missing or bad field 'project'"),
+        ("[1, 2]", "summary must be a JSON object, got list"),
+        ("project: x", "Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["missing-field", "not-an-object", "not-json"],
+)
+def test_summary_bad_input_is_one_line_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "summary", str(path))
+    assert code == 1
+    assert err == f"error: bad summary file {path}: {reason}\n"
 
 
 def test_run_exit_code_on_failure(tmp_path, capsys):
@@ -233,10 +252,58 @@ def test_cache_env_reuses_acquired_log(tmp_path, capsys, repo_builder, monkeypat
     assert len(cached) == 1
     first = out.read_text()
 
-    # repo gone; the cached log must still serve the same records
-    resolved = repo.root.resolve()
-    repo.root.rename(tmp_path / "repo-moved")
+    # history unchanged: the cached log must serve the same records without git log
+    def no_acquire(*args, **kwargs):
+        raise AssertionError("log acquired again")
+
+    monkeypatch.setattr(pipeline, "acquire_repo_log", no_acquire)
     out2 = tmp_path / "records2.jsonl"
-    code, _, _ = run_cli(capsys, "ingest", "--repo", str(resolved), "--out", str(out2))
+    code, _, _ = run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out2))
     assert code == 0
     assert out2.read_text() == first
+
+
+def test_cache_env_sees_new_commits(tmp_path, capsys, repo_builder, monkeypatch):
+    repo = repo_builder()
+    repo.commit(date="2015-03-01T12:00:00+00:00")
+    monkeypatch.setenv("FORGEPULSE_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "records.jsonl"
+
+    def ingested():
+        assert run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))[0] == 0
+        return [json.loads(line)["authored_at"] for line in out.read_text().splitlines()]
+
+    assert ingested() == ["2015-03-01T12:00:00+00:00"]
+    repo.commit(date="2015-04-01T12:00:00+00:00")
+    assert sorted(ingested()) == ["2015-03-01T12:00:00+00:00", "2015-04-01T12:00:00+00:00"]
+
+    # the ref state cannot be read: a one-line error, not a stale entry
+    repo.root.rename(tmp_path / "repo-moved")
+    code, _, err = run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: fatal: cannot change to") and err.count("\n") == 1
+
+
+def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
+    lines = [make_line(i, stamp=f"2015-{1 + i % 12:02d}-10T00:00:00+00:00",
+                       email=f"dev{i % 5}@org{i % 3}.com", parents=2 if i % 4 == 0 else 1)
+             for i in range(60)]
+    lines[7] = "corrupted"
+    log = tmp_path / "mixed.log"
+    log.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cli"
+    out.mkdir()
+    for argv in (["ingest", "--log", str(log), "--out", str(out / "records.jsonl")],
+                 ["series", "--in", str(out / "records.jsonl"), "--out", str(out / "series.json")],
+                 ["metrics", "--series", str(out / "series.json"), "--window", "all",
+                  "--out", str(out / "metrics.json")]):
+        assert run_cli(capsys, *argv)[0] == 0
+    config = RunConfig(projects=(ProjectSource("mixed", log=log),), out_dir=tmp_path / "run")
+    assert run_pipeline(config).exit_code == 0
+
+    records = (out / "records.jsonl").read_bytes()
+    assert len(records.splitlines()) == 44  # 59 parsed, 15 of them merges
+    assert b'"is_merge": true' not in records
+    assert sum(p["commits"] for p in json.loads((out / "series.json").read_text())["points"]) == 44
+    for name in ("records.jsonl", "series.json", "metrics.json"):
+        assert (tmp_path / "run" / "mixed" / name).read_bytes() == (out / name).read_bytes(), name

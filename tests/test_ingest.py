@@ -14,6 +14,7 @@ from forgepulse import (
     parse_log_stream,
 )
 from forgepulse.ingest import read_records_jsonl, record_from_dict, record_to_dict
+from forgepulse.pipeline import ingest
 
 from conftest import make_line, sha_for
 
@@ -211,18 +212,19 @@ def test_acquire_linear_history(repo_builder):
     assert {r.authored_at.day for r in records} == {1, 2, 3}
 
 
-def test_acquire_excludes_merges_by_default(repo_builder):
+def test_acquire_keeps_merges_and_ingest_drops_them(repo_builder):
     repo = repo_builder()
     repo.commit(date="2015-03-01T12:00:00+00:00")
     repo.commit(date="2015-03-02T12:00:00+00:00")
     repo.branch_and_merge()
-    without = list(acquire_repo_log(repo.root, include_merges=False))
-    with_merges = list(acquire_repo_log(repo.root, include_merges=True))
-    assert len(with_merges) == len(without) + 1
-    records, _ = parse_all(with_merges)
+    lines = list(acquire_repo_log(repo.root))
+    assert sorted(line.rstrip("\n").rsplit("\t", 1)[1] for line in lines) == ["0", "1", "1", "2"]
+    records, _ = parse_all(lines)
     assert sum(1 for r in records if r.is_merge) == 1
-    records, _ = parse_all(without)
-    assert all(not r.is_merge for r in records)
+    records, report = ingest(repo.root, None)
+    records = list(records)
+    assert len(records) == 3 and all(not r.is_merge for r in records)
+    assert report.records_parsed == 4
 
 
 def test_acquire_missing_path(tmp_path):

@@ -15,6 +15,7 @@ from forgepulse import (
     spearman,
     spearman_distinct_ranks,
 )
+from forgepulse.metrics import average_ranks
 from forgepulse.series import MonthlyPoint, MonthlySeries
 
 
@@ -66,6 +67,26 @@ def test_spearman_with_ties_uses_average_ranks():
     result = spearman([4, 4, 9], [1, 2, 3])
     assert result.used_tie_correction is True
     assert result.rho == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+
+
+def loop_average_ranks(values):
+    """Reference: walk the sorted values, giving each tie group its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(values=st.lists(st.integers(-5, 5), max_size=40))
+def test_average_ranks_match_the_tie_group_walk(values):
+    values = np.asarray(values, dtype=float)
+    assert np.array_equal(average_ranks(values), loop_average_ranks(values))
 
 
 no_ties_pairs = st.integers(2, 50).flatmap(

@@ -229,11 +229,13 @@ def test_load_run_config(tmp_path):
                 "thresholds": {"min_total_contributors": 5},
                 "smoothing_window": 5,
                 "model": "gompertz",
+                "metrics_window": "last12",
                 "workers": 2,
             }
         )
     )
     config = load_run_config(config_path)
+    assert config.metrics_window == 12
     assert config.projects[0].log == log
     assert config.out_dir == tmp_path / "results"
     assert config.thresholds == EligibilityThresholds(5, 20, 100.0)
@@ -252,8 +254,15 @@ def test_load_run_config_errors(tmp_path):
         load_run_config(path)
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "absent.json")
-    path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "metrics_window": [12]}')
-    with pytest.raises(ConfigError, match="metrics_window"):
+    for window in ([12], "lastx", "last0", "last-3", 0):
+        path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], "metrics_window": window}))
+        with pytest.raises(ConfigError, match="metrics_window"):
+            load_run_config(path)
+    path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "thresholds": {"min_total_contributors": "five"}}')
+    with pytest.raises(ConfigError, match="min_total_contributors"):
+        load_run_config(path)
+    path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "include_merges": true}')
+    with pytest.raises(ConfigError, match="include_merges"):
         load_run_config(path)
 
 

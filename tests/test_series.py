@@ -15,9 +15,10 @@ from forgepulse import (
     moving_average,
     smooth,
 )
+from forgepulse.pipeline import ingest
 from forgepulse.series import series_from_dict, series_to_dict
 
-from conftest import sha_for, utc
+from conftest import make_line, sha_for, utc
 
 
 def record(tag, when, email="alice@x.com", merge=False):
@@ -73,11 +74,14 @@ def test_utc_bucketing_across_month_boundary():
     assert series.origin == MonthKey(2015, 2)
 
 
-def test_merges_are_ignored():
-    series = build_monthly_series(
-        [record(1, utc(2015, 1, 1)), record(2, utc(2015, 1, 2), merge=True)]
-    )
+def test_merges_are_ignored(tmp_path):
+    log = tmp_path / "merge.log"
+    log.write_text(make_line(1, stamp="2015-01-01T00:00:00+00:00") + "\n"
+                   + make_line(2, stamp="2015-01-02T00:00:00+00:00", parents=2) + "\n")
+    records, report = ingest(None, log)
+    series = build_monthly_series(records)
     assert series.points[0].commits == 1
+    assert report.records_parsed == 2
 
 
 def test_unparsable_email_falls_back_to_unknown_unit():
@@ -90,11 +94,13 @@ def test_unparsable_email_falls_back_to_unknown_unit():
     assert "not an email" in point.org_commits
 
 
-def test_empty_input_is_an_error():
+def test_empty_input_is_an_error(tmp_path):
     with pytest.raises(SeriesError):
         build_monthly_series([])
+    log = tmp_path / "merges-only.log"
+    log.write_text(make_line(1, parents=2) + "\n" + make_line(2, parents=3) + "\n")
     with pytest.raises(SeriesError):
-        build_monthly_series([record(1, utc(2015, 1, 1), merge=True)])
+        build_monthly_series(ingest(None, log)[0])
 
 
 def test_contributor_totals():
@@ -130,13 +136,8 @@ def record_batches(draw):
 @given(records=record_batches())
 @settings(max_examples=100)
 def test_conservation_and_gap_invariants(records):
-    non_merge = [r for r in records if not r.is_merge]
-    if not non_merge:
-        with pytest.raises(SeriesError):
-            build_monthly_series(records)
-        return
     series = build_monthly_series(records)
-    assert series.total_commits == len(non_merge)
+    assert series.total_commits == len(records)
     indexes = [p.month.index for p in series.points]
     assert indexes == list(range(indexes[0], indexes[-1] + 1))
     for point in series.points:
@@ -148,9 +149,6 @@ def test_conservation_and_gap_invariants(records):
 @given(records=record_batches(), seed=st.integers(0, 2**16))
 @settings(max_examples=50)
 def test_order_invariance(records, seed):
-    non_merge = [r for r in records if not r.is_merge]
-    if not non_merge:
-        return
     shuffled = records[:]
     random.Random(seed).shuffle(shuffled)
     assert build_monthly_series(records) == build_monthly_series(shuffled)
@@ -159,14 +157,11 @@ def test_order_invariance(records, seed):
 @given(records=record_batches())
 @settings(max_examples=50)
 def test_activity_is_idempotent_per_contributor(records):
-    non_merge = [r for r in records if not r.is_merge]
-    if not non_merge:
-        return
     series = build_monthly_series(records)
     for point in series.points:
         distinct = {
             r.author_email.strip().lower()
-            for r in non_merge
+            for r in records
             if MonthKey.from_datetime(r.authored_at) == point.month
         }
         assert point.active_contributors == len(distinct)
