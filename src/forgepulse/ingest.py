@@ -16,10 +16,12 @@ import hashlib
 import json
 import re
 import subprocess
+import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LogParseError, RepoAcquisitionError
 
@@ -34,8 +36,7 @@ REASON_EMPTY_EMAIL = "empty email"
 GIT_LOG_FORMAT = "%H%x09%aI%x09%ae%x09%an%x09%P"
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One commit: identity fields plus the merge flag.
 
     ``authored_at`` is always timezone-aware UTC.  Hashes are assumed unique
@@ -95,16 +96,7 @@ def _parse_line(line: str) -> tuple[CommitRecord | None, str | None]:
         return None, REASON_PARENT_COUNT
     if not email.strip():
         return None, REASON_EMPTY_EMAIL
-    return (
-        CommitRecord(
-            hash=sha,
-            author_email=email,
-            author_name=name,
-            authored_at=stamp,
-            is_merge=parent_count >= 2,
-        ),
-        None,
-    )
+    return CommitRecord(sha, email, name, stamp, parent_count >= 2), None
 
 
 def parse_log_stream(
@@ -171,6 +163,21 @@ def record_to_dict(record: CommitRecord) -> dict:
     }
 
 
+_RECORD_LINE = '{{"author_email": {}, "author_name": {}, "authored_at": "{}", "hash": {}, "is_merge": {}}}'
+
+
+def record_line(record: CommitRecord) -> str:
+    """``record_to_dict`` as one records.jsonl line: the bytes
+    ``json.dumps(..., sort_keys=True)`` gives, without building the dict."""
+    return _RECORD_LINE.format(
+        encode_basestring_ascii(record.author_email),
+        encode_basestring_ascii(record.author_name),
+        record.authored_at.isoformat(),
+        encode_basestring_ascii(record.hash),
+        "true" if record.is_merge else "false",
+    )
+
+
 def record_from_dict(data: dict) -> CommitRecord:
     """Inverse of ``record_to_dict``.
 
@@ -189,7 +196,7 @@ def record_from_dict(data: dict) -> CommitRecord:
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[CommitRecord]:
-    """Records from JSONL lines as ``record_to_dict`` writes them.
+    """Records from JSONL lines as ``record_line`` writes them.
 
     Blank lines are ignored.  A line that is not such a record raises
     LogParseError with its 1-based line number.
@@ -235,30 +242,33 @@ def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
     repo_path = Path(repo_path)
     if not repo_path.exists():
         raise RepoAcquisitionError(f"path does not exist: {repo_path}")
-    try:
-        proc = subprocess.Popen(
-            ["git", "-C", str(repo_path), "log", "--all", f"--pretty=format:{GIT_LOG_FORMAT}"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            errors="replace",
-        )
-    except OSError as exc:
-        raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
-    assert proc.stdout is not None and proc.stderr is not None
-    try:
-        for raw in proc.stdout:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            head, _, parents = line.rpartition("\t")
-            count = 0 if not parents.strip() else len(parents.split(" "))
-            yield f"{head}\t{count}\n"
-        stderr_text = proc.stderr.read()
-    finally:
-        proc.stdout.close()
-        proc.stderr.close()
-        proc.wait()
-    if proc.returncode != 0:
-        raise RepoAcquisitionError(stderr_text.strip() or f"git exited with {proc.returncode}")
+    # stderr goes to a file, read once git has exited: a pipe read only after
+    # stdout ends would stall git as soon as it fills the pipe buffer.
+    with tempfile.TemporaryFile() as stderr_file:
+        try:
+            proc = subprocess.Popen(
+                ["git", "-C", str(repo_path), "log", "--all", f"--pretty=format:{GIT_LOG_FORMAT}"],
+                stdout=subprocess.PIPE,
+                stderr=stderr_file,
+                text=True,
+                encoding="utf-8",
+                errors="replace",
+            )
+        except OSError as exc:
+            raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
+        assert proc.stdout is not None
+        try:
+            for raw in proc.stdout:
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                head, _, parents = line.rpartition("\t")
+                count = 0 if not parents.strip() else len(parents.split(" "))
+                yield f"{head}\t{count}\n"
+        finally:
+            proc.stdout.close()
+            proc.wait()
+        if proc.returncode != 0:
+            stderr_file.seek(0)
+            stderr_text = stderr_file.read().decode("utf-8", errors="replace")
+            raise RepoAcquisitionError(stderr_text.strip() or f"git exited with {proc.returncode}")

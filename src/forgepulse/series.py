@@ -9,10 +9,13 @@ leading/trailing inactivity is not padded.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import IdentityError, SeriesError
 from .identity import DomainClass, IdentityConfig, OrgUnit, normalize_email, resolve_org
@@ -122,51 +125,75 @@ def build_monthly_series(
     Records whose email cannot be normalized are attributed to an Unknown
     one-person unit keyed by the trimmed, lowercased raw string, so every
     record lands in exactly one month bucket (conservation: sum of monthly
-    commit counts equals the record count).  Order-insensitive.
+    commit counts equals the record count).  Order-insensitive, except that
+    contributors and each month's units are listed in order of first commit.
+
+    Each distinct raw address is resolved once; per record only its month
+    index and contributor id are kept, and the counts come from
+    ``np.bincount``/``np.unique`` over those two columns.
     """
-    unit_cache: dict[str, OrgUnit] = {}
-    month_commits: dict[int, int] = {}
-    month_contributors: dict[int, set[str]] = {}
-    month_org_commits: dict[int, dict[str, int]] = {}
-    contributor_commits: dict[str, int] = {}
+    raw_ids: dict[str, int] = {}  # raw address -> contributor id
+    key_ids: dict[str, int] = {}  # contributor key -> contributor id
+    unit_ids: dict[str, int] = {}  # unit key -> unit id
+    contributor_unit: list[int] = []  # contributor id -> unit id
+    months = array("q")
+    contributors = array("q")
 
     for record in records:
-        try:
-            key = normalize_email(record.author_email)
-        except IdentityError:
-            key, unit = _fallback_unit(record.author_email)
-            unit_cache.setdefault(key, unit)
-        unit = unit_cache.get(key)
-        if unit is None:
-            unit = resolve_org(key, config)
-            unit_cache[key] = unit
-        index = MonthKey.from_datetime(record.authored_at).index
-        month_commits[index] = month_commits.get(index, 0) + 1
-        month_contributors.setdefault(index, set()).add(key)
-        orgs = month_org_commits.setdefault(index, {})
-        orgs[unit.key] = orgs.get(unit.key, 0) + 1
-        contributor_commits[key] = contributor_commits.get(key, 0) + 1
+        raw = record.author_email
+        contributor = raw_ids.get(raw)
+        if contributor is None:
+            try:
+                key, unit = normalize_email(raw), None
+            except IdentityError:
+                key, unit = _fallback_unit(raw)
+            contributor = key_ids.get(key)
+            if contributor is None:
+                contributor = key_ids[key] = len(key_ids)
+                unit_key = (resolve_org(key, config) if unit is None else unit).key
+                contributor_unit.append(unit_ids.setdefault(unit_key, len(unit_ids)))
+            raw_ids[raw] = contributor
+        stamp = record.authored_at
+        months.append(stamp.year * 12 + stamp.month - 1)
+        contributors.append(contributor)
 
-    if not month_commits:
+    if not months:
         raise SeriesError("no records to aggregate (empty series)")
 
-    first, last = min(month_commits), max(month_commits)
-    points = []
-    for index in range(first, last + 1):
-        orgs = month_org_commits.get(index, {})
-        points.append(
-            MonthlyPoint(
-                month=MonthKey.from_index(index),
-                active_contributors=len(month_contributors.get(index, ())),
-                commits=month_commits.get(index, 0),
-                active_orgs=len(orgs),
-                org_commits=orgs,
-            )
+    month = np.frombuffer(months, dtype=np.int64)
+    contributor = np.frombuffer(contributors, dtype=np.int64)
+    first = int(month.min())
+    month = month - first
+    span = int(month.max()) + 1
+    commits = np.bincount(month, minlength=span)
+    active = np.bincount(np.unique(month * len(key_ids) + contributor) // len(key_ids), minlength=span)
+
+    # (month, unit) pairs, each month's units in order of first commit.
+    pairs, first_seen, counts = np.unique(
+        month * len(unit_ids) + np.asarray(contributor_unit, dtype=np.int64)[contributor],
+        return_index=True, return_counts=True,
+    )
+    pair_month, pair_unit = np.divmod(pairs, len(unit_ids))
+    order = np.lexsort((first_seen, pair_month))
+    unit_keys = list(unit_ids)
+    month_orgs: list[dict[str, int]] = [{} for _ in range(span)]
+    for m, u, c in zip(pair_month[order].tolist(), pair_unit[order].tolist(), counts[order].tolist()):
+        month_orgs[m][unit_keys[u]] = c
+
+    points = tuple(
+        MonthlyPoint(
+            month=MonthKey.from_index(first + m),
+            active_contributors=n_active,
+            commits=n_commits,
+            active_orgs=len(orgs),
+            org_commits=orgs,
         )
+        for m, (n_active, n_commits, orgs) in enumerate(zip(active.tolist(), commits.tolist(), month_orgs))
+    )
     return MonthlySeries(
-        points=tuple(points),
+        points=points,
         origin=MonthKey.from_index(first),
-        contributor_commits=contributor_commits,
+        contributor_commits=dict(zip(key_ids, np.bincount(contributor, minlength=len(key_ids)).tolist())),
     )
 
 

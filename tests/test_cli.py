@@ -160,14 +160,24 @@ def test_run_and_summary_commands(tmp_path, capsys):
     assert "fixture" in out
 
 
+GOOD_SUMMARY = {
+    "project": "x", "total_contributors": 3, "total_orgs": 1, "mean_monthly_commits": 2.5,
+    "active_contrib_range": [1, 2.5], "monthly_commit_range": [1, 4], "active_org_range": [1, 1],
+    "spearman": None, "diversity": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
         ('{"total_contributors": 3}', "missing or bad field 'project'"),
         ("[1, 2]", "summary must be a JSON object, got list"),
         ("project: x", "Expecting value: line 1 column 1 (char 0)"),
+        (json.dumps({**GOOD_SUMMARY, "active_contrib_range": ["a", "b"]}),
+         "missing or bad field 'active_contrib_range'"),
+        (json.dumps({**GOOD_SUMMARY, "total_contributors": "3"}), "missing or bad field 'total_contributors'"),
     ],
-    ids=["missing-field", "not-an-object", "not-json"],
+    ids=["missing-field", "not-an-object", "not-json", "string-range", "string-total"],
 )
 def test_summary_bad_input_is_one_line_error(tmp_path, capsys, text, reason):
     path = tmp_path / "summary.json"
@@ -276,6 +286,7 @@ def test_cache_env_sees_new_commits(tmp_path, capsys, repo_builder, monkeypatch)
     assert ingested() == ["2015-03-01T12:00:00+00:00"]
     repo.commit(date="2015-04-01T12:00:00+00:00")
     assert sorted(ingested()) == ["2015-03-01T12:00:00+00:00", "2015-04-01T12:00:00+00:00"]
+    assert len(list((tmp_path / "cache").iterdir())) == 1  # the superseded entry is gone
 
     # the ref state cannot be read: a one-line error, not a stale entry
     repo.root.rename(tmp_path / "repo-moved")

@@ -1,0 +1,171 @@
+"""The per-commit path against the code it replaced.
+
+``build_monthly_series_oracle`` is the dict-and-set loop that used to be
+``build_monthly_series``, and ``dumps_stable(record_to_dict(r), indent=None)``
+is how records.jsonl lines used to be encoded.  The fixture digests were
+recorded with that code; ``records.jsonl``, ``ingest_report.json`` and
+``series.json`` hold only integers and strings, so they do not depend on the
+platform.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr
+from datetime import datetime, timezone
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forgepulse import CommitRecord, IdentityConfig, SeriesError, build_monthly_series
+from forgepulse.cli import main
+from forgepulse.errors import IdentityError
+from forgepulse.ingest import record_line, record_to_dict
+from forgepulse.jsonio import dumps_stable
+from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
+from forgepulse.series import (
+    MonthKey,
+    MonthlyPoint,
+    MonthlySeries,
+    _fallback_unit,
+    normalize_email,
+    resolve_org,
+    series_to_dict,
+)
+
+from conftest import DATA_DIR, sha_for
+
+FIXTURE_DIGESTS = {
+    "records.jsonl": "74bdce0dc497ab9226a7244e99c6067735f731bf2194e079a270f83169c8c918",
+    "ingest_report.json": "743922978a7572d316cc71e63b7a5d82ab10d6d90316b2a0f1f0a8470d232f0e",
+    "series.json": "929b5d19cbf1995e8e2a65b9f26063aca0331d585c4df96ab4510b7d834cf9c9",
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fixture_artifacts_keep_their_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA_DIR.parent)  # ingest_report.json names the log as given
+    log = Path(DATA_DIR.name) / "fixture_500.log"
+    config = RunConfig(projects=(ProjectSource("fixture", log=log),), out_dir=tmp_path / "run", biphase=True)
+    assert run_pipeline(config).exit_code == 0
+    for name, digest in FIXTURE_DIGESTS.items():
+        assert sha256(tmp_path / "run" / "fixture" / name) == digest, name
+
+    records, series = tmp_path / "records.jsonl", tmp_path / "series.json"
+    with redirect_stderr(io.StringIO()):
+        assert main(["ingest", "--log", str(log), "--out", str(records)]) == 0
+        assert main(["series", "--in", str(records), "--out", str(series)]) == 0
+    assert sha256(records) == FIXTURE_DIGESTS["records.jsonl"]
+    assert sha256(series) == FIXTURE_DIGESTS["series.json"]
+
+
+awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\té \U0001f600'), st.characters()),
+    max_size=20,
+)
+stamps = st.datetimes(
+    min_value=datetime(1970, 1, 1), max_value=datetime(2099, 12, 31)
+).map(lambda d: d.replace(tzinfo=timezone.utc))
+
+
+@given(
+    email=awkward_text,
+    name=awkward_text,
+    stamp=stamps,
+    is_merge=st.booleans(),
+    tag=st.integers(0, 1000),
+)
+def test_record_line_is_the_json_encoding(email, name, stamp, is_merge, tag):
+    record = CommitRecord(sha_for(tag), email, name, stamp, is_merge)
+    assert record_line(record) == dumps_stable(record_to_dict(record), indent=None)
+
+
+def build_monthly_series_oracle(records, config=IdentityConfig()):
+    unit_cache = {}
+    month_commits = {}
+    month_contributors = {}
+    month_org_commits = {}
+    contributor_commits = {}
+
+    for record in records:
+        try:
+            key = normalize_email(record.author_email)
+        except IdentityError:
+            key, unit = _fallback_unit(record.author_email)
+            unit_cache.setdefault(key, unit)
+        unit = unit_cache.get(key)
+        if unit is None:
+            unit = resolve_org(key, config)
+            unit_cache[key] = unit
+        index = MonthKey.from_datetime(record.authored_at).index
+        month_commits[index] = month_commits.get(index, 0) + 1
+        month_contributors.setdefault(index, set()).add(key)
+        orgs = month_org_commits.setdefault(index, {})
+        orgs[unit.key] = orgs.get(unit.key, 0) + 1
+        contributor_commits[key] = contributor_commits.get(key, 0) + 1
+
+    if not month_commits:
+        raise SeriesError("no records to aggregate (empty series)")
+
+    first, last = min(month_commits), max(month_commits)
+    points = []
+    for index in range(first, last + 1):
+        orgs = month_org_commits.get(index, {})
+        points.append(
+            MonthlyPoint(
+                month=MonthKey.from_index(index),
+                active_contributors=len(month_contributors.get(index, ())),
+                commits=month_commits.get(index, 0),
+                active_orgs=len(orgs),
+                org_commits=orgs,
+            )
+        )
+    return MonthlySeries(
+        points=tuple(points),
+        origin=MonthKey.from_index(first),
+        contributor_commits=contributor_commits,
+    )
+
+
+DOMAINS = [
+    "intel.com", "Dev.Intel.com", "lab.co.uk",  # corporate, a subdomain, a public suffix
+    "gmail.com", "mail.yahoo.com",  # providers
+    "apache.org", "gnome.org",  # virtual organizations
+    "localhost", "10.0.0.1", "co.uk",  # no registrable domain: Unknown
+    "research.berkeley.edu", "subsidiary.com",  # aliased
+]
+ALIASES = {"research.berkeley.edu": "berkeley.edu", "subsidiary.com": "gmail.com"}
+
+well_formed = st.builds("{}@{}".format, st.sampled_from(["alice", "Bob", "c.d"]), st.sampled_from(DOMAINS))
+malformed = st.sampled_from(["nobody", "a@b@c.com", "two@@ats", "trailing@", "Trailing@", "", "   "])
+variant = st.sampled_from([str, str.upper, str.title, " {} ".format, "{}\t".format])
+emails = st.builds(lambda email, change: change(email), st.one_of(well_formed, malformed), variant)
+# Months 0-59 from January 2010, so most draws leave months without commits.
+month_stamps = st.builds(
+    lambda month, day: datetime(2010 + month // 12, month % 12 + 1, day, tzinfo=timezone.utc),
+    st.integers(0, 59), st.integers(1, 28),
+)
+records = st.builds(CommitRecord, st.integers(0, 99).map(sha_for), emails, st.just("Dev"), month_stamps,
+                    st.just(False))
+
+
+@given(
+    batch=st.lists(records, min_size=1, max_size=60),
+    group_providers=st.booleans(),
+    aliases=st.sampled_from([{}, ALIASES]),
+)
+@settings(max_examples=300)
+def test_series_matches_the_dict_and_set_oracle(batch, group_providers, aliases):
+    config = IdentityConfig(group_providers=group_providers, domain_aliases=aliases)
+    built = build_monthly_series(batch, config)
+    expected = build_monthly_series_oracle(batch, config)
+    assert series_to_dict(built) == series_to_dict(expected)
+    # Orders that float sums downstream (diversity, tail) follow.
+    assert list(built.contributor_commits.items()) == list(expected.contributor_commits.items())
+    assert [list(p.org_commits.items()) for p in built.points] == [
+        list(p.org_commits.items()) for p in expected.points
+    ]
+

@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -256,3 +259,31 @@ def test_acquire_author_date_preserved_not_committer(repo_builder):
     records, _ = parse_all(acquire_repo_log(repo.root))
     assert records[0].author_email == "a@x.com"
     assert records[0].authored_at.month == 1
+
+
+def fake_git(tmp_path, monkeypatch, body):
+    """Put a ``git`` running the Python ``body`` first on PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    git = bin_dir / "git"
+    git.write_text(f"#!{sys.executable}\nimport sys\n{body}\n", encoding="utf-8")
+    git.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+
+
+def test_acquire_survives_git_filling_its_stderr_pipe(tmp_path, monkeypatch):
+    line = make_line(1, parents=sha_for(0))  # git prints parent hashes, not a count
+    fake_git(tmp_path, monkeypatch,
+             f"sys.stderr.write('w' * (1 << 20))\nsys.stderr.flush()\nprint({line!r})")
+    acquired = []
+    worker = threading.Thread(target=lambda: acquired.extend(acquire_repo_log(tmp_path)), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "acquisition stalled on git's stderr"
+    assert acquired == [make_line(1, parents=1) + "\n"]
+
+
+def test_acquire_failure_carries_git_stderr(tmp_path, monkeypatch):
+    fake_git(tmp_path, monkeypatch, "sys.stderr.write('fatal: bad object HEAD\\n')\nsys.exit(1)")
+    with pytest.raises(RepoAcquisitionError, match="^fatal: bad object HEAD$"):
+        list(acquire_repo_log(tmp_path))

@@ -1,5 +1,5 @@
-import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -158,12 +158,14 @@ def test_run_pipeline_partial_failure(tmp_path):
 def test_internal_error_stays_in_its_project(tmp_path, monkeypatch, workers):
     from forgepulse import growth
 
-    calls = itertools.count()  # next() is atomic, so one call fails even on threads
+    marker = tmp_path / "failed-once"  # created once, so one call fails even across worker processes
 
     def fail_first_call(*args, **kwargs):
-        if next(calls) == 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return None
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return None
+        raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(growth, "detect_biphase", fail_first_call)
     config = make_config(
