@@ -43,6 +43,7 @@ from .identity import (
 from .ingest import (
     CommitRecord,
     IngestReport,
+    RecordBlock,
     acquire_repo_log,
     format_record,
     parse_log_stream,

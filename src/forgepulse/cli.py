@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -31,7 +32,7 @@ from .series import build_monthly_series, load_series, series_to_dict
 def _cmd_ingest(args: argparse.Namespace) -> int:
     records, report = ingest(args.repo, args.log, args.strict)
     with nullcontext(sys.stdout) if args.out == "-" else atomic_writer(args.out) as sink:
-        written = sum(1 for _ in tee_records(records, sink))
+        written = sum(map(len, tee_records(records, sink)))
     payload = report.to_dict()
     payload["records_written"] = written
     payload["merge_policy"] = MERGE_POLICY
@@ -47,7 +48,15 @@ def _identity_from_args(args: argparse.Namespace) -> IdentityConfig:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     identity = _identity_from_args(args)
-    with nullcontext(sys.stdin) if args.infile == "-" else Path(args.infile).open(encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a lone surrogate, which the reader
+    # reports with its line number.
+    if args.infile != "-":
+        opened = Path(args.infile).open(encoding="utf-8", errors="surrogateescape")
+    else:
+        if isinstance(sys.stdin, io.TextIOWrapper):  # not a stand-in that holds text already
+            sys.stdin.reconfigure(errors="surrogateescape")
+        opened = nullcontext(sys.stdin)
+    with opened as handle:
         series = build_monthly_series(read_records_jsonl(handle), identity)
     write_json_atomic(args.out, series_to_dict(series))
     return 0

@@ -8,32 +8,47 @@ A parent count of 2 or more marks a merge commit.  Author names containing
 tabs cannot be represented and such lines are rejected (bad field count).
 Timestamps are converted to UTC at parse time so that calendar-month
 bucketing downstream is timezone-independent.
+
+Logs and records JSONL are read ``BLOCK_LINES`` lines at a time into
+``RecordBlock`` columns: the checks and the UTC conversion run once per
+block, over arrays, and a block's records.jsonl text is built in one join.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import subprocess
 import tempfile
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import LogParseError, RepoAcquisitionError
-
-_HEX40 = re.compile(r"[0-9a-fA-F]{40}")
 
 REASON_FIELD_COUNT = "bad field count"
 REASON_HASH = "bad hash"
 REASON_TIMESTAMP = "bad timestamp"
 REASON_PARENT_COUNT = "bad parent count"
 REASON_EMPTY_EMAIL = "empty email"
+# Not a skip reason: a line that is not UTF-8 ends the read in either mode.
+REASON_NOT_UTF8 = "not UTF-8"
 
 GIT_LOG_FORMAT = "%H%x09%aI%x09%ae%x09%an%x09%P"
+
+# Lines per block: enough that the per-block array work costs little per
+# line, few enough that a block's transient columns stay near 2 MB.
+BLOCK_LINES = 2048
+# Distinct author fields a memo holds (about 500 bytes each) before it
+# starts over, which bounds its size.
+_MEMO_SIZE = 1 << 14
 
 
 class CommitRecord(NamedTuple):
@@ -49,6 +64,124 @@ class CommitRecord(NamedTuple):
     author_name: str
     authored_at: datetime
     is_merge: bool
+
+
+class Author(NamedTuple):
+    """The fields a commit shares with the author's other commits, with
+    the records.jsonl text around its stamp and hash."""
+
+    email: str
+    name: str
+    is_merge: bool
+    head: str  # '{"author_email": ..., "author_name": ..., "authored_at": "'
+    end: str  # '", "is_merge": false}' and the newline
+
+
+def _author(key: tuple[str, str, bool]) -> Author:
+    """The Author of (email, name, is_merge)."""
+    email, name, is_merge = key
+    return Author(
+        email,
+        name,
+        is_merge,
+        f'{{"author_email": {encode_basestring_ascii(email)}, '
+        f'"author_name": {encode_basestring_ascii(name)}, "authored_at": "',
+        '", "is_merge": true}\n' if is_merge else '", "is_merge": false}\n',
+    )
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``.  It starts over
+    once it holds ``_MEMO_SIZE`` keys, so a long log cannot grow it without
+    bound."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+_HEADS = attrgetter("head")
+_ENDS = attrgetter("end")
+_MERGES = attrgetter("is_merge")
+_HASH_KEY = '", "hash": "'
+
+
+class RecordBlock:
+    """Consecutive commits as parallel columns.
+
+    ``stamps`` holds each commit's UTC time as ISO 8601 text, ``months`` its
+    UTC month index (year * 12 + month - 1).  Iterating a block gives its
+    ``CommitRecord``s.  ``hex_hashes`` says that every hash was checked to be
+    40 hex digits, so it goes into JSON without escaping.
+    """
+
+    __slots__ = ("hashes", "authors", "stamps", "months", "hex_hashes")
+
+    def __init__(self, hashes: list[str], authors: list[Author], stamps: list[str],
+                 months: np.ndarray, hex_hashes: bool = False):
+        self.hashes = hashes
+        self.authors = authors
+        self.stamps = stamps
+        self.months = months
+        self.hex_hashes = hex_hashes
+
+    @classmethod
+    def from_records(cls, records: Iterable[CommitRecord]) -> RecordBlock:
+        records = list(records)
+        authors = _Memo(_author)
+        return cls(
+            [r.hash for r in records],
+            [authors[r.author_email, r.author_name, r.is_merge] for r in records],
+            [r.authored_at.isoformat() for r in records],
+            np.array([r.authored_at.year * 12 + r.authored_at.month - 1 for r in records], dtype=np.int32),
+        )
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def __iter__(self) -> Iterator[CommitRecord]:
+        for sha, author, stamp in zip(self.hashes, self.authors, self.stamps):
+            yield CommitRecord(sha, author.email, author.name, datetime.fromisoformat(stamp), author.is_merge)
+
+    @property
+    def emails(self) -> list[str]:
+        return [author.email for author in self.authors]
+
+    def select(self, keep) -> RecordBlock:
+        """The commits whose ``keep`` entry is true."""
+        keep = np.asarray(keep, dtype=bool)
+        flags = keep.tolist()
+        return RecordBlock(
+            list(compress(self.hashes, flags)),
+            list(compress(self.authors, flags)),
+            list(compress(self.stamps, flags)),
+            self.months[keep],
+            self.hex_hashes,
+        )
+
+    def without_merges(self) -> RecordBlock:
+        merges = list(map(_MERGES, self.authors))
+        return self.select([not merge for merge in merges]) if any(merges) else self
+
+    def jsonl(self) -> str:
+        """The block as records.jsonl lines: for each record, the bytes
+        ``json.dumps(record_to_dict(record), sort_keys=True)`` gives, and a
+        newline."""
+        hashes = self.hashes
+        if not self.hex_hashes:
+            hashes = [encode_basestring_ascii(sha)[1:-1] for sha in hashes]
+        parts = [_HASH_KEY] * (5 * len(hashes))
+        parts[0::5] = map(_HEADS, self.authors)
+        parts[1::5] = self.stamps
+        parts[3::5] = hashes
+        parts[4::5] = map(_ENDS, self.authors)
+        return "".join(parts)
 
 
 @dataclass
@@ -71,68 +204,236 @@ def _parse_timestamp(text: str) -> datetime | None:
         text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
-    except ValueError:
+        if stamp.tzinfo is None:
+            return None
+        return stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # OverflowError: the UTC instant is outside years 1..9999
         return None
-    if stamp.tzinfo is None:
-        return None
-    return stamp.astimezone(timezone.utc)
 
 
-def _parse_line(line: str) -> tuple[CommitRecord | None, str | None]:
-    parts = line.split("\t")
-    if len(parts) != 5:
-        return None, REASON_FIELD_COUNT
-    sha, stamp_text, email, name, parent_text = parts
-    if not _HEX40.fullmatch(sha):
-        return None, REASON_HASH
-    stamp = _parse_timestamp(stamp_text)
-    if stamp is None:
-        return None, REASON_TIMESTAMP
+# Stamps of the strict shape YYYY-MM-DDTHH:MM:SS+HH:MM (or -HH:MM), or
+# YYYY-MM-DDTHH:MM:SSZ, are converted together; every other stamp goes to
+# ``_parse_timestamp`` on its own.
+_STAMP_WIDTH = 25
+# Digit positions, in pairs: century, year of century, month, day, hour,
+# minute, second, offset hours, offset minutes.
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24]
+_STAMP_SEPARATORS = [4, 7, 10, 13, 16]
+_SEPARATOR_CODES = np.array([ord(c) for c in "--T::"], dtype=np.uint32)
+# Upper bounds of month, day, hour, minute, second, offset hours, offset minutes.
+_FIELD_MAXIMA = np.array([12, 31, 23, 59, 59, 23, 59], dtype=np.int32)
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], dtype=np.uint32)
+_TWO_DIGITS = np.array([[48 + v // 10, 48 + v % 10] for v in range(100)], dtype=np.uint32)
+_MONTH_ZERO = np.datetime64("0000-01", "M")  # month index 0
+
+
+def _utc_block(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Convert the stamps of canonical shape to UTC together.
+
+    Returns which stamps were converted, their UTC month index and their
+    UTC ISO text, the form ``_parse_timestamp(...).isoformat()`` gives.  A
+    stamp is converted only when every field is ASCII digits and in range
+    (the day within its month, the offset under 24 hours) and its UTC
+    instant falls in years 1..9999; the entries of the others are filler.
+    """
+    n = len(stamps)
+    width = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
+    if (width > _STAMP_WIDTH).any():  # the fixed-width array would cut them short
+        stamps = [stamp if len(stamp) <= _STAMP_WIDTH else "" for stamp in stamps]
+    chars = np.array(stamps, dtype=f"<U{_STAMP_WIDTH}").view(np.uint32).reshape(n, _STAMP_WIDTH)
+    digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
+    is_digit = digits < 10
+    sign = chars[:, 19].copy()
+    zulu = (width == 20) & (sign == ord("Z"))
+    offset_form = (width == _STAMP_WIDTH) & ((sign == ord("+")) | (sign == ord("-"))) & (chars[:, 22] == ord(":"))
+    ok = is_digit[:, :14].all(axis=1) & (zulu | (offset_form & is_digit[:, 14:].all(axis=1)))
+    ok &= (chars[:, _STAMP_SEPARATORS] == _SEPARATOR_CODES).all(axis=1)
+
+    np.minimum(digits, 9, out=digits)  # rows with other characters are rejected above
+    fields = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int32)
+    fields[zulu, 7:] = 0
+    year = fields[:, 0] * 100 + fields[:, 1]
+    month, day, hour, minute = fields[:, 2:6].T
+    month_days = _DAYS_IN_MONTH[np.clip(month - 1, 0, 11)]
+    month_days += (month == 2) & (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (fields[:, 2:] <= _FIELD_MAXIMA).all(axis=1) & (year >= 1) & (month >= 1) & (day >= 1) & (day <= month_days)
+    months = year * 12 + month - 1
+
+    # Only an offset moves the clock, and at most a day either way: the
+    # text is the stamp's own, with the fields that change rewritten.  The
+    # rows whose date moves take it from datetime64.
+    text = chars  # rewritten in place into the UTC text
+    text[:, 19:] = _UTC_SUFFIX
+    moved = np.flatnonzero(ok & (fields[:, 7:].any(axis=1)))
+    if moved.size:
+        offset = fields[moved, 7] * 60 + fields[moved, 8]
+        clock = hour[moved] * 60 + minute[moved] - np.where(sign[moved] == ord("-"), -offset, offset)
+        shift, clock = np.divmod(clock, 1440)
+        text[moved, 11:13] = _TWO_DIGITS[clock // 60]
+        text[moved, 14:16] = _TWO_DIGITS[clock % 60]
+        moved, shift = moved[shift != 0], shift[shift != 0]
+        date = (_MONTH_ZERO + months[moved]).astype("datetime64[D]") + (day[moved] - 1 + shift)
+        utc_months = (date.astype("datetime64[M]") - _MONTH_ZERO).astype(np.int64)
+        ok[moved] &= (utc_months >= 12) & (utc_months < 10000 * 12)  # years 1..9999
+        months[moved] = utc_months
+        text[moved, :10] = np.datetime_as_string(date).astype("<U10").view(np.uint32).reshape(-1, 10)
+    texts = text.view(f"<U{_STAMP_WIDTH}").ravel().tolist()
+    return ok, months, texts
+
+
+def _utc_stamps(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``_utc_block``, with each stamp it leaves over converted by
+    ``_parse_timestamp``: false entries are the stamps that are not
+    timestamps."""
+    ok, months, texts = _utc_block(stamps)
+    for i in np.flatnonzero(~ok).tolist():
+        stamp = _parse_timestamp(stamps[i])
+        if stamp is not None:
+            ok[i] = True
+            months[i] = stamp.year * 12 + stamp.month - 1
+            texts[i] = stamp.isoformat()
+    return ok, months, texts
+
+
+def _hex40(hashes: list[str]) -> np.ndarray:
+    """Which hashes are 40 hex digits."""
+    n = len(hashes)
+    forty = np.fromiter(map(len, hashes), dtype=np.int64, count=n) == 40
+    if not forty.all():
+        hashes = [sha if len(sha) == 40 else "-" * 40 for sha in hashes]
+    # One byte per character: "?" stands for any character past U+00FF.
+    codes = np.frombuffer("".join(hashes).encode("latin-1", "replace"), dtype=np.uint8).reshape(n, 40)
+    # Bytes below "0" or "a" wrap around; | 32 lowercases A-F.
+    return ((codes - 48 < 10) | ((codes | 32) - 97 < 6)).all(axis=1) & forty
+
+
+def _utf8_prefix(lines: list[str]) -> int:
+    """How many leading lines are UTF-8 text.  A file opened with
+    ``errors="surrogateescape"`` shows a byte that is not UTF-8 as a lone
+    surrogate, which has no UTF-8 encoding."""
+    text = "".join(lines)
+    if text.isascii():
+        return len(lines)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return bisect_right(list(accumulate(map(len, lines))), exc.start)
+    return len(lines)
+
+
+def _tail_author(tail: str) -> Author | str:
+    """The Author of a line's fields after the stamp, or why they make no
+    record."""
+    fields = tail.rstrip("\r\n").split("\t")
+    if len(fields) != 3:
+        return REASON_FIELD_COUNT
+    email, name, parent_text = fields
     try:
         parent_count = int(parent_text)
     except ValueError:
-        return None, REASON_PARENT_COUNT
+        return REASON_PARENT_COUNT
     if parent_count < 0:
-        return None, REASON_PARENT_COUNT
+        return REASON_PARENT_COUNT
     if not email.strip():
-        return None, REASON_EMPTY_EMAIL
-    return CommitRecord(sha, email, name, stamp, parent_count >= 2), None
+        return REASON_EMPTY_EMAIL
+    return _author((email, name, parent_count >= 2))
+
+
+_NO_FIELDS = ("", "", "")
+_HASHES, _STAMPS, _TAILS = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _parse_block(
+    chunk: list[str], first: int, tails: _Memo, report: IngestReport, strict: bool
+) -> Iterator[RecordBlock]:
+    """Parse the lines of ``chunk``, the first of which is line ``first``.
+
+    A line with faults takes the reason of the first of: field count, hash,
+    timestamp, then parent count or empty email.  Before a LogParseError
+    (strict mode, or a line that is not UTF-8) the records of the lines
+    before the failing one are yielded.
+    """
+    utf8 = _utf8_prefix(chunk)
+    lines = chunk[:utf8]
+    n = len(lines)
+    parts = list(map(str.split, lines, repeat("\t", n), repeat(2, n)))
+    if min(map(len, parts), default=3) < 3:
+        parts = [fields if len(fields) == 3 else _NO_FIELDS for fields in parts]
+    hashes = list(map(_HASHES, parts))
+    stamps = list(map(_STAMPS, parts))
+    authors = list(map(tails.__getitem__, map(_TAILS, parts)))
+    del parts  # frees each line's field list and tail before the array work
+    hex_ok = _hex40(hashes)
+    stamp_ok, months, texts = _utc_stamps(stamps)
+    faulty = ~(hex_ok & stamp_ok) | np.fromiter(map(isinstance, authors, repeat(str, n)), dtype=bool, count=n)
+
+    keep = np.ones(n, dtype=bool)
+    error = None
+    for i in np.flatnonzero(faulty).tolist():
+        author = authors[i]
+        if author == REASON_FIELD_COUNT:
+            reason = REASON_FIELD_COUNT if lines[i].rstrip("\r\n") else None  # else blank: not a record
+        elif not hex_ok[i]:
+            reason = REASON_HASH
+        elif not stamp_ok[i]:
+            reason = REASON_TIMESTAMP
+        else:
+            reason = author
+        keep[i] = False
+        if reason is None:
+            continue
+        if strict:
+            error = LogParseError(first + i, reason)
+            keep[i:] = False
+            break
+        report.tally_skip(reason)
+    if error is None and utf8 < len(chunk):
+        error = LogParseError(first + utf8, REASON_NOT_UTF8)
+
+    block = RecordBlock(hashes, authors, texts, months, hex_hashes=True)
+    if not keep.all():
+        block = block.select(keep)
+    report.records_parsed += len(block)
+    if block:
+        yield block
+    if error is not None:
+        raise error
 
 
 def parse_log_stream(
     lines: Iterable[str],
     strict: bool = False,
     source: str = "<stream>",
-) -> tuple[Iterator[CommitRecord], IngestReport]:
+    *,
+    blocks: bool = False,
+) -> tuple[Iterator[CommitRecord] | Iterator[RecordBlock], IngestReport]:
     """Parse canonical-format lines into records, single pass, input order.
 
-    Returns a lazy record iterator plus a report that is complete once the
-    iterator is exhausted.  Fully blank lines are ignored (they are not
-    records); every other line is either parsed or tallied as skipped, so
-    records_parsed + records_skipped equals the non-blank line count.
+    Returns a lazy iterator plus a report that is complete once the
+    iterator is exhausted.  The iterator gives ``CommitRecord``s, or with
+    ``blocks=True`` the ``RecordBlock``s they are parsed into.  Fully blank
+    lines are ignored (they are not records); every other line is either
+    parsed or tallied as skipped, so records_parsed + records_skipped equals
+    the non-blank line count.
 
     strict=True raises LogParseError (with line number and reason) at the
     first malformed line; strict=False skips and tallies it instead.  Lines
     with an empty author email are treated as malformed: they are counted
-    under "empty email" and excluded from downstream analysis.
+    under "empty email" and excluded from downstream analysis.  A line that
+    is not UTF-8 raises LogParseError in either mode.
     """
     report = IngestReport(source=source)
 
-    def _records() -> Iterator[CommitRecord]:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            record, reason = _parse_line(line)
-            if record is None:
-                if strict:
-                    raise LogParseError(line_no, reason)
-                report.tally_skip(reason)
-                continue
-            report.records_parsed += 1
-            yield record
+    def _blocks() -> Iterator[RecordBlock]:
+        tails = _Memo(_tail_author)
+        pending = iter(lines)
+        first = 1
+        while chunk := list(islice(pending, BLOCK_LINES)):
+            yield from _parse_block(chunk, first, tails, report, strict)
+            first += len(chunk)
 
-    return _records(), report
+    return (_blocks() if blocks else chain.from_iterable(_blocks())), report
 
 
 def format_record(record: CommitRecord) -> str:
@@ -163,60 +464,117 @@ def record_to_dict(record: CommitRecord) -> dict:
     }
 
 
-_RECORD_LINE = '{{"author_email": {}, "author_name": {}, "authored_at": "{}", "hash": {}, "is_merge": {}}}'
-
-
-def record_line(record: CommitRecord) -> str:
-    """``record_to_dict`` as one records.jsonl line: the bytes
-    ``json.dumps(..., sort_keys=True)`` gives, without building the dict."""
-    return _RECORD_LINE.format(
-        encode_basestring_ascii(record.author_email),
-        encode_basestring_ascii(record.author_name),
-        record.authored_at.isoformat(),
-        encode_basestring_ascii(record.hash),
-        "true" if record.is_merge else "false",
-    )
-
-
 def record_from_dict(data: dict) -> CommitRecord:
     """Inverse of ``record_to_dict``.
 
-    Raises KeyError for a missing field and ValueError for a bad timestamp.
+    Raises KeyError for a missing field, ValueError for a bad timestamp and
+    TypeError for a hash, email or name that is not a string.
     """
     stamp = _parse_timestamp(data["authored_at"])
     if stamp is None:
         raise ValueError(REASON_TIMESTAMP)
-    return CommitRecord(
+    record = CommitRecord(
         hash=data["hash"],
         author_email=data["author_email"],
         author_name=data["author_name"],
         authored_at=stamp,
         is_merge=bool(data["is_merge"]),
     )
+    for name in ("hash", "author_email", "author_name"):
+        if not isinstance(getattr(record, name), str):
+            raise TypeError(f"field {name!r} is not a string")
+    return record
 
 
-def read_records_jsonl(lines: Iterable[str]) -> Iterator[CommitRecord]:
-    """Records from JSONL lines as ``record_line`` writes them.
+_JSONL_FIELDS = itemgetter("authored_at", "hash", "author_email", "author_name", "is_merge")
+_DECODER = json.JSONDecoder()  # what json.loads uses
 
-    Blank lines are ignored.  A line that is not such a record raises
-    LogParseError with its 1-based line number.
-    """
-    line_no = 0
+
+def _jsonl_row(raw: str) -> tuple | None:
+    """(stamp, hash, email, name, is_merge) of one records JSONL line, or
+    None for a blank line.  Raises what ``json.loads(raw.strip())`` and
+    ``record_from_dict`` raise.
+
+    A line that is one JSON value followed only by whitespace, as every
+    records.jsonl line is, takes one ``raw_decode``, which skips the
+    strip and the whitespace scans of ``json.loads`` (BENCH_5.json,
+    ``jsonl_decode_pairs``); any other line goes through
+    ``json.loads(raw.strip())``, which decides."""
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line:
-                yield record_from_dict(json.loads(line))
-    except UnicodeDecodeError:
-        raise  # from reading ``lines``, not from a record
-    except json.JSONDecodeError as exc:
-        raise LogParseError(line_no, f"bad JSON: {exc.msg}") from exc
-    except KeyError as exc:
-        raise LogParseError(line_no, f"missing field {exc}") from exc
-    except ValueError as exc:
-        raise LogParseError(line_no, str(exc)) from exc
-    except (AttributeError, TypeError) as exc:
-        raise LogParseError(line_no, f"bad record: {exc}") from exc
+        data, end = _DECODER.raw_decode(raw)
+        alone = end == len(raw) or raw[end:].isspace()
+    except json.JSONDecodeError:
+        alone = False
+    if not alone:  # leading whitespace, or no JSON value, or more than one
+        raw = raw.strip()  # also whitespace that JSON does not allow
+        if not raw:
+            return None
+        data = json.loads(raw)
+    try:
+        row = _JSONL_FIELDS(data)
+    except (KeyError, TypeError):
+        row = None
+    if row is None or tuple(map(type, row[:4])) != (str, str, str, str):
+        record = record_from_dict(data)  # raises for the first fault, as a record at a time would
+        row = (record.authored_at.isoformat(), record.hash, record.author_email, record.author_name,
+               record.is_merge)
+    return row
+
+
+def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
+    if isinstance(exc, json.JSONDecodeError):
+        return LogParseError(line_no, f"bad JSON: {exc.msg}")
+    if isinstance(exc, RecursionError):
+        return LogParseError(line_no, "bad JSON: nested too deeply")
+    if isinstance(exc, KeyError):
+        return LogParseError(line_no, f"missing field {exc}")
+    if isinstance(exc, ValueError):
+        return LogParseError(line_no, str(exc))
+    return LogParseError(line_no, f"bad record: {exc}")
+
+
+def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
+    """Blocks of records from JSONL lines as ``RecordBlock.jsonl`` writes
+    them.
+
+    Blank lines are ignored.  A line that is not such a record, or not
+    UTF-8, raises LogParseError with its 1-based line number, after the
+    records of the lines before it.
+    """
+    authors = _Memo(_author)
+    pending = iter(lines)
+    first = 1
+    while chunk := list(islice(pending, BLOCK_LINES)):
+        utf8 = _utf8_prefix(chunk)
+        rows, numbers, error = [], [], None
+        for offset, raw in enumerate(chunk[:utf8]):
+            try:
+                row = _jsonl_row(raw)
+            # JSONDecodeError is a ValueError
+            except (ValueError, KeyError, AttributeError, TypeError, RecursionError) as exc:
+                error = _jsonl_error(first + offset, exc)
+                break
+            if row is not None:
+                rows.append(row)
+                numbers.append(first + offset)
+        else:
+            if utf8 < len(chunk):
+                error = LogParseError(first + utf8, REASON_NOT_UTF8)
+        ok, months, texts = _utc_stamps(list(map(itemgetter(0), rows)))
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            del rows[bad:]
+            error = LogParseError(numbers[bad], REASON_TIMESTAMP)
+        if rows:
+            yield RecordBlock(
+                list(map(itemgetter(1), rows)),
+                [authors[row[2], row[3], bool(row[4])] for row in rows],
+                texts[:len(rows)],
+                months[:len(rows)],
+            )
+        if error is not None:
+            raise error
+        first += len(chunk)
 
 
 def ref_state(repo_path: str | Path) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 from . import growth, metrics
 from .errors import ConfigError, ForgepulseError, MetricError
 from .identity import IdentityConfig, load_identity_config
-from .ingest import CommitRecord, IngestReport, acquire_repo_log, parse_log_stream, record_line, ref_state
+from .ingest import IngestReport, RecordBlock, acquire_repo_log, parse_log_stream, ref_state
 from .jsonio import atomic_writer, write_json_atomic, write_text_atomic
 from .series import (
     EligibilityThresholds,
@@ -311,34 +311,38 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
 
 
 def _file_lines(path: str | Path) -> Iterator[str]:
-    with Path(path).open(encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a lone surrogate, which the parsers
+    # report with its line number.
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as handle:
         yield from handle
 
 
 def ingest(
     repo: str | Path | None, log: str | Path | None, strict: bool = False
-) -> tuple[Iterator[CommitRecord], IngestReport]:
-    """Merge-free records of a repository, or else of a canonical log file,
-    plus the parse report (complete once the records are exhausted).  This is
-    the program's only merge filter.  The log is opened at the first record
-    and closed when the records end, fail or are closed."""
+) -> tuple[Iterator[RecordBlock], IngestReport]:
+    """Merge-free blocks of records of a repository, or else of a canonical
+    log file, plus the parse report (complete once the blocks are
+    exhausted).  This is the program's only merge filter.  The log is opened
+    at the first block and closed when the blocks end, fail or are closed."""
     lines = cached_repo_lines(Path(repo)) if repo is not None else _file_lines(log)
-    records, report = parse_log_stream(lines, strict=strict, source=str(repo if repo is not None else log))
+    source = str(repo if repo is not None else log)
+    blocks, report = parse_log_stream(lines, strict=strict, source=source, blocks=True)
 
-    def merge_free() -> Iterator[CommitRecord]:
+    def merge_free() -> Iterator[RecordBlock]:
         with closing(lines):
-            for record in records:
-                if not record.is_merge:
-                    yield record
+            for block in blocks:
+                block = block.without_merges()
+                if block:
+                    yield block
 
     return merge_free(), report
 
 
-def tee_records(records: Iterable[CommitRecord], sink) -> Iterator[CommitRecord]:
-    """Pass records through, writing each to ``sink`` as a records.jsonl line."""
-    for record in records:
-        sink.write(record_line(record) + "\n")
-        yield record
+def tee_records(blocks: Iterable[RecordBlock], sink) -> Iterator[RecordBlock]:
+    """Pass blocks through, writing each to ``sink`` as records.jsonl lines."""
+    for block in blocks:
+        sink.write(block.jsonl())
+        yield block
 
 
 def fit_report(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IdentityError, SeriesError
 from .identity import DomainClass, IdentityConfig, OrgUnit, normalize_email, resolve_org
-from .ingest import CommitRecord
+from .ingest import RecordBlock
 
 SMOOTHABLE_FIELDS = ("active_contributors", "commits", "active_orgs")
 
@@ -115,11 +115,36 @@ def _fallback_unit(raw_email: str) -> tuple[str, OrgUnit]:
     return key, OrgUnit(key, DomainClass.UNKNOWN)
 
 
+class _ContributorIds(dict):
+    """Raw author address -> contributor id, resolving each new address
+    once: its contributor key, and for a new key its unit."""
+
+    def __init__(self, config: IdentityConfig):
+        super().__init__()
+        self.config = config
+        self.key_ids: dict[str, int] = {}  # contributor key -> contributor id
+        self.unit_ids: dict[str, int] = {}  # unit key -> unit id
+        self.contributor_unit: list[int] = []  # contributor id -> unit id
+
+    def __missing__(self, raw: str) -> int:
+        try:
+            key, unit = normalize_email(raw), None
+        except IdentityError:
+            key, unit = _fallback_unit(raw)
+        contributor = self.key_ids.get(key)
+        if contributor is None:
+            contributor = self.key_ids[key] = len(self.key_ids)
+            unit_key = (resolve_org(key, self.config) if unit is None else unit).key
+            self.contributor_unit.append(self.unit_ids.setdefault(unit_key, len(self.unit_ids)))
+        self[raw] = contributor
+        return contributor
+
+
 def build_monthly_series(
-    records: Iterable[CommitRecord],
+    blocks: Iterable[RecordBlock],
     config: IdentityConfig = IdentityConfig(),
 ) -> MonthlySeries:
-    """Aggregate records into a gap-filled monthly series.
+    """Aggregate blocks of records into a gap-filled monthly series.
 
     Every record given counts; merges are dropped before this, at ingest.
     Records whose email cannot be normalized are attributed to an Unknown
@@ -132,45 +157,29 @@ def build_monthly_series(
     index and contributor id are kept, and the counts come from
     ``np.bincount``/``np.unique`` over those two columns.
     """
-    raw_ids: dict[str, int] = {}  # raw address -> contributor id
-    key_ids: dict[str, int] = {}  # contributor key -> contributor id
-    unit_ids: dict[str, int] = {}  # unit key -> unit id
-    contributor_unit: list[int] = []  # contributor id -> unit id
-    months = array("q")
+    ids = _ContributorIds(config)
+    month_blocks: list[np.ndarray] = []
     contributors = array("q")
+    for block in blocks:
+        month_blocks.append(block.months)
+        contributors.extend(map(ids.__getitem__, block.emails))
 
-    for record in records:
-        raw = record.author_email
-        contributor = raw_ids.get(raw)
-        if contributor is None:
-            try:
-                key, unit = normalize_email(raw), None
-            except IdentityError:
-                key, unit = _fallback_unit(raw)
-            contributor = key_ids.get(key)
-            if contributor is None:
-                contributor = key_ids[key] = len(key_ids)
-                unit_key = (resolve_org(key, config) if unit is None else unit).key
-                contributor_unit.append(unit_ids.setdefault(unit_key, len(unit_ids)))
-            raw_ids[raw] = contributor
-        stamp = record.authored_at
-        months.append(stamp.year * 12 + stamp.month - 1)
-        contributors.append(contributor)
-
-    if not months:
+    if not contributors:
         raise SeriesError("no records to aggregate (empty series)")
 
-    month = np.frombuffer(months, dtype=np.int64)
-    contributor = np.frombuffer(contributors, dtype=np.int64)
+    key_ids, unit_ids = ids.key_ids, ids.unit_ids
+    month = np.concatenate(month_blocks)
+    del month_blocks
     first = int(month.min())
-    month = month - first
+    month = np.subtract(month, first, dtype=np.int64)
+    contributor = np.frombuffer(contributors, dtype=np.int64)
     span = int(month.max()) + 1
     commits = np.bincount(month, minlength=span)
     active = np.bincount(np.unique(month * len(key_ids) + contributor) // len(key_ids), minlength=span)
 
     # (month, unit) pairs, each month's units in order of first commit.
     pairs, first_seen, counts = np.unique(
-        month * len(unit_ids) + np.asarray(contributor_unit, dtype=np.int64)[contributor],
+        month * len(unit_ids) + np.asarray(ids.contributor_unit, dtype=np.int64)[contributor],
         return_index=True, return_counts=True,
     )
     pair_month, pair_unit = np.divmod(pairs, len(unit_ids))

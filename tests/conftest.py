@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from forgepulse import IdentityConfig, RecordBlock, build_monthly_series
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -107,3 +109,8 @@ def repo_builder(tmp_path):
 
 def utc(year, month, day=1, hour=0, minute=0, second=0):
     return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
+
+
+def series_of(records, config=IdentityConfig()):
+    """``build_monthly_series`` over a list of CommitRecords, as one block."""
+    return build_monthly_series([RecordBlock.from_records(records)], config)

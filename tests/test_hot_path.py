@@ -1,8 +1,9 @@
 """The per-commit path against the code it replaced.
 
-``build_monthly_series_oracle`` is the dict-and-set loop that used to be
-``build_monthly_series``, and ``dumps_stable(record_to_dict(r), indent=None)``
-is how records.jsonl lines used to be encoded.  The fixture digests were
+``build_monthly_series_oracle`` (tests/oracles.py) is the dict-and-set loop
+that used to be ``build_monthly_series``, and
+``dumps_stable(record_to_dict(r), indent=None)`` is how records.jsonl lines
+used to be encoded.  The fixture digests were
 recorded with that code; ``records.jsonl``, ``ingest_report.json`` and
 ``series.json`` hold only integers and strings, so they do not depend on the
 platform.
@@ -17,23 +18,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgepulse import CommitRecord, IdentityConfig, SeriesError, build_monthly_series
+from forgepulse import CommitRecord, IdentityConfig, RecordBlock
 from forgepulse.cli import main
-from forgepulse.errors import IdentityError
-from forgepulse.ingest import record_line, record_to_dict
+from forgepulse.ingest import record_to_dict
 from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
-from forgepulse.series import (
-    MonthKey,
-    MonthlyPoint,
-    MonthlySeries,
-    _fallback_unit,
-    normalize_email,
-    resolve_org,
-    series_to_dict,
-)
+from forgepulse.series import series_to_dict
 
-from conftest import DATA_DIR, sha_for
+from conftest import DATA_DIR, series_of, sha_for
+from oracles import build_monthly_series_oracle
 
 FIXTURE_DIGESTS = {
     "records.jsonl": "74bdce0dc497ab9226a7244e99c6067735f731bf2194e079a270f83169c8c918",
@@ -80,54 +73,11 @@ stamps = st.datetimes(
 )
 def test_record_line_is_the_json_encoding(email, name, stamp, is_merge, tag):
     record = CommitRecord(sha_for(tag), email, name, stamp, is_merge)
-    assert record_line(record) == dumps_stable(record_to_dict(record), indent=None)
-
-
-def build_monthly_series_oracle(records, config=IdentityConfig()):
-    unit_cache = {}
-    month_commits = {}
-    month_contributors = {}
-    month_org_commits = {}
-    contributor_commits = {}
-
-    for record in records:
-        try:
-            key = normalize_email(record.author_email)
-        except IdentityError:
-            key, unit = _fallback_unit(record.author_email)
-            unit_cache.setdefault(key, unit)
-        unit = unit_cache.get(key)
-        if unit is None:
-            unit = resolve_org(key, config)
-            unit_cache[key] = unit
-        index = MonthKey.from_datetime(record.authored_at).index
-        month_commits[index] = month_commits.get(index, 0) + 1
-        month_contributors.setdefault(index, set()).add(key)
-        orgs = month_org_commits.setdefault(index, {})
-        orgs[unit.key] = orgs.get(unit.key, 0) + 1
-        contributor_commits[key] = contributor_commits.get(key, 0) + 1
-
-    if not month_commits:
-        raise SeriesError("no records to aggregate (empty series)")
-
-    first, last = min(month_commits), max(month_commits)
-    points = []
-    for index in range(first, last + 1):
-        orgs = month_org_commits.get(index, {})
-        points.append(
-            MonthlyPoint(
-                month=MonthKey.from_index(index),
-                active_contributors=len(month_contributors.get(index, ())),
-                commits=month_commits.get(index, 0),
-                active_orgs=len(orgs),
-                org_commits=orgs,
-            )
-        )
-    return MonthlySeries(
-        points=tuple(points),
-        origin=MonthKey.from_index(first),
-        contributor_commits=contributor_commits,
-    )
+    line = dumps_stable(record_to_dict(record), indent=None) + "\n"
+    assert RecordBlock.from_records([record]).jsonl() == line
+    # A hash is written unescaped only once it is known to be hex digits.
+    odd = record._replace(hash=email)
+    assert RecordBlock.from_records([odd]).jsonl() == dumps_stable(record_to_dict(odd), indent=None) + "\n"
 
 
 DOMAINS = [
@@ -160,7 +110,7 @@ records = st.builds(CommitRecord, st.integers(0, 99).map(sha_for), emails, st.ju
 @settings(max_examples=300)
 def test_series_matches_the_dict_and_set_oracle(batch, group_providers, aliases):
     config = IdentityConfig(group_providers=group_providers, domain_aliases=aliases)
-    built = build_monthly_series(batch, config)
+    built = series_of(batch, config)
     expected = build_monthly_series_oracle(batch, config)
     assert series_to_dict(built) == series_to_dict(expected)
     # Orders that float sums downstream (diversity, tail) follow.

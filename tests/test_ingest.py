@@ -152,11 +152,12 @@ def test_round_trip_jsonl(record):
 
 def test_jsonl_errors_carry_the_line_number():
     good = json.dumps(record_to_dict(parse_all([make_line(1)])[0][0]))
-    records = read_records_jsonl([good + "\n", "\n", good + "\n", '{"hash": "x"}\n'])
+    blocks = read_records_jsonl([good + "\n", "\n", good + "\n", '{"hash": "x"}\n'])
+    records = iter(next(blocks))  # the records before the bad line come first
     assert next(records).hash == sha_for(1)
     assert next(records).hash == sha_for(1)
     with pytest.raises(LogParseError) as info:
-        next(records)
+        next(blocks)
     assert info.value.line_no == 4
     assert info.value.reason == "missing field 'authored_at'"
 
@@ -224,8 +225,8 @@ def test_acquire_keeps_merges_and_ingest_drops_them(repo_builder):
     assert sorted(line.rstrip("\n").rsplit("\t", 1)[1] for line in lines) == ["0", "1", "1", "2"]
     records, _ = parse_all(lines)
     assert sum(1 for r in records if r.is_merge) == 1
-    records, report = ingest(repo.root, None)
-    records = list(records)
+    blocks, report = ingest(repo.root, None)
+    records = [record for block in blocks for record in block]
     assert len(records) == 3 and all(not r.is_merge for r in records)
     assert report.records_parsed == 4
 

@@ -22,15 +22,15 @@ from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import summary_csv, summary_text
 from forgepulse.series import MonthlyPoint, MonthlySeries
 
-from conftest import DATA_DIR, sha_for, utc
+from conftest import DATA_DIR, series_of, sha_for, utc
 
 
 def fixture_series():
     with (DATA_DIR / "fixture_500.log").open() as handle:
         from forgepulse import parse_log_stream
 
-        records, _ = parse_log_stream(handle)
-        return build_monthly_series(records)
+        blocks, _ = parse_log_stream(handle, blocks=True)
+        return build_monthly_series(blocks)
 
 
 def test_summary_row_on_fixture():
@@ -51,7 +51,7 @@ def test_summary_degenerate_single_contributor():
         CommitRecord(sha_for(i), "solo@x.com", "Solo", utc(2015, 1 + i, 1), False)
         for i in range(3)
     ]
-    series = build_monthly_series(records)
+    series = series_of(records)
     report = compute_metrics(series)
     summary = summarize(series, report, project="solo")
     # one commit every month: both monthly series are constant

@@ -18,7 +18,7 @@ from forgepulse import (
 from forgepulse.pipeline import ingest
 from forgepulse.series import series_from_dict, series_to_dict
 
-from conftest import make_line, sha_for, utc
+from conftest import make_line, series_of, sha_for, utc
 
 
 def record(tag, when, email="alice@x.com", merge=False):
@@ -32,7 +32,7 @@ def record(tag, when, email="alice@x.com", merge=False):
 
 
 def test_two_commits_one_contributor_one_month():
-    series = build_monthly_series(
+    series = series_of(
         [record(1, utc(2015, 1, 15)), record(2, utc(2015, 1, 20))]
     )
     assert len(series.points) == 1
@@ -43,7 +43,7 @@ def test_two_commits_one_contributor_one_month():
 
 
 def test_interior_gap_becomes_zero_point():
-    series = build_monthly_series([record(1, utc(2015, 1, 5)), record(2, utc(2015, 3, 5))])
+    series = series_of([record(1, utc(2015, 1, 5)), record(2, utc(2015, 3, 5))])
     assert [str(p.month) for p in series.points] == ["2015-01", "2015-02", "2015-03"]
     gap = series.points[1]
     assert gap.commits == 0
@@ -59,7 +59,7 @@ def test_multi_org_month():
         record(3, utc(2015, 5, 12), "c@gmail.com"),
         record(4, utc(2015, 5, 20), "a@intel.com"),
     ]
-    series = build_monthly_series(records)
+    series = series_of(records)
     point = series.points[0]
     assert point.active_contributors == 3
     assert point.active_orgs == 2
@@ -70,7 +70,7 @@ def test_multi_org_month():
 def test_utc_bucketing_across_month_boundary():
     # 23:30 on Jan 31 at UTC-5 is Feb 1 in UTC
     late = datetime(2015, 1, 31, 23, 30, tzinfo=timezone(timedelta(hours=-5)))
-    series = build_monthly_series([record(1, late.astimezone(timezone.utc))])
+    series = series_of([record(1, late.astimezone(timezone.utc))])
     assert series.origin == MonthKey(2015, 2)
 
 
@@ -85,7 +85,7 @@ def test_merges_are_ignored(tmp_path):
 
 
 def test_unparsable_email_falls_back_to_unknown_unit():
-    series = build_monthly_series(
+    series = series_of(
         [record(1, utc(2015, 1, 1), email="Not An Email"), record(2, utc(2015, 1, 2))]
     )
     point = series.points[0]
@@ -104,7 +104,7 @@ def test_empty_input_is_an_error(tmp_path):
 
 
 def test_contributor_totals():
-    series = build_monthly_series(
+    series = series_of(
         [
             record(1, utc(2015, 1, 1), "a@x.com"),
             record(2, utc(2015, 2, 1), "a@x.com"),
@@ -136,7 +136,7 @@ def record_batches(draw):
 @given(records=record_batches())
 @settings(max_examples=100)
 def test_conservation_and_gap_invariants(records):
-    series = build_monthly_series(records)
+    series = series_of(records)
     assert series.total_commits == len(records)
     indexes = [p.month.index for p in series.points]
     assert indexes == list(range(indexes[0], indexes[-1] + 1))
@@ -151,13 +151,13 @@ def test_conservation_and_gap_invariants(records):
 def test_order_invariance(records, seed):
     shuffled = records[:]
     random.Random(seed).shuffle(shuffled)
-    assert build_monthly_series(records) == build_monthly_series(shuffled)
+    assert series_of(records) == series_of(shuffled)
 
 
 @given(records=record_batches())
 @settings(max_examples=50)
 def test_activity_is_idempotent_per_contributor(records):
-    series = build_monthly_series(records)
+    series = series_of(records)
     for point in series.points:
         distinct = {
             r.author_email.strip().lower()
@@ -199,7 +199,7 @@ def test_smooth_stays_within_window_bounds(values, window):
 
 
 def test_smooth_on_series():
-    series = build_monthly_series(
+    series = series_of(
         [record(i, utc(2015, m, 1)) for i, m in enumerate([1, 1, 2, 3])]
     )
     assert smooth(series, "commits", 3) == moving_average([2, 1, 1], 3)
@@ -250,7 +250,7 @@ def test_month_key_index_round_trip(index):
 
 
 def test_series_json_round_trip():
-    series = build_monthly_series(
+    series = series_of(
         [
             record(1, utc(2015, 1, 1), "a@intel.com"),
             record(2, utc(2015, 3, 1), "b@gmail.com"),
