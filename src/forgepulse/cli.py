@@ -94,7 +94,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     for path in args.inputs:
         try:
             rows.append(ProjectSummary.from_dict(json.loads(Path(path).read_text(encoding="utf-8"))))
-        except (ValueError, ForgepulseError) as exc:  # ValueError: not JSON, or not UTF-8
+        except (ValueError, RecursionError, ForgepulseError) as exc:  # ValueError: not JSON, or not UTF-8
             raise ForgepulseError(f"bad summary file {path}: {exc}") from exc
     rows.sort(key=lambda r: r.project)
     if args.out_csv:

@@ -117,7 +117,6 @@ class GrowthFit:
     t_offset: MonthKey | None = None
     truncated_at: int | None = None
     notes: tuple[str, ...] = ()
-    sse_trace: tuple[float, ...] = ()  # accepted-step SSEs, non-increasing
 
     def to_dict(self) -> dict:
         return {
@@ -135,21 +134,10 @@ class GrowthFit:
         }
 
 
-def _model_values(t: np.ndarray, model: GrowthModel, theta: np.ndarray) -> np.ndarray:
-    y_star, alpha, shape = np.exp(theta)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if model is GrowthModel.GOMPERTZ:
-            return y_star * np.exp(-shape * np.exp(-alpha * t))
-        return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
-
-
 def _jacobian_columns(
     t: np.ndarray, model: GrowthModel, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d y / d ln(param) for (y_star, alpha, shape).
-
-    Like ``_model_values``, broadcasts: theta of shape (3, B, 1) gives B rows.
-    """
+    """d y / d ln(param) for (y_star, alpha, shape); theta of shape (3, B, 1) gives B rows."""
     y_star, alpha, shape = np.exp(theta)
     if model is GrowthModel.GOMPERTZ:
         decay = np.exp(-alpha * t)
@@ -161,11 +149,6 @@ def _jacobian_columns(
     d_raw_alpha = y_star**2 * t * shape * decay / denom**2
     d_raw_shape = -y_star * decay / denom**2
     return y_star * d_raw_y_star, alpha * d_raw_alpha, shape * d_raw_shape
-
-
-def _jacobian(t: np.ndarray, model: GrowthModel, theta: np.ndarray) -> np.ndarray:
-    """d y / d ln(param), columns ordered (y_star, alpha, shape)."""
-    return np.column_stack(_jacobian_columns(t, model, theta))
 
 
 def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[float, float, float]:
@@ -195,55 +178,193 @@ def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[
     return y_star, max(log_slope / y_star, 1e-12), shape
 
 
-def _lm_minimize(
-    t: np.ndarray,
-    values: np.ndarray,
-    model: GrowthModel,
-    start: tuple[float, float, float],
-    options: FitOptions,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    theta = np.log(np.asarray(start, dtype=float))
-    damping = options.damping_init
-    residuals = values - _model_values(t, model, theta)
-    sse = float(residuals @ residuals)
-    trace = [sse]
-    converged = False
-    iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        jac = _jacobian(t, model, theta)
-        gradient = jac.T @ residuals
-        hessian = jac.T @ jac
-        accepted = False
-        for _ in range(60):
-            lhs = hessian + damping * np.diag(np.maximum(np.diag(hessian), 1e-12))
+# Rows the solver minimises at once.  A finished row's slot goes to the next
+# (segment, start) pair in the queue, so its arrays hold at most this many
+# rows, however many pairs there are.
+SEARCH_SLOTS = 256
+
+# Rows are zero-padded to a multiple of this width.  numpy's einsum row sums
+# then come out bit for bit the same however many zeros follow a row's end,
+# so a row's result does not depend on how wide its batch is or which rows
+# share it (test_a_row_solves_alone_as_in_any_batch checks this).
+_PAD = 8
+
+
+def _padded(length) -> int:
+    return -(-int(length) // _PAD) * _PAD
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b, out=out)
+
+
+def _residuals(
+    values: np.ndarray, pad: np.ndarray, model: GrowthModel, t: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """values - model per row of theta (B, 3), exactly zero on the padding."""
+    y_star, alpha, shape = np.exp(theta.T[..., None])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if model is GrowthModel.GOMPERTZ:
+            out = y_star * np.exp(-shape * np.exp(-alpha * t))
+        else:
+            out = y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
+    np.subtract(values, out, out=out)
+    np.copyto(out, 0.0, where=pad)  # not a product: 0 * inf would be NaN
+    return out
+
+
+@dataclass
+class _LiveRows:
+    """The (segment, start) pairs the solver is minimising, one row each."""
+
+    ids: np.ndarray  # pair index
+    values: np.ndarray  # (B, W) segment, zero-padded
+    pad: np.ndarray  # (B, W) True on the padding
+    resid: np.ndarray  # (B, W) residuals at theta, zero on the padding
+    theta: np.ndarray  # (B, 3) log-parameters
+    grad: np.ndarray  # (B, 3) J^T r at theta
+    hess: np.ndarray  # (B, 3, 3) J^T J at theta
+    damping: np.ndarray
+    sse: np.ndarray
+    iterations: np.ndarray  # the iteration under way
+    trials: np.ndarray  # rejected trials in the current iteration
+    fresh: np.ndarray  # theta moved: grad and hess are due
+
+    def select(self, keep: np.ndarray) -> "_LiveRows":
+        return _LiveRows(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+    def extend(self, other: "_LiveRows") -> "_LiveRows":
+        return _LiveRows(*(
+            np.concatenate((getattr(self, f.name), getattr(other, f.name))) for f in fields(self)
+        ))
+
+
+def _start_rows(
+    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray,
+    model: GrowthModel, options: FitOptions,
+) -> _LiveRows:
+    """Rows for ``pairs`` at their starts, padded to ``len(t)``."""
+    lengths = np.array([len(segments[pair]) for pair in pairs], dtype=int)
+    values = np.zeros((len(pairs), len(t)))
+    for row, pair in enumerate(pairs):
+        values[row, :lengths[row]] = segments[pair]
+    pad = t >= lengths[:, None]
+    theta = np.log(starts[pairs])
+    resid = _residuals(values, pad, model, t, theta)
+    return _LiveRows(
+        ids=pairs, values=values, pad=pad, resid=resid, theta=theta,
+        grad=np.zeros((len(pairs), 3)), hess=np.zeros((len(pairs), 3, 3)),
+        damping=np.full(len(pairs), options.damping_init), sse=_rowdot(resid, resid),
+        iterations=np.ones(len(pairs), dtype=int), trials=np.zeros(len(pairs), dtype=int),
+        fresh=np.ones(len(pairs), dtype=bool),
+    )
+
+
+def _refresh_derivatives(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> None:
+    """J^T r and J^T J at theta for the rows whose theta moved."""
+    rows = np.flatnonzero(live.fresh)
+    jac = _jacobian_columns(t, model, live.theta[rows].T[..., None])
+    pad = live.pad[rows]
+    for col in jac:
+        np.copyto(col, 0.0, where=pad)
+    resid = live.resid[rows]
+    grad, hess = np.empty((len(rows), 3)), np.empty((len(rows), 3, 3))
+    for i in range(3):
+        _rowdot(jac[i], resid, out=grad[:, i])
+        for j in range(i, 3):
+            hess[:, j, i] = _rowdot(jac[i], jac[j], out=hess[:, i, j])
+    live.grad[rows], live.hess[rows] = grad, hess
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _trial_step(
+    live: _LiveRows, t: np.ndarray, model: GrowthModel, options: FitOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """One damped Gauss-Newton trial for every row.
+
+    A row whose trial lowers its SSE takes the step and eases its damping;
+    any other row stiffens it and tries again in the same iteration.  A row
+    finishes, converged, when a step improves its SSE by less than the
+    relative ``tolerance`` or when 60 trials in a row fail (no damping level
+    lowers the SSE: a local minimum); it finishes unconverged when its
+    ``max_iterations``-th iteration takes a step.  Updates the rows in place
+    and returns the masks (finished, converged).
+    """
+    diag = np.arange(3)
+    lhs = live.hess.copy()
+    lhs[:, diag, diag] += live.damping[:, None] * np.maximum(live.hess[:, diag, diag], 1e-12)
+    try:
+        step = np.linalg.solve(lhs, live.grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Only the singular systems lose their trial: a NaN step is rejected.
+        step = np.full_like(live.grad, np.nan)
+        for row in range(len(lhs)):
             try:
-                step = np.linalg.solve(lhs, gradient)
+                step[row] = np.linalg.solve(lhs[row], live.grad[row])
             except np.linalg.LinAlgError:
-                damping *= options.damping_factor
-                continue
-            largest = float(np.max(np.abs(step)))
-            if largest > options.max_log_step:
-                step *= options.max_log_step / largest
-            candidate = theta + step
-            cand_residuals = values - _model_values(t, model, candidate)
-            cand_sse = float(cand_residuals @ cand_residuals)
-            if math.isfinite(cand_sse) and cand_sse < sse:
-                improvement = (sse - cand_sse) / sse if sse > 0 else 0.0
-                theta, residuals, sse = candidate, cand_residuals, cand_sse
-                trace.append(sse)
-                damping = max(damping / options.damping_factor, 1e-15)
-                accepted = True
-                if improvement < options.tolerance:
-                    converged = True
-                break
-            damping *= options.damping_factor
-        if not accepted:
-            # No damping level yields a decrease: at a (local) minimum.
-            converged = True
-            break
-        if converged:
-            break
-    return theta, sse, iterations, converged, trace
+                pass
+    largest = np.max(np.abs(step), axis=1)
+    step *= np.where(largest > options.max_log_step, options.max_log_step / largest, 1.0)[:, None]
+    candidate = live.theta + step
+    cand_resid = _residuals(live.values, live.pad, model, t, candidate)
+    cand_sse = _rowdot(cand_resid, cand_resid)
+
+    accepted = np.isfinite(cand_sse) & (cand_sse < live.sse)
+    improvement = np.where(live.sse > 0, (live.sse - cand_sse) / live.sse, 0.0)
+    small = accepted & (improvement < options.tolerance)
+    np.copyto(live.theta, candidate, where=accepted[:, None])
+    np.copyto(live.resid, cand_resid, where=accepted[:, None])
+    np.copyto(live.sse, cand_sse, where=accepted)
+    factor = options.damping_factor
+    live.damping = np.where(accepted, np.maximum(live.damping / factor, 1e-15), live.damping * factor)
+    live.trials = np.where(accepted, 0, live.trials + 1)
+    done = np.where(accepted, small | (live.iterations == options.max_iterations), live.trials == 60)
+    live.iterations += accepted & ~done
+    live.fresh = accepted
+    return done, small | ~accepted
+
+
+def _solve(
+    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, options: FitOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
+
+    Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]`` and
+    returns its log-parameters, SSE, iteration count and convergence.  Each
+    row keeps its own damping and counts (Moré 1978) and, padded to a
+    multiple of ``_PAD``, rounds as it would alone, so a pair's result does
+    not depend on the other pairs.  One turn of the loop is one trial step
+    for every live row.  Pairs enter longest first, so the padded width
+    only shrinks.
+    """
+    count = len(segments)
+    lengths = np.array([len(seg) for seg in segments])
+    queue = np.argsort(-lengths, kind="stable")
+    t = np.arange(_padded(lengths.max()), dtype=float)
+    theta, sse = np.log(starts), np.empty(count)
+    iterations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+    if options.max_iterations < 1:  # no iteration runs: each start stands
+        sse = _start_rows(segments, starts, np.arange(count), t, model, options).sse
+        return theta, sse, iterations, converged
+    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model, options)
+    queued = len(live.ids)
+    while len(live.ids):
+        width = _padded(lengths[live.ids].max())
+        if width < live.values.shape[1]:
+            live.values, live.pad, live.resid = live.values[:, :width], live.pad[:, :width], live.resid[:, :width]
+        if live.fresh.any():
+            _refresh_derivatives(live, t[:width], model)
+        done, finished_converged = _trial_step(live, t[:width], model, options)
+        if done.any():
+            ids = live.ids[done]
+            theta[ids], sse[ids] = live.theta[done], live.sse[done]
+            iterations[ids], converged[ids] = live.iterations[done], finished_converged[done]
+            live = live.select(~done)
+            if queued < count:
+                pairs = queue[queued:queued + SEARCH_SLOTS - len(live.ids)]
+                queued += len(pairs)
+                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model, options))
+    return theta, sse, iterations, converged
 
 
 def _trailing_decline(values: np.ndarray, config: PhaseConfig) -> bool:
@@ -318,17 +439,14 @@ def fit_growth(
             t_offset=t_offset,
             truncated_at=truncated_at,
             notes=tuple(notes),
-            sse_trace=(sse,),
         )
 
     base = _warm_start(t, fit_data, model)
-    best = None
-    for factor in options.rate_start_factors:
-        start = (base[0], base[1] * factor, base[2])
-        result = _lm_minimize(t, fit_data, model, start, options)
-        if best is None or result[1] < best[1]:
-            best = result
-    theta, sse, iterations, converged, trace = best
+    starts = np.array([(base[0], base[1] * factor, base[2]) for factor in options.rate_start_factors])
+    thetas, sses, iteration_counts, convergence = _solve([fit_data] * len(starts), starts, model, options)
+    best = int(np.argmin(sses))  # the first start on ties
+    theta, sse = thetas[best], float(sses[best])
+    iterations, converged = int(iteration_counts[best]), bool(convergence[best])
     y_star, alpha, shape = np.exp(theta)
     params = GrowthParams(model=model, y_star=float(y_star), alpha=float(alpha), shape=float(shape))
     r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
@@ -343,7 +461,6 @@ def fit_growth(
         t_offset=t_offset,
         truncated_at=truncated_at,
         notes=tuple(notes),
-        sse_trace=tuple(trace),
     )
 
 
@@ -396,185 +513,11 @@ class BiPhaseFit:
 
 MIN_SEGMENT_MONTHS = 12
 
-# Pairs of (segment, start) the batched search minimises at once.  A finished
-# pair's row goes to the next pair in the queue, so the search's arrays hold
-# at most this many rows, however many splits there are.
-SEARCH_SLOTS = 64
-# Splits the batched pass ranks within this relative margin of the best refit
-# are refit as well, so rounding in the batched reductions cannot pick the
-# winner.  The two passes' split SSEs agree to ~1e-9 on noisy series.
-_TIE_RTOL = 1e-6
-
-
 def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
     # The floor keeps noiseless comparisons from resolving on numerical dust:
     # any SSE below ~1e-9 of the data's energy counts as "exact", so model
     # preference then falls to the parameter-count penalty alone.
     return n * math.log(max(sse, sse_floor) / n) + n_params * math.log(n)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _residuals(
-    values: np.ndarray, mask: np.ndarray, model: GrowthModel, t: np.ndarray, theta: np.ndarray
-) -> np.ndarray:
-    """values - model per row of theta (B, 3), zero where mask is False."""
-    out = _model_values(t, model, theta.T[..., None])
-    np.subtract(values, out, out=out)
-    out *= mask
-    return out
-
-
-@dataclass
-class _LiveRows:
-    """The (segment, start) pairs the batched search is minimising, one row each."""
-
-    ids: np.ndarray  # pair index
-    values: np.ndarray  # (B, W) segment, zero-padded
-    mask: np.ndarray  # (B, W) False on the padding
-    resid: np.ndarray  # (B, W) masked residuals at theta
-    theta: np.ndarray  # (B, 3) log-parameters
-    grad: np.ndarray  # (B, 3) J^T r at theta
-    hess: np.ndarray  # (B, 3, 3) J^T J at theta
-    damping: np.ndarray
-    sse: np.ndarray
-    iterations: np.ndarray
-    trials: np.ndarray  # rejected trials in the current iteration
-    fresh: np.ndarray  # theta moved: grad and hess are due
-
-    def select(self, keep: np.ndarray) -> "_LiveRows":
-        return _LiveRows(*(getattr(self, f.name)[keep] for f in fields(self)))
-
-    def extend(self, other: "_LiveRows") -> "_LiveRows":
-        return _LiveRows(*(
-            np.concatenate((getattr(self, f.name), getattr(other, f.name))) for f in fields(self)
-        ))
-
-
-def _start_rows(
-    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray,
-    model: GrowthModel, options: FitOptions,
-) -> _LiveRows:
-    """Rows for ``pairs`` at their starts, padded to ``len(t)``."""
-    lengths = np.array([len(segments[pair]) for pair in pairs], dtype=int)
-    values = np.zeros((len(pairs), len(t)))
-    for row, pair in enumerate(pairs):
-        values[row, :lengths[row]] = segments[pair]
-    mask = t < lengths[:, None]
-    theta = np.log(starts[pairs])
-    resid = _residuals(values, mask, model, t, theta)
-    return _LiveRows(
-        ids=pairs, values=values, mask=mask, resid=resid, theta=theta,
-        grad=np.zeros((len(pairs), 3)), hess=np.zeros((len(pairs), 3, 3)),
-        damping=np.full(len(pairs), options.damping_init), sse=_rowdot(resid, resid),
-        iterations=np.ones(len(pairs), dtype=int), trials=np.zeros(len(pairs), dtype=int),
-        fresh=np.ones(len(pairs), dtype=bool),
-    )
-
-
-def _refresh_derivatives(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> None:
-    """J^T r and J^T J at theta for the rows whose theta moved."""
-    rows = np.flatnonzero(live.fresh)
-    jac = _jacobian_columns(t, model, live.theta[rows].T[..., None])
-    mask = live.mask[rows]
-    for col in jac:
-        col *= mask
-    resid = live.resid[rows]
-    for i in range(3):
-        live.grad[rows, i] = _rowdot(jac[i], resid)
-        for j in range(i, 3):
-            live.hess[rows, i, j] = live.hess[rows, j, i] = _rowdot(jac[i], jac[j])
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _trial_step(live: _LiveRows, t: np.ndarray, model: GrowthModel, options: FitOptions) -> np.ndarray:
-    """One damped Gauss-Newton trial for every row, as in ``_lm_minimize``.
-
-    Updates the rows in place and returns the mask of rows that finished.
-    """
-    diag = np.arange(3)
-    lhs = live.hess.copy()
-    lhs[:, diag, diag] += live.damping[:, None] * np.maximum(live.hess[:, diag, diag], 1e-12)
-    solved = np.ones(len(lhs), dtype=bool)
-    try:
-        step = np.linalg.solve(lhs, live.grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Only the singular systems lose their trial.
-        step = np.zeros_like(live.grad)
-        for row in range(len(lhs)):
-            try:
-                step[row] = np.linalg.solve(lhs[row], live.grad[row])
-            except np.linalg.LinAlgError:
-                solved[row] = False
-    largest = np.max(np.abs(step), axis=1)
-    step *= np.where(largest > options.max_log_step, options.max_log_step / largest, 1.0)[:, None]
-    candidate = live.theta + step
-    cand_resid = _residuals(live.values, live.mask, model, t, candidate)
-    cand_sse = _rowdot(cand_resid, cand_resid)
-
-    accepted = solved & np.isfinite(cand_sse) & (cand_sse < live.sse)
-    improvement = np.where(live.sse > 0, (live.sse - cand_sse) / live.sse, 0.0)
-    live.theta[accepted] = candidate[accepted]
-    live.resid[accepted] = cand_resid[accepted]
-    live.sse[accepted] = cand_sse[accepted]
-    factor = options.damping_factor
-    live.damping = np.where(accepted, np.maximum(live.damping / factor, 1e-15), live.damping * factor)
-    live.trials = np.where(accepted, 0, live.trials + 1)
-    done = np.where(
-        accepted,
-        (improvement < options.tolerance) | (live.iterations == options.max_iterations),
-        live.trials == 60,
-    )
-    live.iterations += accepted
-    live.fresh = accepted
-    return done
-
-
-def _batched_lm_sse(
-    segments: list[np.ndarray],
-    starts: np.ndarray,
-    model: GrowthModel,
-    options: FitOptions,
-) -> np.ndarray:
-    """Final SSE of ``_lm_minimize`` on each (segment, start) pair, solved together.
-
-    Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]``.  One turn
-    of the loop is one trial step for every live pair: each keeps its own
-    damping, trial count and iteration count and takes the accept, reject
-    and stopping decisions of ``_lm_minimize``; only rounding in the
-    reductions differs.  Rows are padded to the longest live segment and
-    masked; pairs enter longest first, so the padded width only shrinks.
-    """
-    if options.max_iterations < 1:
-        return np.array([
-            _lm_minimize(np.arange(len(seg), dtype=float), seg, model, tuple(start), options)[1]
-            for seg, start in zip(segments, starts)
-        ])
-    lengths = np.array([len(seg) for seg in segments])
-    queue = np.argsort(-lengths, kind="stable")
-    t = np.arange(lengths.max(), dtype=float)
-    out = np.empty(len(segments))
-    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model, options)
-    queued = len(live.ids)
-    while len(live.ids):
-        width = int(lengths[live.ids].max())
-        if width < live.values.shape[1]:
-            live.values, live.mask, live.resid = (
-                live.values[:, :width], live.mask[:, :width], live.resid[:, :width]
-            )
-        if live.fresh.any():
-            _refresh_derivatives(live, t[:width], model)
-        done = _trial_step(live, t[:width], model, options)
-        if done.any():
-            out[live.ids[done]] = live.sse[done]
-            live = live.select(~done)
-            if queued < len(queue):
-                pairs = queue[queued:queued + SEARCH_SLOTS - len(live.ids)]
-                queued += len(pairs)
-                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model, options))
-    return out
 
 
 def _rank_splits(
@@ -605,7 +548,7 @@ def _rank_splits(
                 segments.append(segment)
                 starts.append((base[0], base[1] * factor, base[2]))
     if batch:
-        for bounds, sse in zip(batch, _batched_lm_sse(segments, np.array(starts), model, options)):
+        for bounds, sse in zip(batch, _solve(segments, np.array(starts), model, options)[1]):
             seg_sse[bounds] = min(seg_sse.get(bounds, math.inf), sse)
     return np.array([seg_sse[(0, k)] + seg_sse[(k, n)] for k in splits])
 
@@ -625,9 +568,9 @@ def detect_biphase(
     BIC (7 effective parameters) beats the single-fit BIC (3).  Returns None
     when the series is too short.
 
-    A batched solve ranks the splits; the best-ranked split, and every split
-    ranked within rounding of it, is refit with ``fit_growth``, and the
-    refits alone choose the winner (lowest combined SSE, then lowest index).
+    One batched solve fits every segment of every split.  A segment's best
+    row is bit for bit the fit ``fit_growth`` reports for it, so the ranked
+    SSE is the reported SSE; ties go to the lowest index.
     """
     if min_segment < MIN_FIT_POINTS:
         raise GrowthFitError(f"min_segment must be at least {MIN_FIT_POINTS}")
@@ -638,40 +581,25 @@ def detect_biphase(
 
     splits = range(min_segment, n - min_segment + 1)
     ranked = _rank_splits(data, model, splits, options)
-    sse_floor = max(1e-10, 1e-9 * float(data @ data))
-    best = None
-    for rank in np.argsort(ranked, kind="stable"):
-        if not math.isfinite(ranked[rank]):
-            break
-        # SSEs closer than the floor are numerical dust (see _bic): only
-        # the refits may order them.
-        if best is not None and ranked[rank] > best[1] + max(_TIE_RTOL * best[1], sse_floor):
-            break
-        breakpoint_index = splits[rank]
-        try:
-            first = fit_growth(
-                data[:breakpoint_index], model, t_offset=t_offset,
-                options=options, truncate_on_decline=False,
-            )
-            second = fit_growth(
-                data[breakpoint_index:], model,
-                t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
-                options=options, truncate_on_decline=False,
-            )
-        except GrowthFitError:
-            continue
-        combined = first.sse + second.sse
-        if best is None or (combined, breakpoint_index) < (best[1], best[0]):
-            best = (breakpoint_index, combined, first, second)
-    if best is None:
+    best = int(np.argmin(ranked))  # the lowest index on ties
+    if not math.isfinite(ranked[best]):
         return None
-
+    breakpoint_index = splits[best]
+    first = fit_growth(
+        data[:breakpoint_index], model, t_offset=t_offset, options=options, truncate_on_decline=False
+    )
+    second = fit_growth(
+        data[breakpoint_index:], model,
+        t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
+        options=options, truncate_on_decline=False,
+    )
+    combined = first.sse + second.sse
+    sse_floor = max(1e-10, 1e-9 * float(data @ data))
     try:
         single = fit_growth(data, model, t_offset=t_offset, options=options, truncate_on_decline=False)
         single_bic = _bic(single.sse, n, 3, sse_floor)
     except GrowthFitError:
         single_bic = math.inf
-    breakpoint_index, combined, first, second = best
     preferred = _bic(combined, n, 7, sse_floor) < single_bic
     return BiPhaseFit(
         breakpoint_index=breakpoint_index,

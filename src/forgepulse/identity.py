@@ -72,7 +72,7 @@ def load_identity_config(path: str | Path, group_providers: bool = False) -> Ide
     """Load config from JSON; any key present replaces the built-in default."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot load identity config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"identity config {path} must be a JSON object")
@@ -80,18 +80,23 @@ def load_identity_config(path: str | Path, group_providers: bool = False) -> Ide
     def domain_set(key: str, default: frozenset[str]) -> frozenset[str]:
         if key not in data:
             return default
-        return frozenset(str(d).strip().lower() for d in data[key])
+        domains = data[key]
+        if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+            raise ConfigError(f"identity config {key} must be a list of strings")
+        return frozenset(d.strip().lower() for d in domains)
 
-    aliases = {
-        str(k).strip().lower(): str(v).strip().lower()
-        for k, v in data.get("domain_aliases", {}).items()
-    }
+    aliases = data.get("domain_aliases", {})
+    if not isinstance(aliases, dict) or not all(isinstance(v, str) for v in aliases.values()):
+        raise ConfigError("identity config domain_aliases must map domains to domains")
+    group_providers = data.get("group_providers", group_providers)
+    if type(group_providers) is not bool:
+        raise ConfigError(f"identity config group_providers must be true or false, got {group_providers!r}")
     return IdentityConfig(
         provider_domains=domain_set("provider_domains", DEFAULT_PROVIDER_DOMAINS),
         virtual_org_domains=domain_set("virtual_org_domains", DEFAULT_VIRTUAL_ORG_DOMAINS),
-        domain_aliases=aliases,
+        domain_aliases={k.strip().lower(): v.strip().lower() for k, v in aliases.items()},
         public_suffixes=domain_set("public_suffixes", DEFAULT_PUBLIC_SUFFIXES),
-        group_providers=bool(data.get("group_providers", group_providers)),
+        group_providers=group_providers,
     )
 
 

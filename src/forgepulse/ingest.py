@@ -16,7 +16,6 @@ block, over arrays, and a block's records.jsonl text is built in one join.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 import tempfile
@@ -580,14 +579,17 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
 def ref_state(repo_path: str | Path) -> str:
     """Digest of HEAD and every ref, which changes whenever the history that
     ``acquire_repo_log`` streams can.  Raises RepoAcquisitionError on failure."""
+    import hashlib  # only the log cache needs it; it costs start-up time
+
     cmd = ["git", "-C", str(repo_path), "show-ref", "--head"]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, errors="replace")
+        proc = subprocess.run(cmd, capture_output=True)
     except OSError as exc:
         raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
     if proc.returncode > 1:  # 1 only says that there is no ref yet
-        raise RepoAcquisitionError(proc.stderr.strip() or f"git exited with {proc.returncode}")
-    return hashlib.sha1(proc.stdout.encode()).hexdigest()
+        stderr_text = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise RepoAcquisitionError(stderr_text or f"git exited with {proc.returncode}")
+    return hashlib.sha1(proc.stdout).hexdigest()
 
 
 def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
@@ -610,7 +612,9 @@ def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
                 stderr=stderr_file,
                 text=True,
                 encoding="utf-8",
-                errors="replace",
+                # A byte that is not UTF-8 reads as a lone surrogate, which
+                # the parser reports with its line number, as for a log file.
+                errors="surrogateescape",
             )
         except OSError as exc:
             raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc

@@ -9,9 +9,7 @@ run exit nonzero.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import re
 from contextlib import closing
@@ -39,8 +37,6 @@ from .series import (
 CACHE_ENV_VAR = "FORGEPULSE_CACHE"
 
 MERGE_POLICY = "excluded"  # `ingest` drops merges; summary.json still says so
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def _is_number(value) -> bool:
 
 # ProjectSummary field annotation -> check of its value in summary.json.
 _FIELD_CHECKS = {
-    "str": lambda v: isinstance(v, str),
+    "str": lambda v: isinstance(v, str) and v.isprintable(),  # the project name, printed in the table
     "int": lambda v: type(v) is int,
     "float": _is_number,
     "tuple[float, float]": lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
@@ -226,6 +222,9 @@ def parse_window(value, key: str = "metrics_window") -> int | str:
     return months
 
 
+_THRESHOLD_KEYS = {f.name for f in fields(EligibilityThresholds)}
+
+
 def _config_int(data: dict, key: str, default: int) -> int:
     try:
         return int(data.get(key, default))
@@ -233,39 +232,52 @@ def _config_int(data: dict, key: str, default: int) -> int:
         raise ConfigError(f"{key} must be an integer, got {data[key]!r}") from exc
 
 
+def _config_bool(data: dict, key: str) -> bool:
+    value = data.get(key, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     base = path.parent
 
-    def resolve(raw: str) -> Path:
+    def resolve(table: dict, key: str) -> Path | None:
+        """The path at ``key``, relative to the config's directory; None when absent."""
+        if key not in table:
+            return None
+        raw = table[key]
+        if not isinstance(raw, str) or not raw.isprintable():
+            raise ConfigError(f"{key} must be a path string, got {raw!r}")
         p = Path(raw)
         return p if p.is_absolute() else base / p
 
+    entries = data.get("projects", [])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ConfigError("projects must be a list of objects")
     projects = []
-    for entry in data.get("projects", []):
+    for entry in entries:
         name = entry.get("name")
         if not name:
             raise ConfigError(f"project entry without a name: {entry}")
-        projects.append(
-            ProjectSource(
-                name=str(name),
-                repo=resolve(entry["repo"]) if "repo" in entry else None,
-                log=resolve(entry["log"]) if "log" in entry else None,
-            )
-        )
+        # The name is the project's directory under out_dir.
+        if not isinstance(name, str) or not name.isprintable() or "/" in name or name in (".", ".."):
+            raise ConfigError(f"project name must be a file name, got {name!r}")
+        projects.append(ProjectSource(name=name, repo=resolve(entry, "repo"), log=resolve(entry, "log")))
     identity = IdentityConfig()
     if "identity_config" in data:
-        identity = load_identity_config(resolve(data["identity_config"]))
-    try:
-        thresholds = EligibilityThresholds(**data.get("thresholds", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad thresholds: {exc}") from exc
+        identity = load_identity_config(resolve(data, "identity_config"))
+    thresholds = data.get("thresholds", {})
+    if not isinstance(thresholds, dict) or not thresholds.keys() <= _THRESHOLD_KEYS:
+        raise ConfigError(f"bad thresholds {thresholds!r}: use an object with keys {sorted(_THRESHOLD_KEYS)}")
+    thresholds = EligibilityThresholds(**thresholds)
     for name, value in asdict(thresholds).items():
         if type(value) not in (int, float):
             raise ConfigError(f"threshold {name} must be a number, got {value!r}")
@@ -273,13 +285,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError("include_merges is not supported: merges are always excluded")
     return RunConfig(
         projects=tuple(projects),
-        out_dir=resolve(data.get("out_dir", "forgepulse-out")),
+        out_dir=resolve(data, "out_dir") or base / "forgepulse-out",
         identity=identity,
         thresholds=thresholds,
         smoothing_window=_config_int(data, "smoothing_window", 3),
         model=str(data.get("model", "both")),
-        strict=bool(data.get("strict", False)),
-        biphase=bool(data.get("biphase", False)),
+        strict=_config_bool(data, "strict"),
+        biphase=_config_bool(data, "biphase"),
         metrics_window=parse_window(data.get("metrics_window", "all")),
         workers=_config_int(data, "workers", 1),
     )
@@ -299,11 +311,15 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
     if not cache_dir:
         yield from acquire_repo_log(repo)
         return
+    import hashlib  # only the cache needs it; it costs start-up time
+
     repo_digest = hashlib.sha1(str(Path(repo).resolve()).encode()).hexdigest()
     cache_path = Path(cache_dir) / f"{repo_digest}-{ref_state(repo)}.log"
     if not cache_path.exists():
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        write_text_atomic(cache_path, "".join(acquire_repo_log(repo)))
+        with atomic_writer(cache_path) as handle:
+            handle.reconfigure(errors="surrogateescape")  # git's bytes, as git wrote them
+            handle.writelines(acquire_repo_log(repo))
         for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
             if stale != cache_path:
                 stale.unlink(missing_ok=True)
@@ -449,7 +465,6 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
     except Exception as exc:
         # A fault in one project must not cost the others their artifacts or
         # the run its summary table.
-        logger.debug("project %s failed", source.name, exc_info=True)
         message = str(exc).replace("\n", " ")
         result.error = f"internal error: {type(exc).__name__}: {message}"
     return result

@@ -5,13 +5,19 @@ reference the block paths are tested against.
 reads one record at a time through ``record_from_dict``, and
 ``build_monthly_series_oracle`` is the dict-and-set aggregation loop.  Timestamps
 go through the scalar ``_parse_timestamp``, the parser's reference conversion.
+``lm_minimize_oracle`` is the one-series Levenberg-Marquardt loop that the
+batched growth solver replaced.
 """
 
 import json
+import math
 import re
 
-from forgepulse import CommitRecord, IdentityConfig, LogParseError, SeriesError
+import numpy as np
+
+from forgepulse import CommitRecord, GrowthModel, IdentityConfig, LogParseError, SeriesError
 from forgepulse.errors import IdentityError
+from forgepulse.growth import _jacobian_columns
 from forgepulse.ingest import (
     REASON_EMPTY_EMAIL,
     REASON_FIELD_COUNT,
@@ -130,3 +136,60 @@ def build_monthly_series_oracle(records, config=IdentityConfig()):
         origin=MonthKey.from_index(first),
         contributor_commits=contributor_commits,
     )
+
+
+def _growth_values(t, model, theta):
+    y_star, alpha, shape = np.exp(theta)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if model is GrowthModel.GOMPERTZ:
+            return y_star * np.exp(-shape * np.exp(-alpha * t))
+        return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
+
+
+def lm_minimize_oracle(t, values, model, start, options):
+    """One start's Levenberg-Marquardt fit, one series at a time.
+
+    Returns (theta, sse, iterations, converged, the SSE after each accepted step).
+    """
+    theta = np.log(np.asarray(start, dtype=float))
+    damping = options.damping_init
+    residuals = values - _growth_values(t, model, theta)
+    sse = float(residuals @ residuals)
+    trace = [sse]
+    converged = False
+    iterations = 0
+    for iterations in range(1, options.max_iterations + 1):
+        jac = np.column_stack(_jacobian_columns(t, model, theta))
+        gradient = jac.T @ residuals
+        hessian = jac.T @ jac
+        accepted = False
+        for _ in range(60):
+            lhs = hessian + damping * np.diag(np.maximum(np.diag(hessian), 1e-12))
+            try:
+                step = np.linalg.solve(lhs, gradient)
+            except np.linalg.LinAlgError:
+                damping *= options.damping_factor
+                continue
+            largest = float(np.max(np.abs(step)))
+            if largest > options.max_log_step:
+                step *= options.max_log_step / largest
+            candidate = theta + step
+            cand_residuals = values - _growth_values(t, model, candidate)
+            cand_sse = float(cand_residuals @ cand_residuals)
+            if math.isfinite(cand_sse) and cand_sse < sse:
+                improvement = (sse - cand_sse) / sse if sse > 0 else 0.0
+                theta, residuals, sse = candidate, cand_residuals, cand_sse
+                trace.append(sse)
+                damping = max(damping / options.damping_factor, 1e-15)
+                accepted = True
+                if improvement < options.tolerance:
+                    converged = True
+                break
+            damping *= options.damping_factor
+        if not accepted:
+            # No damping level yields a decrease: at a (local) minimum.
+            converged = True
+            break
+        if converged:
+            break
+    return theta, sse, iterations, converged, trace

@@ -10,10 +10,11 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import forgepulse
+from forgepulse import ConfigError, RunConfig, load_run_config
 from forgepulse.cli import main
 
 from conftest import sha_for
@@ -149,3 +150,120 @@ def test_run_over_a_repository_equals_ingest_then_series(tmp_path, repo_builder,
     for name in ("records.jsonl", "series.json"):
         assert (tmp_path / "out" / "p" / name).read_bytes() == (tmp_path / name).read_bytes(), name
     assert (tmp_path / "records.jsonl").read_text().count("\n") == 4  # the merge is dropped
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["all", "last12", "both", "x.log", "../x", "a\nb", "\ud800", "a\x00b"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def documents(base: dict, values=json_values):
+    """``base`` with some keys dropped and some set to arbitrary JSON, or any JSON value at all."""
+    return json_values | st.builds(
+        lambda drop, change: {**{k: v for k, v in base.items() if k not in drop}, **change},
+        st.sets(st.sampled_from(list(base)), max_size=2),
+        st.dictionaries(st.sampled_from(list(base)), values, max_size=3),
+    )
+
+
+PROJECT = {"name": "p", "log": "x.log", "repo": "."}
+run_config = documents({
+    "projects": [{"name": "p", "log": "x.log"}], "out_dir": "out", "identity_config": "identity.json",
+    "thresholds": {"min_total_contributors": 5}, "smoothing_window": 3, "model": "both", "strict": False,
+    "biphase": True, "metrics_window": "last12", "workers": 2, "include_merges": False,
+}, json_values | st.lists(documents(PROJECT), max_size=3))
+identity_config = documents({
+    "provider_domains": ["gmail.com"], "virtual_org_domains": ["apache.org"],
+    "domain_aliases": {"old.com": "new.com"}, "public_suffixes": ["co.uk"], "group_providers": False,
+})
+
+
+def _one_line_error(argv, codes):
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in codes, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    return code
+
+
+@given(run_config, identity_config)
+@example({"projects": [{"name": "p", "log": "x.log"}]}, {})
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_run_config_loads_or_is_one_config_error(document, identity):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(document))
+        (Path(tmp) / "identity.json").write_text(json.dumps(identity))
+        try:
+            config = load_run_config(path)
+        except ConfigError:
+            _one_line_error(["run", "--config", str(path)], (2,))
+        else:
+            assert isinstance(config, RunConfig)
+
+
+SUMMARY = {
+    "project": "p", "total_contributors": 3, "total_orgs": 2, "mean_monthly_commits": 4.5,
+    "active_contrib_range": [1, 3], "monthly_commit_range": [1.0, 9.0], "active_org_range": [1, 2],
+    "spearman": 0.5, "spearman_reason": None, "diversity": None, "diversity_reason": "too few units",
+    "notes": [], "merge_policy": "excluded",
+}
+
+
+@given(documents(SUMMARY))
+@example(SUMMARY)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_summary_file_is_a_table_or_one_error(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "summary.json").write_text(json.dumps(document))
+        argv = ["summary", str(tmp / "summary.json"), "--out-csv", str(tmp / "s.csv"), "--out-text", str(tmp / "s.txt")]
+        if _one_line_error(argv, (0, 1)) == 0:
+            assert (tmp / "s.txt").read_text(encoding="utf-8").count("\n") == 3  # header, rule, one row
+
+
+def test_config_type_errors_end_in_one_line(tmp_path):
+    for document, message in (
+        ({"projects": ["x"]}, "projects must be a list of objects"),
+        ({"projects": [{"name": "p", "log": 5}]}, "log must be a path string, got 5"),
+        ({"projects": [{"name": 3, "log": "x.log"}]}, "project name must be a file name, got 3"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "biphase": "no"}, "biphase must be true or false, got 'no'"),
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document))
+        proc = _cli("run", "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
+
+
+def test_repository_bytes_that_are_not_utf8_end_like_a_log_file(tmp_path, repo_builder, monkeypatch):
+    repo = repo_builder()
+    repo.commit(name="Alice", date="2015-01-31T23:30:00Z")
+
+    def git(*args, **kwargs):
+        return subprocess.run(["git", "-C", str(repo.root), *args], capture_output=True, check=True, **kwargs).stdout
+
+    # git commit would re-encode the name as UTF-8, so the commit object is written by hand.
+    identity = b"Bob \xff <bob@intel.com> 1423562400 +0000"
+    body = b"tree %s\nparent %s\nauthor %s\ncommitter %s\n\nm\n" % (
+        git("rev-parse", "HEAD^{tree}").strip(), git("rev-parse", "HEAD").strip(), identity, identity,
+    )
+    git("update-ref", "HEAD", git("hash-object", "-t", "commit", "-w", "--stdin", input=body).strip().decode())
+    for cache in (None, tmp_path / "cache"):
+        if cache is None:
+            monkeypatch.delenv("FORGEPULSE_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("FORGEPULSE_CACHE", str(cache))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["ingest", "--repo", str(repo.root), "--out", str(tmp_path / "records.jsonl")])
+        assert (code, err.getvalue()) == (1, "error: line 1: not UTF-8\n")  # git lists the newest first
+    cached = next(cache.glob("*.log"))  # git's bytes, as git wrote them
+    assert b"Bob \xff\t" in cached.read_bytes()
+    proc = _cli("ingest", "--log", str(cached), "--out", str(tmp_path / "r.jsonl"))
+    assert (proc.returncode, proc.stderr) == (1, "error: line 1: not UTF-8\n")

@@ -19,7 +19,10 @@ from forgepulse import (
     model_value,
     ode_rhs,
 )
-from forgepulse.growth import GrowthFit
+from forgepulse import growth
+from forgepulse.growth import FitOptions, GrowthFit, _solve, _warm_start
+
+from oracles import lm_minimize_oracle
 
 
 def gompertz_params(y_star=100.0, alpha=0.05, shape=5.0):
@@ -144,6 +147,33 @@ def test_noisy_recovery_from_shipped_vectors(name, data_dir):
     assert fit.r_squared > 0.95
 
 
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "options", [FitOptions(), FitOptions(max_iterations=3), FitOptions(max_iterations=0)],
+    ids=["default", "iteration-limit", "no-iterations"],
+)
+def test_solver_takes_the_scalar_loops_steps(model, options, data_dir):
+    # The solver's row sums round differently from the loop's BLAS products,
+    # so the two agree step for step only where no accept or stop decision
+    # falls within rounding of its threshold.  On these noisy series none
+    # does: every start ends with the loop's iteration count and convergence.
+    rng = np.random.default_rng(7)
+    series = [synthetic(gompertz_params()) * (1 + 0.05 * rng.standard_normal(120))] + [
+        np.asarray(json.loads((data_dir / f"{name}.json").read_text())["values"])
+        for name in ("gompertz_noisy", "logistic_noisy")
+    ]
+    for values in series:
+        t = np.arange(len(values), dtype=float)
+        base = _warm_start(t, values, model)
+        starts = np.array([(base[0], base[1] * factor, base[2]) for factor in options.rate_start_factors])
+        theta, sse, iterations, converged = _solve([values] * len(starts), starts, model, options)
+        for row, start in enumerate(starts):
+            expected = lm_minimize_oracle(t, values, model, start, options)
+            assert (iterations[row], converged[row]) == expected[2:4]
+            assert sse[row] == pytest.approx(expected[1], rel=1e-9)
+            assert theta[row] == pytest.approx(expected[0], rel=1e-6, abs=1e-9)
+
+
 def test_constant_series_rate_unidentifiable():
     fit = fit_growth([7.0] * 12, GrowthModel.GOMPERTZ)
     assert not fit.converged
@@ -161,13 +191,25 @@ def test_fit_errors():
         fit_growth([1.0] * 11 + [-1.0], GrowthModel.GOMPERTZ)
 
 
-def test_accepted_sse_never_increases():
+def test_accepted_sse_never_increases(monkeypatch):
     rng = np.random.default_rng(7)
     values = synthetic(gompertz_params()) * (1 + 0.05 * rng.standard_normal(120))
+    steps = []
+
+    def recorded(live, *args):
+        before = live.sse.copy()
+        result = trial_step(live, *args)
+        steps.append((before, live.sse.copy()))
+        return result
+
+    trial_step = growth._trial_step
+    monkeypatch.setattr(growth, "_trial_step", recorded)
     for model in (GrowthModel.GOMPERTZ, GrowthModel.LOGISTIC):
-        fit = fit_growth(values, model)
-        trace = np.asarray(fit.sse_trace)
-        assert np.all(np.diff(trace) <= 0)
+        steps.clear()
+        fit_growth(values, model)
+        assert steps
+        for before, after in steps:
+            assert np.all(after <= before)
 
 
 def test_time_shift_equivariance_gompertz():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +122,27 @@ def test_load_identity_config_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     with pytest.raises(ConfigError):
+        load_identity_config(path)
+    path.write_bytes(b'{"provider_domains": ["\xff"]}')
+    with pytest.raises(ConfigError, match="cannot load identity config"):
+        load_identity_config(path)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"provider_domains": 5}, "provider_domains must be a list of strings"),
+        ({"public_suffixes": "co.uk"}, "public_suffixes must be a list of strings"),
+        ({"virtual_org_domains": ["apache.org", 1]}, "virtual_org_domains must be a list of strings"),
+        ({"domain_aliases": ["a.com"]}, "domain_aliases must map domains to domains"),
+        ({"domain_aliases": {"a.com": None}}, "domain_aliases must map domains to domains"),
+        ({"group_providers": "no"}, "group_providers must be true or false"),
+    ],
+)
+def test_load_identity_config_checks_types(tmp_path, document, message):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError, match=message):
         load_identity_config(path)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,39 @@ def test_load_run_config_errors(tmp_path):
     path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "include_merges": true}')
     with pytest.raises(ConfigError, match="include_merges"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"projects": ["x"]}, "projects must be a list of objects"),
+        ({"projects": {"fx": {"log": "x.log"}}}, "projects must be a list of objects"),
+        ({"projects": [{"name": 3, "log": "x.log"}]}, "project name must be a file name, got 3"),
+        ({"projects": [{"name": "../fx", "log": "x.log"}]}, "project name must be a file name"),
+        ({"projects": [{"name": "f\nx", "log": "x.log"}]}, "project name must be a file name"),
+        ({"projects": [{"name": "fx", "log": 5}]}, "log must be a path string, got 5"),
+        ({"projects": [{"name": "fx", "repo": ["r"]}]}, "repo must be a path string"),
+        ({"projects": [{"name": "fx", "log": None}]}, "log must be a path string, got None"),
+        ({"identity_config": 7}, "identity_config must be a path string"),
+        ({"out_dir": False}, "out_dir must be a path string"),
+        ({"strict": 1}, "strict must be true or false, got 1"),
+        ({"biphase": "no"}, "biphase must be true or false, got 'no'"),
+        ({"thresholds": [5]}, "bad thresholds"),
+        ({"thresholds": {"min_contributors": 5}}, "bad thresholds"),
+    ],
+)
+def test_load_run_config_checks_types(tmp_path, change, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], **change}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
+
+
+def test_load_run_config_keeps_json_booleans(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], "strict": True, "biphase": False}))
+    config = load_run_config(path)
+    assert (config.strict, config.biphase) == (True, False)
 
 
 @pytest.mark.parametrize("key", ["workers", "smoothing_window"])
