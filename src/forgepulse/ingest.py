@@ -17,12 +17,14 @@ block, over arrays, and a block's records.jsonl text is built in one join.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import accumulate, chain, compress, islice, repeat
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -485,41 +487,6 @@ def record_from_dict(data: dict) -> CommitRecord:
     return record
 
 
-_JSONL_FIELDS = itemgetter("authored_at", "hash", "author_email", "author_name", "is_merge")
-_DECODER = json.JSONDecoder()  # what json.loads uses
-
-
-def _jsonl_row(raw: str) -> tuple | None:
-    """(stamp, hash, email, name, is_merge) of one records JSONL line, or
-    None for a blank line.  Raises what ``json.loads(raw.strip())`` and
-    ``record_from_dict`` raise.
-
-    A line that is one JSON value followed only by whitespace, as every
-    records.jsonl line is, takes one ``raw_decode``, which skips the
-    strip and the whitespace scans of ``json.loads`` (BENCH_5.json,
-    ``jsonl_decode_pairs``); any other line goes through
-    ``json.loads(raw.strip())``, which decides."""
-    try:
-        data, end = _DECODER.raw_decode(raw)
-        alone = end == len(raw) or raw[end:].isspace()
-    except json.JSONDecodeError:
-        alone = False
-    if not alone:  # leading whitespace, or no JSON value, or more than one
-        raw = raw.strip()  # also whitespace that JSON does not allow
-        if not raw:
-            return None
-        data = json.loads(raw)
-    try:
-        row = _JSONL_FIELDS(data)
-    except (KeyError, TypeError):
-        row = None
-    if row is None or tuple(map(type, row[:4])) != (str, str, str, str):
-        record = record_from_dict(data)  # raises for the first fault, as a record at a time would
-        row = (record.authored_at.isoformat(), record.hash, record.author_email, record.author_name,
-               record.is_merge)
-    return row
-
-
 def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
     if isinstance(exc, json.JSONDecodeError):
         return LogParseError(line_no, f"bad JSON: {exc.msg}")
@@ -532,45 +499,75 @@ def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
     return LogParseError(line_no, f"bad record: {exc}")
 
 
+# A JSON string (RFC 8259 section 7): no quote, backslash or control
+# character but in an escape.
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+# One whole line as ``RecordBlock.jsonl`` writes it: the text before the
+# stamp, the stamp, the hash and the merge flag.  Stamps and hashes hold no
+# escapes, so their text is their value.  ``re`` compiles it on first use,
+# so the commands that read no records.jsonl do not pay for it.
+_CANONICAL_LINE = (
+    rf'(?m)^(\{{"author_email": {_JSON_STRING}, "author_name": {_JSON_STRING}, "authored_at": ")'
+    r'([^"\\\x00-\x1f]*)", "hash": "([^"\\\x00-\x1f]*)", "is_merge": (true|false)\}\n'
+)
+
+
+def _head_author(key: tuple[str, str]) -> Author:
+    """The Author of a canonical line's text before the stamp and its merge
+    flag."""
+    head, merge = key
+    email, end = scanstring(head, len('{"author_email": "'))
+    name, _ = scanstring(head, end + len(', "author_name": "'))
+    return _author((email, name, merge == "true"))
+
+
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
-    """Blocks of records from JSONL lines as ``RecordBlock.jsonl`` writes
-    them.
+    """Blocks of records from JSONL lines, each line one item with no
+    newline but at its end (as iterating a file gives them).
+
+    A block whose every line has the layout ``RecordBlock.jsonl`` writes
+    (keys in that order, those separators, a boolean merge flag, stamp and
+    hash without escapes, a final newline) is read with one regex pass, and
+    each distinct author text is decoded once.  Any other block is read a
+    line at a time with ``record_from_dict(json.loads(line.strip()))``:
+    every valid record line is still read, with the same records and
+    errors, only slower.
 
     Blank lines are ignored.  A line that is not such a record, or not
     UTF-8, raises LogParseError with its 1-based line number, after the
     records of the lines before it.
     """
-    authors = _Memo(_author)
+    authors = _Memo(_head_author)
     pending = iter(lines)
     first = 1
     while chunk := list(islice(pending, BLOCK_LINES)):
         utf8 = _utf8_prefix(chunk)
-        rows, numbers, error = [], [], None
-        for offset, raw in enumerate(chunk[:utf8]):
-            try:
-                row = _jsonl_row(raw)
-            # JSONDecodeError is a ValueError
-            except (ValueError, KeyError, AttributeError, TypeError, RecursionError) as exc:
-                error = _jsonl_error(first + offset, exc)
-                break
-            if row is not None:
-                rows.append(row)
-                numbers.append(first + offset)
+        error = LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
+        rows = re.findall(_CANONICAL_LINE, "".join(chunk[:utf8]))
+        if rows and len(rows) == utf8:  # each line matched whole
+            heads, stamps, hashes, merges = zip(*rows)
+            ok, months, texts = _utc_stamps(list(stamps))
+            n = len(rows)
+            if not ok.all():
+                n = int(np.argmin(ok))
+                error = LogParseError(first + n, REASON_TIMESTAMP)
+            block = RecordBlock(list(hashes[:n]), list(map(authors.__getitem__, zip(heads[:n], merges[:n]))),
+                                texts[:n], months[:n])
         else:
-            if utf8 < len(chunk):
-                error = LogParseError(first + utf8, REASON_NOT_UTF8)
-        ok, months, texts = _utc_stamps(list(map(itemgetter(0), rows)))
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            del rows[bad:]
-            error = LogParseError(numbers[bad], REASON_TIMESTAMP)
-        if rows:
-            yield RecordBlock(
-                list(map(itemgetter(1), rows)),
-                [authors[row[2], row[3], bool(row[4])] for row in rows],
-                texts[:len(rows)],
-                months[:len(rows)],
-            )
+            records = []
+            for offset, raw in enumerate(chunk[:utf8]):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(record_from_dict(json.loads(line)))
+                # JSONDecodeError is a ValueError
+                except (ValueError, KeyError, AttributeError, TypeError, RecursionError) as exc:
+                    error = _jsonl_error(first + offset, exc)
+                    break
+            block = RecordBlock.from_records(records)
+        if block:
+            yield block
         if error is not None:
             raise error
         first += len(chunk)

@@ -226,10 +226,10 @@ _THRESHOLD_KEYS = {f.name for f in fields(EligibilityThresholds)}
 
 
 def _config_int(data: dict, key: str, default: int) -> int:
-    try:
-        return int(data.get(key, default))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {data[key]!r}") from exc
+    value = data.get(key, default)
+    if type(value) is not int:  # not bool, nor a float that int() would cut
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _config_bool(data: dict, key: str) -> bool:

@@ -280,29 +280,51 @@ def series_to_dict(series: MonthlySeries) -> dict:
     }
 
 
-def series_from_dict(data: dict) -> MonthlySeries:
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # not bool
+
+
+def _is_counts(value) -> bool:
+    return isinstance(value, dict) and all(map(_is_count, value.values()))
+
+
+def _field(table: dict, key: str, check, default=None):  # None passes no check
+    value = table.get(key, default)
+    if not check(value):
+        raise SeriesError(f"missing or bad field {key!r}")
+    return value
+
+
+def series_from_dict(data) -> MonthlySeries:
+    """Inverse of ``series_to_dict``; ``contributor_commits`` may be absent.
+    Raises SeriesError for any other missing or bad field: counts are
+    non-negative integers, months "YYYY-MM" text."""
+    if not isinstance(data, dict):
+        raise SeriesError(f"series must be a JSON object, got {type(data).__name__}")
+    entries = _field(data, "points", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
+    if not entries:
+        raise SeriesError("series has no points")
     points = tuple(
         MonthlyPoint(
-            month=MonthKey.parse(entry["month"]),
-            active_contributors=int(entry["active_contributors"]),
-            commits=int(entry["commits"]),
-            active_orgs=int(entry["active_orgs"]),
-            org_commits={str(k): int(v) for k, v in entry["org_commits"].items()},
+            month=MonthKey.parse(_field(entry, "month", lambda v: isinstance(v, str))),
+            active_contributors=_field(entry, "active_contributors", _is_count),
+            commits=_field(entry, "commits", _is_count),
+            active_orgs=_field(entry, "active_orgs", _is_count),
+            org_commits=dict(_field(entry, "org_commits", _is_counts)),
         )
-        for entry in data["points"]
+        for entry in entries
     )
-    if not points:
-        raise SeriesError("series file has no points")
     return MonthlySeries(
         points=points,
-        origin=MonthKey.parse(data["origin"]),
-        contributor_commits={str(k): int(v) for k, v in data.get("contributor_commits", {}).items()},
+        origin=MonthKey.parse(_field(data, "origin", lambda v: isinstance(v, str))),
+        contributor_commits=dict(_field(data, "contributor_commits", _is_counts, {})),
     )
 
 
 def load_series(path: str | Path) -> MonthlySeries:
+    """The series in a series.json file.  Raises SeriesError naming the
+    file when it cannot be read or is not a series."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SeriesError(f"cannot load series {path}: {exc}") from exc
-    return series_from_dict(data)
+        return series_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, RecursionError, SeriesError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise SeriesError(f"bad series file {path}: {exc}") from exc

@@ -7,15 +7,17 @@ same first error.  ``BLOCK_LINES`` is patched down so that blocks split
 the generated inputs at every position.
 """
 
+import io
 import json
 import re
+from datetime import datetime, timezone
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgepulse import LogParseError, build_monthly_series
+from forgepulse import CommitRecord, LogParseError, RecordBlock, build_monthly_series
 from forgepulse import ingest as ingest_module
 from forgepulse.ingest import (
     _parse_timestamp,
@@ -274,6 +276,59 @@ def test_jsonl_reader_rejects_what_a_series_cannot_use(line, reason):
     with pytest.raises(LogParseError) as info:
         list(read_records_jsonl(["\n", line + "\n"]))
     assert (info.value.line_no, info.value.reason) == (2, reason)
+
+
+# Any text at all: quotes, backslashes, control characters, U+2028, lone
+# surrogates and characters past the BMP, which records.jsonl escapes.
+any_text = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=()), max_size=12),
+    st.text(alphabet='"\\/\x00\x1f\x7f\u2028\udcff\U0001f600é ', max_size=12),
+)
+written_records = st.builds(
+    CommitRecord, hex_hashes, any_text, any_text, st.datetimes(timezones=st.just(timezone.utc)), st.booleans(),
+)
+
+
+@given(records=st.lists(written_records, min_size=1, max_size=25), size=block_sizes)
+@settings(max_examples=300)
+def test_written_records_are_read_back_a_block_at_a_time(records, size):
+    text = RecordBlock.from_records(records).jsonl()
+    with mock.patch.object(ingest_module, "BLOCK_LINES", size), \
+            mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
+        blocks, error = _drain(read_records_jsonl(io.StringIO(text)))
+    assert error is None
+    expected, _ = _drain(read_records_jsonl_oracle(io.StringIO(text)))
+    assert _dicts(r for block in blocks for r in block) == _dicts(expected) == _dicts(records)
+    assert "".join(block.jsonl() for block in blocks) == text
+
+
+def _written_lines():
+    records = [CommitRecord(sha_for(i), f"dev{i}@intel.com", f"Dev {i}", datetime(2015, 3, i + 1, tzinfo=timezone.utc),
+                            i == 1) for i in range(6)]
+    return io.StringIO(RecordBlock.from_records(records).jsonl()).readlines()
+
+
+@pytest.mark.parametrize(
+    "line, change, per_line, error",
+    [
+        (3, lambda line: "x" + line, True, (4, "bad JSON: Expecting value")),
+        (3, lambda line: line[:-1] + "\r\n", True, None),
+        (5, lambda line: line[:-1], True, None),
+        (3, lambda line: line.replace('"is_merge": false', '"is_merge": 0'), True, None),
+        (3, lambda line: line.replace("Dev", "D\\xev"), True, (4, "bad JSON: Invalid \\escape")),
+        (3, lambda line: line.replace("2015-03-04", "2015-02-30"), False, (4, "bad timestamp")),
+    ],
+    ids=["text-before-brace", "crlf", "no-final-newline", "merge-flag-0", "bad-escape", "bad-stamp"],
+)
+def test_a_line_off_the_written_layout_reads_as_the_oracle_reads_it(line, change, per_line, error):
+    lines = _written_lines()
+    lines[line] = change(lines[line])
+    fail = None if per_line else AssertionError("read a line at a time")
+    with mock.patch.object(ingest_module, "record_from_dict", side_effect=fail, wraps=ingest_module.record_from_dict):
+        blocks, got = _drain(read_records_jsonl(lines))
+    expected, expected_error = _drain(read_records_jsonl_oracle(lines))
+    assert _dicts(r for block in blocks for r in block) == _dicts(expected)
+    assert got == expected_error == error
 
 
 month_stamps = st.builds(

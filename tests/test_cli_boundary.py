@@ -10,6 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -228,12 +229,63 @@ def test_every_summary_file_is_a_table_or_one_error(document):
             assert (tmp / "s.txt").read_text(encoding="utf-8").count("\n") == 3  # header, rule, one row
 
 
+POINT = {"month": "2015-01", "active_contributors": 2, "commits": 3, "active_orgs": 1, "org_commits": {"intel.com": 3}}
+SERIES = {
+    "origin": "2015-01", "points": [POINT, {**POINT, "month": "2015-02", "commits": 1}],
+    "contributor_commits": {"a@intel.com": 3, "b@intel.com": 1},
+}
+
+
+@given(documents(SERIES, json_values | st.lists(documents(POINT), max_size=3)))
+@example(SERIES)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_series_file_is_read_or_one_error(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "series.json").write_text(json.dumps(document))
+        for command in ("metrics", "fit"):
+            _one_line_error([command, "--series", str(tmp / "series.json"), "--out", str(tmp / f"{command}.json")],
+                            (0, 1))
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"points": [{"month": "2015-01"}], "origin": "2015-01"}', "missing or bad field 'active_contributors'"),
+        ("[]", "series must be a JSON object, got list"),
+        (json.dumps({**SERIES, "points": [{**POINT, "active_contributors": "x"}]}),
+         "missing or bad field 'active_contributors'"),
+        (json.dumps({**SERIES, "points": [{**POINT, "commits": 2.5}]}), "missing or bad field 'commits'"),
+        (json.dumps({**SERIES, "points": [{**POINT, "org_commits": []}]}), "missing or bad field 'org_commits'"),
+        (json.dumps({**SERIES, "points": []}), "series has no points"),
+        (json.dumps({**SERIES, "origin": "2015-13"}), "bad month key '2015-13'"),
+        ("\udcff", "can't decode byte 0xff"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["no-counts", "not-an-object", "text-count", "fractional-count", "org-commits-list", "no-points",
+         "bad-origin", "not-utf8", "nested-too-deeply"],
+)
+def test_a_bad_series_file_ends_in_one_line(tmp_path, text, reason):
+    path = tmp_path / "series.json"
+    path.write_text(text, errors="surrogateescape")
+    for command in ("metrics", "fit"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([command, "--series", str(path), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert err.getvalue().startswith(f"error: bad series file {path}: ") and err.getvalue().count("\n") == 1
+        assert reason in err.getvalue()
+
+
 def test_config_type_errors_end_in_one_line(tmp_path):
     for document, message in (
         ({"projects": ["x"]}, "projects must be a list of objects"),
         ({"projects": [{"name": "p", "log": 5}]}, "log must be a path string, got 5"),
         ({"projects": [{"name": 3, "log": "x.log"}]}, "project name must be a file name, got 3"),
         ({"projects": [{"name": "p", "log": "x.log"}], "biphase": "no"}, "biphase must be true or false, got 'no'"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "workers": 2.9}, "workers must be an integer, got 2.9"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "smoothing_window": True},
+         "smoothing_window must be an integer, got True"),
     ):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(document))

@@ -303,7 +303,7 @@ def test_load_run_config_keeps_json_booleans(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["workers", "smoothing_window"])
-@pytest.mark.parametrize("value", ["two", None, [3], float("inf")])
+@pytest.mark.parametrize("value", ["two", None, [3], float("inf"), 2.9, 2.0, "5", True])
 def test_load_run_config_non_integer_fields(tmp_path, key, value):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], key: value}))
