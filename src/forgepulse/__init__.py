@@ -18,17 +18,14 @@ from .errors import (
 )
 from .growth import (
     BiPhaseFit,
-    FitOptions,
     GrowthFit,
     GrowthModel,
     GrowthParams,
-    PhaseConfig,
     PhaseLabel,
     classify_phase,
     detect_biphase,
     fit_growth,
     model_value,
-    ode_rhs,
 )
 from .identity import (
     DomainClass,
@@ -45,7 +42,6 @@ from .ingest import (
     IngestReport,
     RecordBlock,
     acquire_repo_log,
-    format_record,
     parse_log_stream,
 )
 from .metrics import (
@@ -58,7 +54,6 @@ from .metrics import (
     linear_trend,
     org_shares,
     spearman,
-    spearman_distinct_ranks,
 )
 from .pipeline import (
     MetricsReport,
@@ -78,7 +73,6 @@ from .series import (
     build_monthly_series,
     check_eligibility,
     moving_average,
-    smooth,
 )
 
 __version__ = "0.1.0"

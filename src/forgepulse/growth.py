@@ -55,12 +55,6 @@ class GrowthParams:
                 f"y_star={self.y_star}, alpha={self.alpha}, shape={self.shape}"
             )
 
-    @property
-    def y0(self) -> float:
-        if self.model is GrowthModel.GOMPERTZ:
-            return self.y_star * math.exp(-self.shape)
-        return self.y_star / (1.0 + self.shape)
-
 
 def model_value(t, params: GrowthParams):
     """Evaluate the closed form at time t (months since the anchor).
@@ -77,34 +71,22 @@ def model_value(t, params: GrowthParams):
     return float(out) if tv.ndim == 0 else out
 
 
-def ode_rhs(y, params: GrowthParams):
-    """The growth rate dy/dt each family postulates at population y."""
-    yv = np.asarray(y, dtype=float)
-    if params.model is GrowthModel.GOMPERTZ:
-        out = params.alpha * yv * (math.log(params.y_star) - np.log(yv))
-    else:
-        out = params.alpha * yv * (params.y_star - yv)
-    return float(out) if yv.ndim == 0 else out
+# Levenberg-Marquardt settings.  Functions read these when they run.
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-9  # relative SSE improvement
+DAMPING_INIT = 1e-3
+DAMPING_FACTOR = 10.0
+MAX_LOG_STEP = 1.0  # per-iteration cap on |d ln(param)|
+# Deterministic extra starts: the warm-start rate scaled by each factor.
+RATE_START_FACTORS = (1.0, 0.3, 3.0, 10.0, 30.0)
+LOW_CONFIDENCE_PEAK = 15.0
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    tolerance: float = 1e-9  # relative SSE improvement
-    damping_init: float = 1e-3
-    damping_factor: float = 10.0
-    max_log_step: float = 1.0  # per-iteration cap on |d ln(param)|
-    # Deterministic extra starts: the warm-start rate scaled by each factor.
-    rate_start_factors: tuple[float, ...] = (1.0, 0.3, 3.0, 10.0, 30.0)
-    low_confidence_peak: float = 15.0
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    lag_fraction: float = 0.1
-    stationary_fraction: float = 0.9
-    decline_drop_fraction: float = 0.05
-    decline_window: int = 6
+# Phase thresholds: fractions of the fitted ceiling, and the decline test's
+# trailing window (months) and drop (fraction of the series maximum).
+LAG_FRACTION = 0.1
+STATIONARY_FRACTION = 0.9
+DECLINE_DROP_FRACTION = 0.05
+DECLINE_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -240,8 +222,7 @@ class _LiveRows:
 
 
 def _start_rows(
-    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray,
-    model: GrowthModel, options: FitOptions,
+    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray, model: GrowthModel
 ) -> _LiveRows:
     """Rows for ``pairs`` at their starts, padded to ``len(t)``."""
     lengths = np.array([len(segments[pair]) for pair in pairs], dtype=int)
@@ -254,7 +235,7 @@ def _start_rows(
     return _LiveRows(
         ids=pairs, values=values, pad=pad, resid=resid, theta=theta,
         grad=np.zeros((len(pairs), 3)), hess=np.zeros((len(pairs), 3, 3)),
-        damping=np.full(len(pairs), options.damping_init), sse=_rowdot(resid, resid),
+        damping=np.full(len(pairs), DAMPING_INIT), sse=_rowdot(resid, resid),
         iterations=np.ones(len(pairs), dtype=int), trials=np.zeros(len(pairs), dtype=int),
         fresh=np.ones(len(pairs), dtype=bool),
     )
@@ -277,17 +258,15 @@ def _refresh_derivatives(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> 
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _trial_step(
-    live: _LiveRows, t: np.ndarray, model: GrowthModel, options: FitOptions
-) -> tuple[np.ndarray, np.ndarray]:
+def _trial_step(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> tuple[np.ndarray, np.ndarray]:
     """One damped Gauss-Newton trial for every row.
 
     A row whose trial lowers its SSE takes the step and eases its damping;
     any other row stiffens it and tries again in the same iteration.  A row
     finishes, converged, when a step improves its SSE by less than the
-    relative ``tolerance`` or when 60 trials in a row fail (no damping level
+    relative ``TOLERANCE`` or when 60 trials in a row fail (no damping level
     lowers the SSE: a local minimum); it finishes unconverged when its
-    ``max_iterations``-th iteration takes a step.  Updates the rows in place
+    ``MAX_ITERATIONS``-th iteration takes a step.  Updates the rows in place
     and returns the masks (finished, converged).
     """
     diag = np.arange(3)
@@ -304,28 +283,28 @@ def _trial_step(
             except np.linalg.LinAlgError:
                 pass
     largest = np.max(np.abs(step), axis=1)
-    step *= np.where(largest > options.max_log_step, options.max_log_step / largest, 1.0)[:, None]
+    step *= np.where(largest > MAX_LOG_STEP, MAX_LOG_STEP / largest, 1.0)[:, None]
     candidate = live.theta + step
     cand_resid = _residuals(live.values, live.pad, model, t, candidate)
     cand_sse = _rowdot(cand_resid, cand_resid)
 
     accepted = np.isfinite(cand_sse) & (cand_sse < live.sse)
     improvement = np.where(live.sse > 0, (live.sse - cand_sse) / live.sse, 0.0)
-    small = accepted & (improvement < options.tolerance)
+    small = accepted & (improvement < TOLERANCE)
     np.copyto(live.theta, candidate, where=accepted[:, None])
     np.copyto(live.resid, cand_resid, where=accepted[:, None])
     np.copyto(live.sse, cand_sse, where=accepted)
-    factor = options.damping_factor
+    factor = DAMPING_FACTOR
     live.damping = np.where(accepted, np.maximum(live.damping / factor, 1e-15), live.damping * factor)
     live.trials = np.where(accepted, 0, live.trials + 1)
-    done = np.where(accepted, small | (live.iterations == options.max_iterations), live.trials == 60)
+    done = np.where(accepted, small | (live.iterations == MAX_ITERATIONS), live.trials == 60)
     live.iterations += accepted & ~done
     live.fresh = accepted
     return done, small | ~accepted
 
 
 def _solve(
-    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, options: FitOptions
+    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
 
@@ -343,10 +322,7 @@ def _solve(
     t = np.arange(_padded(lengths.max()), dtype=float)
     theta, sse = np.log(starts), np.empty(count)
     iterations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
-    if options.max_iterations < 1:  # no iteration runs: each start stands
-        sse = _start_rows(segments, starts, np.arange(count), t, model, options).sse
-        return theta, sse, iterations, converged
-    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model, options)
+    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model)
     queued = len(live.ids)
     while len(live.ids):
         width = _padded(lengths[live.ids].max())
@@ -354,7 +330,7 @@ def _solve(
             live.values, live.pad, live.resid = live.values[:, :width], live.pad[:, :width], live.resid[:, :width]
         if live.fresh.any():
             _refresh_derivatives(live, t[:width], model)
-        done, finished_converged = _trial_step(live, t[:width], model, options)
+        done, finished_converged = _trial_step(live, t[:width], model)
         if done.any():
             ids = live.ids[done]
             theta[ids], sse[ids] = live.theta[done], live.sse[done]
@@ -363,18 +339,18 @@ def _solve(
             if queued < count:
                 pairs = queue[queued:queued + SEARCH_SLOTS - len(live.ids)]
                 queued += len(pairs)
-                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model, options))
+                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model))
     return theta, sse, iterations, converged
 
 
-def _trailing_decline(values: np.ndarray, config: PhaseConfig) -> bool:
-    window = config.decline_window
+def _trailing_decline(values: np.ndarray) -> bool:
+    window = DECLINE_WINDOW
     if len(values) < window:
         return False
     tail = values[-window:]
     tt = np.arange(window, dtype=float)
     slope = float(np.polyfit(tt, tail, 1)[0])
-    return slope * window < -config.decline_drop_fraction * float(np.max(values))
+    return slope * window < -DECLINE_DROP_FRACTION * float(np.max(values))
 
 
 MIN_FIT_POINTS = 8
@@ -384,8 +360,6 @@ def fit_growth(
     values: Sequence[float],
     model: GrowthModel,
     t_offset: MonthKey | None = None,
-    options: FitOptions = FitOptions(),
-    phase_config: PhaseConfig = PhaseConfig(),
     truncate_on_decline: bool = True,
 ) -> GrowthFit:
     """Least-squares fit of one growth model to a smoothed monthly sequence.
@@ -407,7 +381,7 @@ def fit_growth(
     notes: list[str] = []
     truncated_at = None
     fit_data = data
-    if truncate_on_decline and _trailing_decline(data, phase_config):
+    if truncate_on_decline and _trailing_decline(data):
         peak = int(np.argmax(data))
         if peak + 1 >= MIN_FIT_POINTS:
             truncated_at = peak
@@ -415,10 +389,8 @@ def fit_growth(
             notes.append(f"decline detected; fit truncated at peak month index {peak}")
         else:
             notes.append("decline detected; truncation skipped (peak too early)")
-    if float(np.max(data)) < options.low_confidence_peak:
-        notes.append(
-            f"low confidence: series peak below {options.low_confidence_peak:g} active contributors"
-        )
+    if float(np.max(data)) < LOW_CONFIDENCE_PEAK:
+        notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
 
     t = np.arange(len(fit_data), dtype=float)
     sst = float(np.sum((fit_data - fit_data.mean()) ** 2))
@@ -442,8 +414,8 @@ def fit_growth(
         )
 
     base = _warm_start(t, fit_data, model)
-    starts = np.array([(base[0], base[1] * factor, base[2]) for factor in options.rate_start_factors])
-    thetas, sses, iteration_counts, convergence = _solve([fit_data] * len(starts), starts, model, options)
+    starts = np.array([(base[0], base[1] * factor, base[2]) for factor in RATE_START_FACTORS])
+    thetas, sses, iteration_counts, convergence = _solve([fit_data] * len(starts), starts, model)
     best = int(np.argmin(sses))  # the first start on ties
     theta, sse = thetas[best], float(sses[best])
     iterations, converged = int(iteration_counts[best]), bool(convergence[best])
@@ -464,29 +436,23 @@ def fit_growth(
     )
 
 
-def classify_phase(
-    values: Sequence[float],
-    fit: GrowthFit,
-    config: PhaseConfig = PhaseConfig(),
-) -> PhaseLabel:
+def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
     """Assign exactly one growth phase to a (series, fit) pair.
 
-    Decline: the trailing OLS slope loses more than decline_drop_fraction of
-    the series maximum over the decline window.  Otherwise the last smoothed
+    Decline: the trailing OLS slope loses more than DECLINE_DROP_FRACTION of
+    the series maximum over the last DECLINE_WINDOW months.  Otherwise the last smoothed
     value is compared against the fitted ceiling: stationary above 90% of
     y_star, lag below 10%, exponential in between.
     """
     data = np.asarray(values, dtype=float)
-    if len(data) < config.decline_window:
-        raise GrowthFitError(
-            f"classification unavailable: need at least {config.decline_window} months"
-        )
-    if _trailing_decline(data, config):
+    if len(data) < DECLINE_WINDOW:
+        raise GrowthFitError(f"classification unavailable: need at least {DECLINE_WINDOW} months")
+    if _trailing_decline(data):
         return PhaseLabel.DECLINE
     last = float(data[-1])
-    if last >= config.stationary_fraction * fit.params.y_star:
+    if last >= STATIONARY_FRACTION * fit.params.y_star:
         return PhaseLabel.STATIONARY
-    if last <= config.lag_fraction * fit.params.y_star:
+    if last <= LAG_FRACTION * fit.params.y_star:
         return PhaseLabel.LAG
     return PhaseLabel.EXPONENTIAL
 
@@ -520,9 +486,7 @@ def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
     return n * math.log(max(sse, sse_floor) / n) + n_params * math.log(n)
 
 
-def _rank_splits(
-    data: np.ndarray, model: GrowthModel, splits: range, options: FitOptions
-) -> np.ndarray:
+def _rank_splits(data: np.ndarray, model: GrowthModel, splits: range) -> np.ndarray:
     """Combined SSE of each split's two segment fits, from the batched solve.
 
     Segments go through ``fit_growth``'s checks: one that it would reject
@@ -540,30 +504,26 @@ def _rank_splits(
         if np.any(segment < 0) or not np.any(segment > 0):
             seg_sse[bounds] = math.inf
         elif np.ptp(segment) == 0:
-            seg_sse[bounds] = fit_growth(segment, model, options=options, truncate_on_decline=False).sse
+            seg_sse[bounds] = fit_growth(segment, model, truncate_on_decline=False).sse
         else:
             base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
-            for factor in options.rate_start_factors:
+            for factor in RATE_START_FACTORS:
                 batch.append(bounds)
                 segments.append(segment)
                 starts.append((base[0], base[1] * factor, base[2]))
     if batch:
-        for bounds, sse in zip(batch, _solve(segments, np.array(starts), model, options)[1]):
+        for bounds, sse in zip(batch, _solve(segments, np.array(starts), model)[1]):
             seg_sse[bounds] = min(seg_sse.get(bounds, math.inf), sse)
     return np.array([seg_sse[(0, k)] + seg_sse[(k, n)] for k in splits])
 
 
 def detect_biphase(
-    values: Sequence[float],
-    model: GrowthModel,
-    t_offset: MonthKey | None = None,
-    min_segment: int = MIN_SEGMENT_MONTHS,
-    options: FitOptions = FitOptions(),
+    values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None
 ) -> BiPhaseFit | None:
     """Search for two successive growth episodes.
 
-    Every interior breakpoint leaving at least ``min_segment`` months per
-    side is tried; each segment is fit independently and the split with the
+    Every interior breakpoint leaving at least ``MIN_SEGMENT_MONTHS`` months
+    per side is tried; each segment is fit independently and the split with the
     lowest combined SSE wins.  ``preferred`` is True when the two-segment
     BIC (7 effective parameters) beats the single-fit BIC (3).  Returns None
     when the series is too short.
@@ -572,31 +532,27 @@ def detect_biphase(
     row is bit for bit the fit ``fit_growth`` reports for it, so the ranked
     SSE is the reported SSE; ties go to the lowest index.
     """
-    if min_segment < MIN_FIT_POINTS:
-        raise GrowthFitError(f"min_segment must be at least {MIN_FIT_POINTS}")
     data = np.asarray(values, dtype=float)
     n = len(data)
-    if n < 2 * min_segment:
+    if n < 2 * MIN_SEGMENT_MONTHS:
         return None
 
-    splits = range(min_segment, n - min_segment + 1)
-    ranked = _rank_splits(data, model, splits, options)
+    splits = range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1)
+    ranked = _rank_splits(data, model, splits)
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):
         return None
     breakpoint_index = splits[best]
-    first = fit_growth(
-        data[:breakpoint_index], model, t_offset=t_offset, options=options, truncate_on_decline=False
-    )
+    first = fit_growth(data[:breakpoint_index], model, t_offset=t_offset, truncate_on_decline=False)
     second = fit_growth(
         data[breakpoint_index:], model,
         t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
-        options=options, truncate_on_decline=False,
+        truncate_on_decline=False,
     )
     combined = first.sse + second.sse
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     try:
-        single = fit_growth(data, model, t_offset=t_offset, options=options, truncate_on_decline=False)
+        single = fit_growth(data, model, t_offset=t_offset, truncate_on_decline=False)
         single_bic = _bic(single.sse, n, 3, sse_floor)
     except GrowthFitError:
         single_bic = math.inf

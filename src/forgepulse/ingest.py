@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
 import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -171,9 +170,9 @@ class RecordBlock:
         return self.select([not merge for merge in merges]) if any(merges) else self
 
     def jsonl(self) -> str:
-        """The block as records.jsonl lines: for each record, the bytes
-        ``json.dumps(record_to_dict(record), sort_keys=True)`` gives, and a
-        newline."""
+        """The block as records.jsonl lines: for each record, its fields
+        (``authored_at`` as ISO 8601 text) as ``json.dumps(..., sort_keys=True)``
+        writes them, and a newline."""
         hashes = self.hashes
         if not self.hex_hashes:
             hashes = [encode_basestring_ascii(sha)[1:-1] for sha in hashes]
@@ -437,36 +436,9 @@ def parse_log_stream(
     return (_blocks() if blocks else chain.from_iterable(_blocks())), report
 
 
-def format_record(record: CommitRecord) -> str:
-    """Serialize back to the canonical line format.
-
-    The parent count is canonicalized: 2 for merges, 1 otherwise.  Re-parsing
-    the result yields a record equal to the input.
-    """
-    parent_count = 2 if record.is_merge else 1
-    return "\t".join(
-        (
-            record.hash,
-            record.authored_at.isoformat(),
-            record.author_email,
-            record.author_name,
-            str(parent_count),
-        )
-    )
-
-
-def record_to_dict(record: CommitRecord) -> dict:
-    return {
-        "hash": record.hash,
-        "author_email": record.author_email,
-        "author_name": record.author_name,
-        "authored_at": record.authored_at.isoformat(),
-        "is_merge": record.is_merge,
-    }
-
-
 def record_from_dict(data: dict) -> CommitRecord:
-    """Inverse of ``record_to_dict``.
+    """The record of one records.jsonl object: ``hash``, ``author_email``,
+    ``author_name``, ``authored_at`` (ISO 8601 text) and ``is_merge``.
 
     Raises KeyError for a missing field, ValueError for a bad timestamp and
     TypeError for a hash, email or name that is not a string.
@@ -576,7 +548,8 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
 def ref_state(repo_path: str | Path) -> str:
     """Digest of HEAD and every ref, which changes whenever the history that
     ``acquire_repo_log`` streams can.  Raises RepoAcquisitionError on failure."""
-    import hashlib  # only the log cache needs it; it costs start-up time
+    import hashlib  # only the log cache needs these; they cost start-up time
+    import subprocess
 
     cmd = ["git", "-C", str(repo_path), "show-ref", "--head"]
     try:
@@ -596,6 +569,8 @@ def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
     parent count while streaming, so merges stay recognisable.  Raises
     RepoAcquisitionError with git's diagnostic text on any failure.
     """
+    import subprocess  # only --repo needs it; it costs start-up time
+
     repo_path = Path(repo_path)
     if not repo_path.exists():
         raise RepoAcquisitionError(f"path does not exist: {repo_path}")

@@ -31,8 +31,8 @@ def round_floats(obj):
     return obj
 
 
-def dumps_stable(obj, indent: int | None = 2) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, indent=indent)
+def dumps_stable(obj) -> str:
+    return json.dumps(round_floats(obj), sort_keys=True, indent=2)
 
 
 @contextmanager

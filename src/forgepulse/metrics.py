@@ -85,21 +85,6 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     return SpearmanResult(rho=rho, n=len(xv), used_tie_correction=ties)
 
 
-def spearman_distinct_ranks(x: Sequence[float], y: Sequence[float]) -> float:
-    """Closed form 1 - 6*sum(d^2)/(n(n^2-1)); valid only when neither input
-    has ties.  Kept as the independent cross-check for `spearman`."""
-    xv, yv = _as_pair(x, y)
-    n = len(xv)
-    if len(np.unique(xv)) < n or len(np.unique(yv)) < n:
-        raise MetricError("closed form requires distinct ranks (no ties)")
-    rx = np.empty(n)
-    ry = np.empty(n)
-    rx[np.argsort(xv)] = np.arange(1, n + 1)
-    ry[np.argsort(yv)] = np.arange(1, n + 1)
-    d = rx - ry
-    return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))
-
-
 def linear_trend(x: Sequence[float], y: Sequence[float]) -> TrendResult:
     """Ordinary least squares with intercept; R^2 = 1 - SSE/SST.
 
@@ -172,7 +157,7 @@ def diversity(shares: Mapping[str, float]) -> DiversityResult:
 MIN_TAIL_POINTS = 10
 
 
-def contribution_tail(per_contributor_commits: Sequence[int], min_tail_points: int = MIN_TAIL_POINTS) -> TailResult:
+def contribution_tail(per_contributor_commits: Sequence[int]) -> TailResult:
     """Tail exponent of the per-contributor commit-count distribution.
 
     Shifted discrete MLE over the tail x >= x_min:
@@ -181,12 +166,12 @@ def contribution_tail(per_contributor_commits: Sequence[int], min_tail_points: i
 
     x_min starts at the 50th percentile of the counts and is lowered to the
     next smaller observed value until the tail holds at least
-    ``min_tail_points`` points.  Errors: fewer than ``min_tail_points``
+    ``MIN_TAIL_POINTS`` points.  Errors: fewer than ``MIN_TAIL_POINTS``
     counts overall, nonpositive counts, or a tail without variation.
     """
     counts = np.asarray(per_contributor_commits)
-    if len(counts) < min_tail_points:
-        raise MetricError(f"need at least {min_tail_points} contributors, got {len(counts)}")
+    if len(counts) < MIN_TAIL_POINTS:
+        raise MetricError(f"need at least {MIN_TAIL_POINTS} contributors, got {len(counts)}")
     if np.any(counts <= 0):
         raise MetricError("contributor commit counts must be positive")
     xs = np.sort(counts.astype(float))
@@ -194,7 +179,7 @@ def contribution_tail(per_contributor_commits: Sequence[int], min_tail_points: i
     threshold = float(np.percentile(xs, 50.0))
     feasible = [v for v in unique_desc if v >= threshold]
     x_min = min(feasible) if feasible else unique_desc[0]
-    while int(np.count_nonzero(xs >= x_min)) < min_tail_points:
+    while int(np.count_nonzero(xs >= x_min)) < MIN_TAIL_POINTS:
         lower = [v for v in unique_desc if v < x_min]
         if not lower:
             raise MetricError("too few tail points")

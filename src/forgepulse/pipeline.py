@@ -30,8 +30,8 @@ from .series import (
     MonthlySeries,
     build_monthly_series,
     check_eligibility,
+    moving_average,
     series_to_dict,
-    smooth,
 )
 
 CACHE_ENV_VAR = "FORGEPULSE_CACHE"
@@ -202,6 +202,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.projects:
             raise ConfigError("config lists no projects")
+        names = [source.name for source in self.projects]
+        if len(set(names)) < len(names):  # each name is a directory under out_dir
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ConfigError(f"duplicate project name {duplicate!r}")
         if self.model not in ("gompertz", "logistic", "both"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
@@ -373,7 +377,7 @@ def fit_report(
     contributors, and the fitted value of each model, ready for plotting.
     """
     observed = series.values("active_contributors")
-    smoothed = smooth(series, "active_contributors", smoothing_window)
+    smoothed = moving_average(observed, smoothing_window)
     payload: dict = {
         "field": "active_contributors",
         "smoothing_window": smoothing_window,
@@ -425,7 +429,6 @@ class ProjectResult:
     summary: ProjectSummary | None = None
     eligibility: dict | None = None
     error: str | None = None
-    out_dir: Path | None = None
 
 
 def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
@@ -433,7 +436,6 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
     try:
         project_dir = config.out_dir / source.name
         project_dir.mkdir(parents=True, exist_ok=True)
-        result.out_dir = project_dir
 
         records, report = ingest(source.repo, source.log, config.strict)
         with atomic_writer(project_dir / "records.jsonl") as sink:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import asdict, dataclass, field
-from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,10 +39,6 @@ class MonthKey:
     @classmethod
     def from_index(cls, index: int) -> "MonthKey":
         return cls(index // 12, index % 12 + 1)
-
-    @classmethod
-    def from_datetime(cls, stamp: datetime) -> "MonthKey":
-        return cls(stamp.year, stamp.month)
 
     @classmethod
     def parse(cls, text: str) -> "MonthKey":
@@ -222,13 +217,6 @@ def moving_average(values: Sequence[float], window: int = 3) -> list[float]:
     return out
 
 
-def smooth(series: MonthlySeries, field_name: str = "active_contributors", window: int = 3) -> list[float]:
-    """Low-pass filter one monthly count with a centered moving average."""
-    if not series.points:
-        raise SeriesError("cannot smooth an empty series")
-    return moving_average(series.values(field_name), window)
-
-
 @dataclass(frozen=True)
 class EligibilityThresholds:
     min_total_contributors: int = 100
@@ -298,7 +286,8 @@ def _field(table: dict, key: str, check, default=None):  # None passes no check
 def series_from_dict(data) -> MonthlySeries:
     """Inverse of ``series_to_dict``; ``contributor_commits`` may be absent.
     Raises SeriesError for any other missing or bad field: counts are
-    non-negative integers, months "YYYY-MM" text."""
+    non-negative integers, months "YYYY-MM" text, and the points' months
+    run on one by one from ``origin``."""
     if not isinstance(data, dict):
         raise SeriesError(f"series must be a JSON object, got {type(data).__name__}")
     entries = _field(data, "points", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
@@ -314,9 +303,13 @@ def series_from_dict(data) -> MonthlySeries:
         )
         for entry in entries
     )
+    origin = MonthKey.parse(_field(data, "origin", lambda v: isinstance(v, str)))
+    for i, point in enumerate(points):
+        if point.month.index != origin.index + i:
+            raise SeriesError(f"point {i} is month {point.month}, not {origin.shift(i)}: months must be consecutive")
     return MonthlySeries(
         points=points,
-        origin=MonthKey.parse(_field(data, "origin", lambda v: isinstance(v, str))),
+        origin=origin,
         contributor_commits=dict(_field(data, "contributor_commits", _is_counts, {})),
     )
 

@@ -21,6 +21,13 @@ def make_line(tag=0, stamp="2015-03-10T14:22:05+00:00", email="alice@intel.com",
     return f"{sha_for(tag)}\t{stamp}\t{email}\t{name}\t{parents}"
 
 
+def record_line(record) -> str:
+    """A CommitRecord as a canonical log line, with parent count 2 for a
+    merge and 1 otherwise."""
+    parents = "2" if record.is_merge else "1"
+    return "\t".join((record.hash, record.authored_at.isoformat(), record.author_email, record.author_name, parents))
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR

@@ -7,6 +7,12 @@ reads one record at a time through ``record_from_dict``, and
 go through the scalar ``_parse_timestamp``, the parser's reference conversion.
 ``lm_minimize_oracle`` is the one-series Levenberg-Marquardt loop that the
 batched growth solver replaced.
+
+The other helpers are independent references for checks: ``record_to_dict``
+(the fields a records.jsonl line holds), ``spearman_distinct_ranks`` (the
+tie-free closed form of Spearman's rho), and ``ode_rhs`` and
+``initial_value`` (the rate equation and the t = 0 value of each growth
+family).
 """
 
 import json
@@ -15,7 +21,8 @@ import re
 
 import numpy as np
 
-from forgepulse import CommitRecord, GrowthModel, IdentityConfig, LogParseError, SeriesError
+from forgepulse import CommitRecord, GrowthModel, GrowthParams, IdentityConfig, LogParseError, SeriesError
+from forgepulse import growth
 from forgepulse.errors import IdentityError
 from forgepulse.growth import _jacobian_columns
 from forgepulse.ingest import (
@@ -108,7 +115,7 @@ def build_monthly_series_oracle(records, config=IdentityConfig()):
         if unit is None:
             unit = resolve_org(key, config)
             unit_cache[key] = unit
-        index = MonthKey.from_datetime(record.authored_at).index
+        index = MonthKey(record.authored_at.year, record.authored_at.month).index
         month_commits[index] = month_commits.get(index, 0) + 1
         month_contributors.setdefault(index, set()).add(key)
         orgs = month_org_commits.setdefault(index, {})
@@ -146,19 +153,20 @@ def _growth_values(t, model, theta):
         return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
 
 
-def lm_minimize_oracle(t, values, model, start, options):
-    """One start's Levenberg-Marquardt fit, one series at a time.
+def lm_minimize_oracle(t, values, model, start):
+    """One start's Levenberg-Marquardt fit, one series at a time, with the
+    settings in ``forgepulse.growth`` as they are when it runs.
 
     Returns (theta, sse, iterations, converged, the SSE after each accepted step).
     """
     theta = np.log(np.asarray(start, dtype=float))
-    damping = options.damping_init
+    damping = growth.DAMPING_INIT
     residuals = values - _growth_values(t, model, theta)
     sse = float(residuals @ residuals)
     trace = [sse]
     converged = False
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, growth.MAX_ITERATIONS + 1):
         jac = np.column_stack(_jacobian_columns(t, model, theta))
         gradient = jac.T @ residuals
         hessian = jac.T @ jac
@@ -168,11 +176,11 @@ def lm_minimize_oracle(t, values, model, start, options):
             try:
                 step = np.linalg.solve(lhs, gradient)
             except np.linalg.LinAlgError:
-                damping *= options.damping_factor
+                damping *= growth.DAMPING_FACTOR
                 continue
             largest = float(np.max(np.abs(step)))
-            if largest > options.max_log_step:
-                step *= options.max_log_step / largest
+            if largest > growth.MAX_LOG_STEP:
+                step *= growth.MAX_LOG_STEP / largest
             candidate = theta + step
             cand_residuals = values - _growth_values(t, model, candidate)
             cand_sse = float(cand_residuals @ cand_residuals)
@@ -180,12 +188,12 @@ def lm_minimize_oracle(t, values, model, start, options):
                 improvement = (sse - cand_sse) / sse if sse > 0 else 0.0
                 theta, residuals, sse = candidate, cand_residuals, cand_sse
                 trace.append(sse)
-                damping = max(damping / options.damping_factor, 1e-15)
+                damping = max(damping / growth.DAMPING_FACTOR, 1e-15)
                 accepted = True
-                if improvement < options.tolerance:
+                if improvement < growth.TOLERANCE:
                     converged = True
                 break
-            damping *= options.damping_factor
+            damping *= growth.DAMPING_FACTOR
         if not accepted:
             # No damping level yields a decrease: at a (local) minimum.
             converged = True
@@ -193,3 +201,44 @@ def lm_minimize_oracle(t, values, model, start, options):
         if converged:
             break
     return theta, sse, iterations, converged, trace
+
+
+def record_to_dict(record):
+    return {
+        "hash": record.hash,
+        "author_email": record.author_email,
+        "author_name": record.author_name,
+        "authored_at": record.authored_at.isoformat(),
+        "is_merge": record.is_merge,
+    }
+
+
+def spearman_distinct_ranks(x, y):
+    """Closed form 1 - 6*sum(d^2)/(n(n^2-1)); valid only when neither input
+    has ties."""
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(xv)
+    assert len(yv) == n and len(np.unique(xv)) == n and len(np.unique(yv)) == n, "needs distinct ranks"
+    rx = np.empty(n)
+    ry = np.empty(n)
+    rx[np.argsort(xv)] = np.arange(1, n + 1)
+    ry[np.argsort(yv)] = np.arange(1, n + 1)
+    d = rx - ry
+    return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))
+
+
+def ode_rhs(y, params: GrowthParams):
+    """The growth rate dy/dt each family postulates at population y."""
+    yv = np.asarray(y, dtype=float)
+    if params.model is GrowthModel.GOMPERTZ:
+        out = params.alpha * yv * (math.log(params.y_star) - np.log(yv))
+    else:
+        out = params.alpha * yv * (params.y_star - yv)
+    return float(out) if yv.ndim == 0 else out
+
+
+def initial_value(params: GrowthParams):
+    """y0, the value at t = 0 that ``shape`` encodes."""
+    if params.model is GrowthModel.GOMPERTZ:
+        return params.y_star * math.exp(-params.shape)
+    return params.y_star / (1.0 + params.shape)

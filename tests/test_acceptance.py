@@ -24,14 +24,13 @@ from forgepulse import (
     diversity,
     fit_growth,
     model_value,
-    ode_rhs,
     parse_log_stream,
     run_pipeline,
     spearman,
-    spearman_distinct_ranks,
 )
 
 from conftest import DATA_DIR
+from oracles import ode_rhs, spearman_distinct_ranks
 
 
 @contextmanager

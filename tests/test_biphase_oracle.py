@@ -24,25 +24,22 @@ from forgepulse import (
     model_value,
 )
 from forgepulse import growth
-from forgepulse.growth import MIN_SEGMENT_MONTHS, BiPhaseFit, FitOptions, _bic, _solve, _warm_start
+from forgepulse.growth import MIN_SEGMENT_MONTHS, BiPhaseFit, _bic, _solve, _warm_start
 
 
-def exhaustive_biphase(values, model, t_offset=None, min_segment=MIN_SEGMENT_MONTHS, options=FitOptions()):
+def exhaustive_biphase(values, model, t_offset=None):
     data = np.asarray(values, dtype=float)
     n = len(data)
-    if n < 2 * min_segment:
+    if n < 2 * MIN_SEGMENT_MONTHS:
         return None
     best = None
-    for breakpoint_index in range(min_segment, n - min_segment + 1):
+    for breakpoint_index in range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1):
         try:
-            first = fit_growth(
-                data[:breakpoint_index], model, t_offset=t_offset,
-                options=options, truncate_on_decline=False,
-            )
+            first = fit_growth(data[:breakpoint_index], model, t_offset=t_offset, truncate_on_decline=False)
             second = fit_growth(
                 data[breakpoint_index:], model,
                 t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
-                options=options, truncate_on_decline=False,
+                truncate_on_decline=False,
             )
         except GrowthFitError:
             continue
@@ -53,7 +50,7 @@ def exhaustive_biphase(values, model, t_offset=None, min_segment=MIN_SEGMENT_MON
         return None
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     try:
-        single = fit_growth(data, model, t_offset=t_offset, options=options, truncate_on_decline=False)
+        single = fit_growth(data, model, t_offset=t_offset, truncate_on_decline=False)
         single_bic = _bic(single.sse, n, 3, sse_floor)
     except GrowthFitError:
         single_bic = math.inf
@@ -134,7 +131,7 @@ def _start(segment, model, factor):
 @given(
     model=st.sampled_from(list(GrowthModel)),
     values=segment_values,
-    factor=st.sampled_from(FitOptions().rate_start_factors),
+    factor=st.sampled_from(growth.RATE_START_FACTORS),
     peers=st.lists(segment_values, max_size=5),
     at=st.integers(0, 6),
     slots=st.integers(1, 8),
@@ -148,15 +145,14 @@ def _start(segment, model, factor):
 def test_a_row_solves_alone_as_in_any_batch(model, values, factor, peers, at, slots):
     # Alone; among peers of mixed lengths, with slots refilled as rows
     # finish; and padded wider, beside a peer twice its length.
-    options = FitOptions()
     segment = np.asarray(values)
     segments = [np.asarray(peer) for peer in peers] + [np.concatenate([segment, segment[::-1]])]
     segments.insert(at % (len(segments) + 1), segment)
     row = next(i for i, seg in enumerate(segments) if seg is segment)
     starts = np.array([_start(seg, model, factor if seg is segment else 1.0) for seg in segments])
-    alone = _solve([segment], starts[row:row + 1], model, options)
+    alone = _solve([segment], starts[row:row + 1], model)
     with mock.patch.object(growth, "SEARCH_SLOTS", slots):
-        batched = _solve(segments, starts, model, options)
+        batched = _solve(segments, starts, model)
     assert alone[0][0].tobytes() == batched[0][row].tobytes()
     assert alone[1][0].tobytes() == batched[1][row].tobytes()
     assert alone[2][0] == batched[2][row] and alone[3][0] == batched[3][row]
@@ -165,24 +161,23 @@ def test_a_row_solves_alone_as_in_any_batch(model, values, factor, peers, at, sl
 def test_singular_system_costs_only_its_own_row_a_trial():
     from forgepulse.growth import _refresh_derivatives, _start_rows, _trial_step
 
-    options = FitOptions()
     t = np.arange(len(SHORT_EPISODES), dtype=float)
     start = _warm_start(t, SHORT_EPISODES, GrowthModel.LOGISTIC)
     segments = [SHORT_EPISODES, SHORT_EPISODES]
     starts = np.array([start, start])
 
     def rows(pairs):
-        live = _start_rows(segments, starts, np.array(pairs), t, GrowthModel.LOGISTIC, options)
+        live = _start_rows(segments, starts, np.array(pairs), t, GrowthModel.LOGISTIC)
         _refresh_derivatives(live, t, GrowthModel.LOGISTIC)
         return live
 
     alone = rows([1])
-    _trial_step(alone, t, GrowthModel.LOGISTIC, options)
+    _trial_step(alone, t, GrowthModel.LOGISTIC)
     both = rows([0, 1])
     both.hess[0] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     both.damping[0] = 0.0  # with no damping the system stays singular
     theta0 = both.theta[0].copy()
-    done, _ = _trial_step(both, t, GrowthModel.LOGISTIC, options)
+    done, _ = _trial_step(both, t, GrowthModel.LOGISTIC)
     assert not done[0]
     assert both.trials[0] == 1 and both.damping[0] == 0.0
     assert np.array_equal(both.theta[0], theta0)
@@ -191,12 +186,12 @@ def test_singular_system_costs_only_its_own_row_a_trial():
 
 
 @pytest.mark.parametrize(
-    "options",
-    [FitOptions(max_iterations=0), FitOptions(max_iterations=3), FitOptions(rate_start_factors=(1.0, 3.0))],
-    ids=["no-iterations", "iteration-limit", "two-starts"],
+    "constants", [{"MAX_ITERATIONS": 3}, {"RATE_START_FACTORS": (1.0, 3.0)}], ids=["iteration-limit", "two-starts"]
 )
-def test_batched_search_honours_fit_options(options):
+def test_batched_search_honours_fit_options(constants, monkeypatch):
+    for name, value in constants.items():
+        monkeypatch.setattr(growth, name, value)
     values = SERIES["noisy-0"]
-    result = detect_biphase(values, GrowthModel.GOMPERTZ, options=options)
-    expected = exhaustive_biphase(values, GrowthModel.GOMPERTZ, options=options)
+    result = detect_biphase(values, GrowthModel.GOMPERTZ)
+    expected = exhaustive_biphase(values, GrowthModel.GOMPERTZ)
     assert result == expected

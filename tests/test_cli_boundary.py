@@ -78,6 +78,19 @@ def _cli(*argv, cwd=None, stdin=None):
                           env=env, cwd=cwd, stdin=stdin, timeout=120)
 
 
+def test_importing_the_cli_leaves_subprocess_unloaded():
+    # Only --repo and the log cache run git; every other command is spared
+    # the import.
+    probe = "import sys; {}print('subprocess' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    bare = subprocess.run([sys.executable, "-c", probe.format("")], capture_output=True, text=True, env=env)
+    if bare.stdout != "False\n":
+        pytest.skip("this interpreter loads subprocess at start-up")
+    cli = subprocess.run([sys.executable, "-c", probe.format("import forgepulse.cli; ")],
+                         capture_output=True, text=True, env=env)
+    assert (cli.stdout, cli.stderr) == ("False\n", "")
+
+
 def test_bad_bytes_and_out_of_range_stamps_end_in_one_line(tmp_path):
     good = f"{sha_for(1)}\t2015-03-10T14:22:05+00:00\ta@intel.com\tA\t1\n"
     not_utf8 = tmp_path / "not-utf8.log"
@@ -261,9 +274,12 @@ def test_every_series_file_is_read_or_one_error(document):
         (json.dumps({**SERIES, "origin": "2015-13"}), "bad month key '2015-13'"),
         ("\udcff", "can't decode byte 0xff"),
         ("[" * 100_000, "maximum recursion depth exceeded"),
+        (json.dumps({**SERIES, "points": [{**POINT, "month": m} for m in ("2015-01", "2015-07", "2015-03", "2015-03")]}),
+         "point 1 is month 2015-07, not 2015-02: months must be consecutive"),
+        (json.dumps({**SERIES, "origin": "2014-12"}), "point 0 is month 2015-01, not 2014-12"),
     ],
     ids=["no-counts", "not-an-object", "text-count", "fractional-count", "org-commits-list", "no-points",
-         "bad-origin", "not-utf8", "nested-too-deeply"],
+         "bad-origin", "not-utf8", "nested-too-deeply", "months-out-of-order", "origin-off-the-points"],
 )
 def test_a_bad_series_file_ends_in_one_line(tmp_path, text, reason):
     path = tmp_path / "series.json"
@@ -286,6 +302,7 @@ def test_config_type_errors_end_in_one_line(tmp_path):
         ({"projects": [{"name": "p", "log": "x.log"}], "workers": 2.9}, "workers must be an integer, got 2.9"),
         ({"projects": [{"name": "p", "log": "x.log"}], "smoothing_window": True},
          "smoothing_window must be an integer, got True"),
+        ({"projects": [{"name": "a", "log": "x.log"}, {"name": "a", "log": "y.log"}]}, "duplicate project name 'a'"),
     ):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(document))

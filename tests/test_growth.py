@@ -11,18 +11,16 @@ from forgepulse import (
     GrowthModel,
     GrowthParams,
     MonthKey,
-    PhaseConfig,
     PhaseLabel,
     classify_phase,
     detect_biphase,
     fit_growth,
     model_value,
-    ode_rhs,
 )
 from forgepulse import growth
-from forgepulse.growth import FitOptions, GrowthFit, _solve, _warm_start
+from forgepulse.growth import GrowthFit, _solve, _warm_start
 
-from oracles import lm_minimize_oracle
+from oracles import initial_value, lm_minimize_oracle, ode_rhs
 
 
 def gompertz_params(y_star=100.0, alpha=0.05, shape=5.0):
@@ -43,7 +41,7 @@ def test_params_must_be_positive():
 def test_initial_condition_identities():
     gp = gompertz_params()
     assert model_value(0.0, gp) == pytest.approx(gp.y_star * math.exp(-gp.shape), rel=1e-12)
-    assert model_value(0.0, gp) == pytest.approx(gp.y0, rel=1e-12)
+    assert model_value(0.0, gp) == pytest.approx(initial_value(gp), rel=1e-12)
     lp = logistic_params()
     assert model_value(0.0, lp) == pytest.approx(lp.y_star / (1 + lp.shape), rel=1e-12)
 
@@ -67,7 +65,7 @@ def rk4(rhs, y0, t_end, steps):
 
 def test_gompertz_value_matches_rk4_integration():
     params = gompertz_params()
-    expected = rk4(lambda y: ode_rhs(y, params), params.y0, 40.0, 4000)
+    expected = rk4(lambda y: ode_rhs(y, params), initial_value(params), 40.0, 4000)
     value = model_value(40.0, params)
     assert value == pytest.approx(100.0 * math.exp(-5.0 * math.exp(-2.0)), rel=1e-12)
     assert value == pytest.approx(expected, rel=1e-8)
@@ -75,7 +73,7 @@ def test_gompertz_value_matches_rk4_integration():
 
 def test_logistic_value_matches_rk4_integration():
     params = logistic_params(y_star=200.0, alpha=0.001, shape=20.0)
-    expected = rk4(lambda y: ode_rhs(y, params), params.y0, 30.0, 4000)
+    expected = rk4(lambda y: ode_rhs(y, params), initial_value(params), 30.0, 4000)
     assert model_value(30.0, params) == pytest.approx(expected, rel=1e-8)
 
 
@@ -148,15 +146,14 @@ def test_noisy_recovery_from_shipped_vectors(name, data_dir):
 
 
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
-@pytest.mark.parametrize(
-    "options", [FitOptions(), FitOptions(max_iterations=3), FitOptions(max_iterations=0)],
-    ids=["default", "iteration-limit", "no-iterations"],
-)
-def test_solver_takes_the_scalar_loops_steps(model, options, data_dir):
+@pytest.mark.parametrize("constants", [{}, {"MAX_ITERATIONS": 3}], ids=["default", "iteration-limit"])
+def test_solver_takes_the_scalar_loops_steps(model, constants, data_dir, monkeypatch):
     # The solver's row sums round differently from the loop's BLAS products,
     # so the two agree step for step only where no accept or stop decision
     # falls within rounding of its threshold.  On these noisy series none
     # does: every start ends with the loop's iteration count and convergence.
+    for name, value in constants.items():
+        monkeypatch.setattr(growth, name, value)
     rng = np.random.default_rng(7)
     series = [synthetic(gompertz_params()) * (1 + 0.05 * rng.standard_normal(120))] + [
         np.asarray(json.loads((data_dir / f"{name}.json").read_text())["values"])
@@ -165,10 +162,10 @@ def test_solver_takes_the_scalar_loops_steps(model, options, data_dir):
     for values in series:
         t = np.arange(len(values), dtype=float)
         base = _warm_start(t, values, model)
-        starts = np.array([(base[0], base[1] * factor, base[2]) for factor in options.rate_start_factors])
-        theta, sse, iterations, converged = _solve([values] * len(starts), starts, model, options)
+        starts = np.array([(base[0], base[1] * factor, base[2]) for factor in growth.RATE_START_FACTORS])
+        theta, sse, iterations, converged = _solve([values] * len(starts), starts, model)
         for row, start in enumerate(starts):
-            expected = lm_minimize_oracle(t, values, model, start, options)
+            expected = lm_minimize_oracle(t, values, model, start)
             assert (iterations[row], converged[row]) == expected[2:4]
             assert sse[row] == pytest.approx(expected[1], rel=1e-9)
             assert theta[row] == pytest.approx(expected[0], rel=1e-6, abs=1e-9)
@@ -282,10 +279,10 @@ def test_phase_needs_six_months():
         classify_phase([1, 2, 3], manual_fit(10.0))
 
 
-def test_phase_thresholds_configurable():
+def test_phase_thresholds_configurable(monkeypatch):
     values = [5, 10, 18, 28, 38, 50]
-    relaxed = PhaseConfig(stationary_fraction=0.4)
-    assert classify_phase(values, manual_fit(100.0), relaxed) is PhaseLabel.STATIONARY
+    monkeypatch.setattr(growth, "STATIONARY_FRACTION", 0.4)
+    assert classify_phase(values, manual_fit(100.0)) is PhaseLabel.STATIONARY
 
 
 def test_decline_truncates_fit_at_peak():
@@ -334,8 +331,3 @@ def test_biphase_constant_series_not_preferred():
 
 def test_biphase_too_short_returns_none():
     assert detect_biphase([1.0] * 20, GrowthModel.GOMPERTZ) is None
-
-
-def test_biphase_min_segment_validated():
-    with pytest.raises(GrowthFitError):
-        detect_biphase([1.0] * 40, GrowthModel.GOMPERTZ, min_segment=4)

@@ -2,7 +2,7 @@
 
 ``build_monthly_series_oracle`` (tests/oracles.py) is the dict-and-set loop
 that used to be ``build_monthly_series``, and
-``dumps_stable(record_to_dict(r), indent=None)`` is how records.jsonl lines
+``json.dumps(record_to_dict(r), sort_keys=True)`` is how records.jsonl lines
 used to be encoded.  The fixture digests were
 recorded with that code; ``records.jsonl``, ``ingest_report.json`` and
 ``series.json`` hold only integers and strings, so they do not depend on the
@@ -11,6 +11,7 @@ platform.
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stderr
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,13 +21,11 @@ from hypothesis import strategies as st
 
 from forgepulse import CommitRecord, IdentityConfig, RecordBlock
 from forgepulse.cli import main
-from forgepulse.ingest import record_to_dict
-from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
 from forgepulse.series import series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for
-from oracles import build_monthly_series_oracle
+from oracles import build_monthly_series_oracle, record_to_dict
 
 FIXTURE_DIGESTS = {
     "records.jsonl": "74bdce0dc497ab9226a7244e99c6067735f731bf2194e079a270f83169c8c918",
@@ -73,11 +72,11 @@ stamps = st.datetimes(
 )
 def test_record_line_is_the_json_encoding(email, name, stamp, is_merge, tag):
     record = CommitRecord(sha_for(tag), email, name, stamp, is_merge)
-    line = dumps_stable(record_to_dict(record), indent=None) + "\n"
+    line = json.dumps(record_to_dict(record), sort_keys=True) + "\n"
     assert RecordBlock.from_records([record]).jsonl() == line
     # A hash is written unescaped only once it is known to be hex digits.
     odd = record._replace(hash=email)
-    assert RecordBlock.from_records([odd]).jsonl() == dumps_stable(record_to_dict(odd), indent=None) + "\n"
+    assert RecordBlock.from_records([odd]).jsonl() == json.dumps(record_to_dict(odd), sort_keys=True) + "\n"
 
 
 DOMAINS = [

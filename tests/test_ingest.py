@@ -13,13 +13,13 @@ from forgepulse import (
     LogParseError,
     RepoAcquisitionError,
     acquire_repo_log,
-    format_record,
     parse_log_stream,
 )
-from forgepulse.ingest import read_records_jsonl, record_from_dict, record_to_dict
+from forgepulse.ingest import read_records_jsonl, record_from_dict
 from forgepulse.pipeline import ingest
 
-from conftest import make_line, sha_for
+from conftest import make_line, record_line, sha_for
+from oracles import record_to_dict
 
 
 def parse_all(lines, strict=False):
@@ -139,7 +139,7 @@ def commit_records(draw):
 
 @given(record=commit_records())
 def test_round_trip_canonical_format(record):
-    line = format_record(record)
+    line = record_line(record)
     records, report = parse_all([line])
     assert report.records_skipped == 0
     assert records == [record]

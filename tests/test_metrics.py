@@ -13,10 +13,11 @@ from forgepulse import (
     linear_trend,
     org_shares,
     spearman,
-    spearman_distinct_ranks,
 )
 from forgepulse.metrics import average_ranks
 from forgepulse.series import MonthlyPoint, MonthlySeries
+
+from oracles import spearman_distinct_ranks
 
 
 def one_month_series(org_commits):

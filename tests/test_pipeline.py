@@ -267,6 +267,9 @@ def test_load_run_config_errors(tmp_path):
     path.write_text('{"projects": [{"name": "fx", "log": "x.log"}], "include_merges": true}')
     with pytest.raises(ConfigError, match="include_merges"):
         load_run_config(path)
+    path.write_text('{"projects": [{"name": "a", "log": "x.log"}, {"name": "a", "log": "y.log"}]}')
+    with pytest.raises(ConfigError, match="duplicate project name 'a'"):
+        load_run_config(path)
 
 
 @pytest.mark.parametrize(
@@ -312,9 +315,9 @@ def test_load_run_config_non_integer_fields(tmp_path, key, value):
 
 
 def test_dumps_stable_is_sorted_and_six_digits():
-    text = dumps_stable({"b": 0.8391608391608392, "a": 1, "c": [1 / 3]}, indent=None)
-    assert text == '{"a": 1, "b": 0.839161, "c": [0.333333]}'
-    assert dumps_stable(float("nan"), indent=None) == "null"
+    text = dumps_stable({"b": 0.8391608391608392, "a": 1, "c": [1 / 3]})
+    assert text == '{\n  "a": 1,\n  "b": 0.839161,\n  "c": [\n    0.333333\n  ]\n}'
+    assert dumps_stable(float("nan")) == "null"
 
 
 def test_summary_table_renderers():

@@ -13,7 +13,6 @@ from forgepulse import (
     build_monthly_series,
     check_eligibility,
     moving_average,
-    smooth,
 )
 from forgepulse.pipeline import ingest
 from forgepulse.series import series_from_dict, series_to_dict
@@ -162,7 +161,7 @@ def test_activity_is_idempotent_per_contributor(records):
         distinct = {
             r.author_email.strip().lower()
             for r in records
-            if MonthKey.from_datetime(r.authored_at) == point.month
+            if MonthKey(r.authored_at.year, r.authored_at.month) == point.month
         }
         assert point.active_contributors == len(distinct)
 
@@ -202,7 +201,7 @@ def test_smooth_on_series():
     series = series_of(
         [record(i, utc(2015, m, 1)) for i, m in enumerate([1, 1, 2, 3])]
     )
-    assert smooth(series, "commits", 3) == moving_average([2, 1, 1], 3)
+    assert moving_average(series.values("commits"), 3) == moving_average([2, 1, 1], 3)
 
 
 class Totals:
