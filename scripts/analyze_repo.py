@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from forgepulse import ProjectSource, RunConfig, run_pipeline
+from forgepulse import ConfigError, ForgepulseError, ProjectSource, RunConfig, run_pipeline
 from forgepulse.pipeline import summary_text
 
 
@@ -29,14 +29,21 @@ def main() -> int:
     projects = tuple(
         ProjectSource(name=Path(path).resolve().name, repo=Path(path)) for path in args.repos
     )
-    config = RunConfig(
-        projects=projects,
-        out_dir=Path(args.out),
-        model=args.model,
-        biphase=args.biphase,
-        workers=args.workers,
-    )
-    outcome = run_pipeline(config)
+    try:
+        config = RunConfig(
+            projects=projects,
+            out_dir=Path(args.out),
+            model=args.model,
+            biphase=args.biphase,
+            workers=args.workers,
+        )
+        outcome = run_pipeline(config)
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except ForgepulseError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     rows = sorted((r.summary for r in outcome.results if r.summary), key=lambda s: s.project)
     sys.stdout.write(summary_text(rows))
     for result in outcome.results:

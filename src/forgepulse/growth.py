@@ -19,7 +19,7 @@ global maximum before fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -63,12 +63,15 @@ def model_value(t, params: GrowthParams):
     y_star for all finite t.
     """
     tv = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        if params.model is GrowthModel.GOMPERTZ:
-            out = params.y_star * np.exp(-params.shape * np.exp(-params.alpha * tv))
-        else:
-            out = params.y_star / (1.0 + params.shape * np.exp(-params.alpha * params.y_star * tv))
+    out = _curve(params.model, params.y_star, params.alpha, params.shape, tv)
     return float(out) if tv.ndim == 0 else out
+
+
+def _curve(model: GrowthModel, y_star, alpha, shape, t):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if model is GrowthModel.GOMPERTZ:
+            return y_star * np.exp(-shape * np.exp(-alpha * t))
+        return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
 
 
 # Levenberg-Marquardt settings.  Functions read these when they run.
@@ -184,12 +187,7 @@ def _residuals(
     values: np.ndarray, pad: np.ndarray, model: GrowthModel, t: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
     """values - model per row of theta (B, 3), exactly zero on the padding."""
-    y_star, alpha, shape = np.exp(theta.T[..., None])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if model is GrowthModel.GOMPERTZ:
-            out = y_star * np.exp(-shape * np.exp(-alpha * t))
-        else:
-            out = y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
+    out = _curve(model, *np.exp(theta.T[..., None]), t)
     np.subtract(values, out, out=out)
     np.copyto(out, 0.0, where=pad)  # not a product: 0 * inf would be NaN
     return out
@@ -356,20 +354,8 @@ def _trailing_decline(values: np.ndarray) -> bool:
 MIN_FIT_POINTS = 8
 
 
-def fit_growth(
-    values: Sequence[float],
-    model: GrowthModel,
-    t_offset: MonthKey | None = None,
-    truncate_on_decline: bool = True,
-) -> GrowthFit:
-    """Least-squares fit of one growth model to a smoothed monthly sequence.
-
-    Time is the point index, anchored at t = 0 (= ``t_offset`` when given).
-    Needs at least 8 points and one positive value.  A detected decline
-    truncates the series at its global maximum before fitting, since the
-    models cannot represent decline.  Non-convergence is not an error: the
-    best parameters so far are returned with converged=False.
-    """
+def _checked(values) -> np.ndarray:
+    """The series as floats; GrowthFitError when no growth model can be fit to it."""
     data = np.asarray(values, dtype=float)
     if data.ndim != 1 or len(data) < MIN_FIT_POINTS:
         raise GrowthFitError(f"need at least {MIN_FIT_POINTS} points, got {len(data)}")
@@ -377,63 +363,75 @@ def fit_growth(
         raise GrowthFitError("series values must be nonnegative")
     if not np.any(data > 0):
         raise GrowthFitError("all-zero series cannot be fit")
+    return data
 
-    notes: list[str] = []
+
+def _fit_segments(segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...]) -> list[GrowthFit]:
+    """Fit each checked segment at t = 0, 1, ...; every segment's fit comes
+    from one batched solve.
+
+    A segment runs one row per ``RATE_START_FACTORS`` start and reports its
+    lowest-SSE row, the first start on ties.  ``notes`` lead every fit's notes.
+    """
+    per_segment = len(RATE_START_FACTORS)
+    rising = [segment for segment in segments if np.ptp(segment) > 0]
+    starts = []
+    for segment in rising:
+        base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
+        starts += [(base[0], base[1] * factor, base[2]) for factor in RATE_START_FACTORS]
+    if rising:
+        thetas, sses, iteration_counts, convergence = _solve(
+            [segment for segment in rising for _ in range(per_segment)], np.array(starts), model
+        )
+    fits, row = [], 0
+    for segment in segments:
+        t = np.arange(len(segment), dtype=float)
+        segment_notes = list(notes)
+        if float(np.max(segment)) < LOW_CONFIDENCE_PEAK:
+            segment_notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
+        if np.ptp(segment) == 0:
+            # Flat positive series: the level is known but no rate is recoverable.
+            params = GrowthParams(model=model, y_star=float(segment[0]), alpha=1e-6, shape=1e-9)
+            residuals = segment - model_value(t, params)
+            sse, r_squared, iterations, converged = float(residuals @ residuals), 0.0, 0, False
+            segment_notes.append("rate unidentifiable: constant series")
+        else:
+            best = row + int(np.argmin(sses[row:row + per_segment]))  # the first start on ties
+            row += per_segment
+            y_star, alpha, shape = np.exp(thetas[best])
+            params = GrowthParams(model=model, y_star=float(y_star), alpha=float(alpha), shape=float(shape))
+            sse = float(sses[best])
+            sst = float(np.sum((segment - segment.mean()) ** 2))
+            r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
+            iterations, converged = int(iteration_counts[best]), bool(convergence[best])
+            if not converged:
+                segment_notes.append("did not converge within iteration limit; best parameters so far")
+        fits.append(GrowthFit(params, sse, r_squared, iterations, converged, notes=tuple(segment_notes)))
+    return fits
+
+
+def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None) -> GrowthFit:
+    """Least-squares fit of one growth model to a smoothed monthly sequence.
+
+    Time is the point index, anchored at t = 0 (= ``t_offset`` when given).
+    Needs at least 8 points and one positive value.  A detected decline
+    truncates the series at its global maximum before fitting, since the
+    models cannot represent decline.  Non-convergence is not an error: the
+    best parameters so far are returned with converged=False.  The fit
+    itself is ``_fit_segments``, the one that ``detect_biphase`` uses.
+    """
+    data = _checked(values)
+    notes: tuple[str, ...] = ()
     truncated_at = None
-    fit_data = data
-    if truncate_on_decline and _trailing_decline(data):
+    if _trailing_decline(data):
         peak = int(np.argmax(data))
         if peak + 1 >= MIN_FIT_POINTS:
-            truncated_at = peak
-            fit_data = data[: peak + 1]
-            notes.append(f"decline detected; fit truncated at peak month index {peak}")
+            truncated_at, data = peak, data[: peak + 1]
+            notes = (f"decline detected; fit truncated at peak month index {peak}",)
         else:
-            notes.append("decline detected; truncation skipped (peak too early)")
-    if float(np.max(data)) < LOW_CONFIDENCE_PEAK:
-        notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
-
-    t = np.arange(len(fit_data), dtype=float)
-    sst = float(np.sum((fit_data - fit_data.mean()) ** 2))
-
-    if np.ptp(fit_data) == 0:
-        # Flat positive series: the level is known but no rate is recoverable.
-        level = float(fit_data[0])
-        params = GrowthParams(model=model, y_star=level, alpha=1e-6, shape=1e-9)
-        residuals = fit_data - model_value(t, params)
-        sse = float(residuals @ residuals)
-        notes.append("rate unidentifiable: constant series")
-        return GrowthFit(
-            params=params,
-            sse=sse,
-            r_squared=0.0,
-            iterations=0,
-            converged=False,
-            t_offset=t_offset,
-            truncated_at=truncated_at,
-            notes=tuple(notes),
-        )
-
-    base = _warm_start(t, fit_data, model)
-    starts = np.array([(base[0], base[1] * factor, base[2]) for factor in RATE_START_FACTORS])
-    thetas, sses, iteration_counts, convergence = _solve([fit_data] * len(starts), starts, model)
-    best = int(np.argmin(sses))  # the first start on ties
-    theta, sse = thetas[best], float(sses[best])
-    iterations, converged = int(iteration_counts[best]), bool(convergence[best])
-    y_star, alpha, shape = np.exp(theta)
-    params = GrowthParams(model=model, y_star=float(y_star), alpha=float(alpha), shape=float(shape))
-    r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
-    if not converged:
-        notes.append("did not converge within iteration limit; best parameters so far")
-    return GrowthFit(
-        params=params,
-        sse=sse,
-        r_squared=r_squared,
-        iterations=iterations,
-        converged=converged,
-        t_offset=t_offset,
-        truncated_at=truncated_at,
-        notes=tuple(notes),
-    )
+            notes = ("decline detected; truncation skipped (peak too early)",)
+    [fit] = _fit_segments([data], model, notes)
+    return replace(fit, t_offset=t_offset, truncated_at=truncated_at)
 
 
 def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
@@ -486,37 +484,6 @@ def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
     return n * math.log(max(sse, sse_floor) / n) + n_params * math.log(n)
 
 
-def _rank_splits(data: np.ndarray, model: GrowthModel, splits: range) -> np.ndarray:
-    """Combined SSE of each split's two segment fits, from the batched solve.
-
-    Segments go through ``fit_growth``'s checks: one that it would reject
-    makes its splits +inf, and a flat one takes ``fit_growth`` itself.  The
-    prefix and the suffix of each length sit next to each other in the
-    batch, so they share padded rows.
-    """
-    n = len(data)
-    seg_sse: dict[tuple[int, int], float] = {}  # (start, stop) -> best SSE over starts
-    batch: list[tuple[int, int]] = []
-    segments: list[np.ndarray] = []
-    starts: list[tuple[float, float, float]] = []
-    for bounds in sorted({(0, k) for k in splits} | {(k, n) for k in splits}):
-        segment = data[bounds[0]:bounds[1]]
-        if np.any(segment < 0) or not np.any(segment > 0):
-            seg_sse[bounds] = math.inf
-        elif np.ptp(segment) == 0:
-            seg_sse[bounds] = fit_growth(segment, model, truncate_on_decline=False).sse
-        else:
-            base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
-            for factor in RATE_START_FACTORS:
-                batch.append(bounds)
-                segments.append(segment)
-                starts.append((base[0], base[1] * factor, base[2]))
-    if batch:
-        for bounds, sse in zip(batch, _solve(segments, np.array(starts), model)[1]):
-            seg_sse[bounds] = min(seg_sse.get(bounds, math.inf), sse)
-    return np.array([seg_sse[(0, k)] + seg_sse[(k, n)] for k in splits])
-
-
 def detect_biphase(
     values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None
 ) -> BiPhaseFit | None:
@@ -526,11 +493,14 @@ def detect_biphase(
     per side is tried; each segment is fit independently and the split with the
     lowest combined SSE wins.  ``preferred`` is True when the two-segment
     BIC (7 effective parameters) beats the single-fit BIC (3).  Returns None
-    when the series is too short.
+    when the series is too short or no split has two fittable segments.
 
-    One batched solve fits every segment of every split.  A segment's best
-    row is bit for bit the fit ``fit_growth`` reports for it, so the ranked
-    SSE is the reported SSE; ties go to the lowest index.
+    Every segment of every split and the whole series, for the single-fit
+    BIC, are fit by one ``_fit_segments`` call, without the decline
+    truncation.  A segment's fit is bit for bit what ``fit_growth`` reports
+    for it with the decline test off, so the ranked SSE is the reported SSE;
+    ties go to the lowest index.  A segment that ``fit_growth`` would reject,
+    or whose best SSE is NaN, leaves its splits unranked.
     """
     data = np.asarray(values, dtype=float)
     n = len(data)
@@ -538,30 +508,30 @@ def detect_biphase(
         return None
 
     splits = range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1)
-    ranked = _rank_splits(data, model, splits)
+    segments: dict[tuple[int, int], np.ndarray] = {}
+    for start, stop in sorted({(0, k) for k in splits} | {(k, n) for k in splits} | {(0, n)}):
+        try:
+            segments[start, stop] = _checked(data[start:stop])
+        except GrowthFitError:
+            pass
+    fits = dict(zip(segments, _fit_segments(list(segments.values()), model, ())))
+    sse = {bounds: fit.sse for bounds, fit in fits.items() if not math.isnan(fit.sse)}
+    ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):
         return None
     breakpoint_index = splits[best]
-    first = fit_growth(data[:breakpoint_index], model, t_offset=t_offset, truncate_on_decline=False)
-    second = fit_growth(
-        data[breakpoint_index:], model,
-        t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
-        truncate_on_decline=False,
-    )
+    breakpoint = None if t_offset is None else t_offset.shift(breakpoint_index)
+    first = replace(fits[0, breakpoint_index], t_offset=t_offset)
+    second = replace(fits[breakpoint_index, n], t_offset=breakpoint)
     combined = first.sse + second.sse
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
-    try:
-        single = fit_growth(data, model, t_offset=t_offset, truncate_on_decline=False)
-        single_bic = _bic(single.sse, n, 3, sse_floor)
-    except GrowthFitError:
-        single_bic = math.inf
-    preferred = _bic(combined, n, 7, sse_floor) < single_bic
+    single_bic = _bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
     return BiPhaseFit(
         breakpoint_index=breakpoint_index,
-        breakpoint=None if t_offset is None else t_offset.shift(breakpoint_index),
+        breakpoint=breakpoint,
         first=first,
         second=second,
         combined_sse=combined,
-        preferred=preferred,
+        preferred=_bic(combined, n, 7, sse_floor) < single_bic,
     )

@@ -72,7 +72,7 @@ def load_identity_config(path: str | Path, group_providers: bool = False) -> Ide
     """Load config from JSON; any key present replaces the built-in default."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot load identity config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"identity config {path} must be a JSON object")

@@ -301,12 +301,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-def models_for(selection: str) -> list[growth.GrowthModel]:
-    if selection == "both":
-        return [growth.GrowthModel.GOMPERTZ, growth.GrowthModel.LOGISTIC]
-    return [growth.GrowthModel(selection)]
-
-
 def cached_repo_lines(repo: Path) -> Iterator[str]:
     """Acquire a repository log, honoring the FORGEPULSE_CACHE directory,
     whose entries are keyed on the repository's path and ref state.  Writing
@@ -388,7 +382,8 @@ def fit_report(
         "biphase": None,
     }
     fits: dict[str, growth.GrowthFit] = {}
-    for model in models_for(model_selection):
+    models = list(growth.GrowthModel) if model_selection == "both" else [growth.GrowthModel(model_selection)]
+    for model in models:
         try:
             fits[model.value] = growth.fit_growth(smoothed, model, t_offset=series.origin)
             payload["model_fits"][model.value] = fits[model.value].to_dict()
@@ -403,8 +398,7 @@ def fit_report(
         except growth.GrowthFitError as exc:
             payload["phase_reason"] = str(exc)
     if biphase and fits:
-        best_model = growth.GrowthModel(best.params.model.value)
-        result = growth.detect_biphase(smoothed, best_model, t_offset=series.origin)
+        result = growth.detect_biphase(smoothed, best.params.model, t_offset=series.origin)
         payload["biphase"] = None if result is None else result.to_dict()
 
     lines = ["t,month,observed,smoothed" + "".join(f",fitted_{m}" for m in sorted(fits))]

@@ -27,6 +27,12 @@ from forgepulse import growth
 from forgepulse.growth import MIN_SEGMENT_MONTHS, BiPhaseFit, _bic, _solve, _warm_start
 
 
+def untruncated_fit(values, model, t_offset=None):
+    """fit_growth with its decline test off, as detect_biphase fits segments."""
+    with mock.patch.object(growth, "DECLINE_WINDOW", 10**9):
+        return fit_growth(values, model, t_offset=t_offset)
+
+
 def exhaustive_biphase(values, model, t_offset=None):
     data = np.asarray(values, dtype=float)
     n = len(data)
@@ -35,11 +41,10 @@ def exhaustive_biphase(values, model, t_offset=None):
     best = None
     for breakpoint_index in range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1):
         try:
-            first = fit_growth(data[:breakpoint_index], model, t_offset=t_offset, truncate_on_decline=False)
-            second = fit_growth(
+            first = untruncated_fit(data[:breakpoint_index], model, t_offset=t_offset)
+            second = untruncated_fit(
                 data[breakpoint_index:], model,
                 t_offset=None if t_offset is None else t_offset.shift(breakpoint_index),
-                truncate_on_decline=False,
             )
         except GrowthFitError:
             continue
@@ -50,7 +55,7 @@ def exhaustive_biphase(values, model, t_offset=None):
         return None
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     try:
-        single = fit_growth(data, model, t_offset=t_offset, truncate_on_decline=False)
+        single = untruncated_fit(data, model, t_offset=t_offset)
         single_bic = _bic(single.sse, n, 3, sse_floor)
     except GrowthFitError:
         single_bic = math.inf
@@ -99,9 +104,7 @@ def test_batched_search_matches_exhaustive_search(name, model):
     assert expected is not None
     assert result == expected
     k = result.breakpoint_index
-    assert result.first == fit_growth(
-        np.asarray(values, dtype=float)[:k], model, t_offset=t_offset, truncate_on_decline=False
-    )
+    assert result.first == untruncated_fit(np.asarray(values, dtype=float)[:k], model, t_offset=t_offset)
 
 
 def test_batched_search_skips_unfittable_splits():
@@ -112,6 +115,24 @@ def test_batched_search_skips_unfittable_splits():
     assert result.breakpoint_index > 20
     expected = exhaustive_biphase(values, GrowthModel.LOGISTIC)
     assert result == expected
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+def test_search_is_one_batched_solve(model):
+    # The ranking, the winning split's two fits and the whole-series fit for
+    # the BIC all come from one solve; nothing is refit.
+    with mock.patch.object(growth, "_solve", wraps=growth._solve) as solve, \
+            mock.patch.object(growth, "fit_growth", wraps=growth.fit_growth) as fit:
+        result = detect_biphase(SERIES["noisy-0"], model)
+    assert result is not None
+    assert solve.call_count == 1 and fit.call_count == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_segment_fit_with_a_nan_sse_leaves_its_splits_unranked():
+    # A subnormal first value overflows the logistic start's shape to inf, so
+    # every segment that begins with it fits to a NaN SSE: no split is left.
+    assert detect_biphase(np.concatenate([[1e-310], TWO_EPISODES]), GrowthModel.LOGISTIC) is None
 
 
 def test_all_splits_unfittable_returns_none():

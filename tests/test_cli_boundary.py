@@ -310,6 +310,17 @@ def test_config_type_errors_end_in_one_line(tmp_path):
         assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
 
 
+def test_analyze_repo_config_errors_end_in_one_line(tmp_path):
+    script = SRC.parent / "scripts" / "analyze_repo.py"
+    for argv, message in (
+        ([str(tmp_path / "r1" / "x"), str(tmp_path / "r2" / "x")], "duplicate project name 'x'"),
+        ([str(tmp_path / "x"), "--workers", "0"], "workers must be >= 1"),
+    ):
+        proc = subprocess.run([sys.executable, str(script), *argv, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
+
+
 def test_repository_bytes_that_are_not_utf8_end_like_a_log_file(tmp_path, repo_builder, monkeypatch):
     repo = repo_builder()
     repo.commit(name="Alice", date="2015-01-31T23:30:00Z")

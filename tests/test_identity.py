@@ -126,6 +126,9 @@ def test_load_identity_config_bad_file(tmp_path):
     path.write_bytes(b'{"provider_domains": ["\xff"]}')
     with pytest.raises(ConfigError, match="cannot load identity config"):
         load_identity_config(path)
+    path.write_text("[" * 100000 + "]" * 100000)  # nested past the recursion limit
+    with pytest.raises(ConfigError, match="cannot load identity config"):
+        load_identity_config(path)
 
 
 @pytest.mark.parametrize(
