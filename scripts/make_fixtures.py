@@ -14,6 +14,11 @@ Everything here is seeded or hand-specified, so reruns are byte-identical:
 * gompertz_noisy.json / logistic_noisy.json -- 120-point synthetic growth
   series with 5% multiplicative Gaussian noise at fixed seeds, shipped as
   files so fit-recovery tests never regenerate their inputs.
+
+* biphase_noisy.json -- a 240-month active-contributor count made of two
+  logistic episodes with 3% multiplicative Gaussian noise at a fixed seed,
+  rounded to whole contributors, so the bi-phase search runs on a shipped
+  series with a real break.
 """
 
 import hashlib
@@ -136,12 +141,36 @@ def write_noisy_series() -> None:
     )
 
 
+def write_biphase_series() -> None:
+    t = np.arange(240, dtype=float)
+    episodes = [
+        {"height": 60.0, "midpoint": 60.0, "rate": 0.12},
+        {"height": 90.0, "midpoint": 170.0, "rate": 0.10},
+    ]
+    clean = sum(e["height"] / (1.0 + np.exp(-e["rate"] * (t - e["midpoint"]))) for e in episodes)
+    rng = np.random.default_rng(20160229)
+    noisy = np.round(clean * (1.0 + 0.03 * rng.standard_normal(len(t))))
+    (DATA_DIR / "biphase_noisy.json").write_text(
+        json.dumps(
+            {
+                "episodes": episodes,
+                "noise": {"kind": "multiplicative-gaussian", "sigma": 0.03, "seed": 20160229, "rounded": True},
+                "values": [int(v) for v in noisy],
+            },
+            indent=2,
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+
+
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     check_table()
     write_fixture_log()
     write_noisy_series()
-    for name in ("fixture_500.log", "gompertz_noisy.json", "logistic_noisy.json"):
+    write_biphase_series()
+    for name in ("fixture_500.log", "gompertz_noisy.json", "logistic_noisy.json", "biphase_noisy.json"):
         path = DATA_DIR / name
         digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
         print(f"{name}: {path.stat().st_size} bytes sha256:{digest}")

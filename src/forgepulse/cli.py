@@ -15,6 +15,7 @@ from .ingest import read_records_jsonl
 from .jsonio import atomic_writer, dumps_stable, write_json_atomic, write_text_atomic
 from .pipeline import (
     MERGE_POLICY,
+    check_smoothing_window,
     compute_metrics,
     fit_report,
     ingest,
@@ -63,15 +64,15 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    series = load_series(args.series)
-    report = compute_metrics(series, parse_window(args.window, "--window"))
+    window = parse_window(args.window, "--window")
+    report = compute_metrics(load_series(args.series), window)
     write_json_atomic(args.out, report.to_dict())
     return 0
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    series = load_series(args.series)
-    payload, sidecar, _ = fit_report(series, args.window, args.model, args.biphase)
+    window = check_smoothing_window(args.window, "--window")
+    payload, sidecar, _ = fit_report(load_series(args.series), window, args.model, args.biphase)
     write_json_atomic(args.out, payload)
     sidecar_path = Path(args.out).with_suffix(".csv")
     write_text_atomic(sidecar_path, sidecar)

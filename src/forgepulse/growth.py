@@ -18,8 +18,10 @@ global maximum before fitting.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -63,15 +65,13 @@ def model_value(t, params: GrowthParams):
     y_star for all finite t.
     """
     tv = np.asarray(t, dtype=float)
-    out = _curve(params.model, params.y_star, params.alpha, params.shape, tv)
-    return float(out) if tv.ndim == 0 else out
-
-
-def _curve(model: GrowthModel, y_star, alpha, shape, t):
+    y_star, alpha, shape = params.y_star, params.alpha, params.shape
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if model is GrowthModel.GOMPERTZ:
-            return y_star * np.exp(-shape * np.exp(-alpha * t))
-        return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
+        if params.model is GrowthModel.GOMPERTZ:
+            out = y_star * np.exp(-shape * np.exp(-alpha * tv))
+        else:
+            out = y_star / (1.0 + shape * np.exp(-alpha * y_star * tv))
+    return float(out) if tv.ndim == 0 else out
 
 
 # Levenberg-Marquardt settings.  Functions read these when they run.
@@ -119,23 +119,6 @@ class GrowthFit:
         }
 
 
-def _jacobian_columns(
-    t: np.ndarray, model: GrowthModel, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d y / d ln(param) for (y_star, alpha, shape); theta of shape (3, B, 1) gives B rows."""
-    y_star, alpha, shape = np.exp(theta)
-    if model is GrowthModel.GOMPERTZ:
-        decay = np.exp(-alpha * t)
-        y = y_star * np.exp(-shape * decay)
-        return y, y * alpha * shape * t * decay, -y * shape * decay
-    decay = np.exp(-alpha * y_star * t)
-    denom = 1.0 + shape * decay
-    d_raw_y_star = 1.0 / denom + y_star * alpha * t * shape * decay / denom**2
-    d_raw_alpha = y_star**2 * t * shape * decay / denom**2
-    d_raw_shape = -y_star * decay / denom**2
-    return y_star * d_raw_y_star, alpha * d_raw_alpha, shape * d_raw_shape
-
-
 def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[float, float, float]:
     """Deterministic initialization.
 
@@ -165,7 +148,8 @@ def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[
 
 # Rows the solver minimises at once.  A finished row's slot goes to the next
 # (segment, start) pair in the queue, so its arrays hold at most this many
-# rows, however many pairs there are.
+# rows, however many pairs there are.  Fewer slots take more trial steps:
+# 64 and 128 ran the `biphase` benchmark 48% and 16% slower (BENCH_10.json).
 SEARCH_SLOTS = 256
 
 # Rows are zero-padded to a multiple of this width.  numpy's einsum row sums
@@ -179,126 +163,146 @@ def _padded(length) -> int:
     return -(-int(length) // _PAD) * _PAD
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b, out=out)
+def _product(out: np.ndarray, *factors) -> np.ndarray:
+    """``factors[0] * factors[1] * ...`` into ``out``, rounding as Python's left-to-right product."""
+    return functools.reduce(lambda product, factor: np.multiply(product, factor, out=out), factors)
 
 
-def _residuals(
-    values: np.ndarray, pad: np.ndarray, model: GrowthModel, t: np.ndarray, theta: np.ndarray
-) -> np.ndarray:
-    """values - model per row of theta (B, 3), exactly zero on the padding."""
-    out = _curve(model, *np.exp(theta.T[..., None]), t)
-    np.subtract(values, out, out=out)
-    np.copyto(out, 0.0, where=pad)  # not a product: 0 * inf would be NaN
-    return out
+class _Workspace:
+    """The (segment, start) pairs ``_solve`` is minimising, one row each, in arrays
+    allocated once per solve.  Rows ``0..count-1`` are live; a (rows, width) array is
+    a contiguous view of the head of one of ``buffers``, so a numpy call runs as one loop."""
 
+    _VALUES, _CURVE, _DECAY, _GATHERED, _RESID = range(5)
 
-@dataclass
-class _LiveRows:
-    """The (segment, start) pairs the solver is minimising, one row each."""
+    def __init__(self, segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, slots: int):
+        self.segments, self.starts, self.model, self.slots = segments, starts, model, slots
+        self.lengths = np.array([len(seg) for seg in segments])
+        self.width, self.count = _padded(self.lengths.max()), 0
+        self.t = np.arange(self.width, dtype=float)
+        self.jac_row = self._GATHERED if model is GrowthModel.GOMPERTZ else self._RESID + 1
+        self.buffers = np.empty((self.jac_row + 3, slots * self.width))
+        self.pad = np.empty(slots * self.width, dtype=bool)
+        self.ids, self.iterations, self.trials = np.empty((3, slots), dtype=int)
+        self.theta, self.grad, self.hess = np.empty((slots, 3)), np.empty((slots, 3)), np.empty((slots, 3, 3))
+        self.damping, self.sse = np.empty((2, slots))
 
-    ids: np.ndarray  # pair index
-    values: np.ndarray  # (B, W) segment, zero-padded
-    pad: np.ndarray  # (B, W) True on the padding
-    resid: np.ndarray  # (B, W) residuals at theta, zero on the padding
-    theta: np.ndarray  # (B, 3) log-parameters
-    grad: np.ndarray  # (B, 3) J^T r at theta
-    hess: np.ndarray  # (B, 3, 3) J^T J at theta
-    damping: np.ndarray
-    sse: np.ndarray
-    iterations: np.ndarray  # the iteration under way
-    trials: np.ndarray  # rejected trials in the current iteration
-    fresh: np.ndarray  # theta moved: grad and hess are due
+    def view(self, flat: np.ndarray, rows: int | None = None) -> np.ndarray:  # the last axis as (rows, width)
+        rows = self.count if rows is None else rows
+        return flat[..., :rows * self.width].reshape(*flat.shape[:-1], rows, self.width)
 
-    def select(self, keep: np.ndarray) -> "_LiveRows":
-        return _LiveRows(*(getattr(self, f.name)[keep] for f in fields(self)))
+    def drop(self, done: np.ndarray) -> None:
+        """Remove the finished rows; the last live rows move into their slots."""
+        kept = self.count - int(done.sum())
+        holes, movers = np.flatnonzero(done[:kept]), kept + np.flatnonzero(~done[kept:])
+        for array in (self.ids, self.iterations, self.trials, self.theta, self.grad, self.hess, self.damping,
+                      self.sse, self.view(self.buffers[self._VALUES]), self.view(self.pad)):
+            array[holes] = array[movers]
+        self.count = kept
 
-    def extend(self, other: "_LiveRows") -> "_LiveRows":
-        return _LiveRows(*(
-            np.concatenate((getattr(self, f.name), getattr(other, f.name))) for f in fields(self)
-        ))
+    def load(self, pairs: np.ndarray) -> None:
+        """Append ``pairs``, none longer than a live row, at their starts; lay
+        every row out again when the widest fits a narrower padded width."""
+        width = _padded(self.lengths[self.ids[:self.count] if self.count else pairs].max())
+        placed = 0 if width < self.width else self.count
+        rows = slice(self.count, self.count + len(pairs))
+        self.width, self.t, self.count, self.ids[rows] = width, self.t[:width], rows.stop, pairs
+        values, ids = self.view(self.buffers[self._VALUES])[placed:], self.ids[placed:self.count]
+        values[...] = 0.0
+        for row, pair in zip(values, ids):
+            row[:self.lengths[pair]] = self.segments[pair]
+        np.greater_equal(self.t, self.lengths[ids][:, None], out=self.view(self.pad)[placed:])
+        theta = np.log(self.starts[pairs], out=self.theta[rows])
+        self.damping[rows], self.iterations[rows], self.trials[rows] = DAMPING_INIT, 1, 0
+        params, self.sse[rows] = self._evaluate(theta, rows)
+        self._derivatives(params, np.arange(rows.start, rows.stop))
 
+    def _evaluate(self, theta: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(exp theta as (3, k, 1), SSE) for ``rows`` at ``theta``.  Leaves
+        their residuals, zero on the padding, decay and curve or denominator."""
+        params = y_star, alpha, shape = np.exp(theta.T[..., None])
+        values, curve, decay, _, resid = self.view(self.buffers)[:5, rows]
+        if self.model is GrowthModel.GOMPERTZ:
+            np.exp(np.multiply(-alpha, self.t, out=decay), out=decay)
+            np.exp(np.multiply(-shape, decay, out=curve), out=curve)
+            np.subtract(values, np.multiply(y_star, curve, out=curve), out=resid)
+        else:
+            np.exp(_product(decay, -alpha, y_star, self.t), out=decay)
+            np.add(1.0, np.multiply(shape, decay, out=curve), out=curve)
+            np.subtract(values, np.divide(y_star, curve, out=resid), out=resid)
+        np.copyto(resid, 0.0, where=self.view(self.pad)[rows])  # not a product: 0 * inf is NaN
+        return params, np.einsum("bw,bw->b", resid, resid)
 
-def _start_rows(
-    segments: list[np.ndarray], starts: np.ndarray, pairs: np.ndarray, t: np.ndarray, model: GrowthModel
-) -> _LiveRows:
-    """Rows for ``pairs`` at their starts, padded to ``len(t)``."""
-    lengths = np.array([len(segments[pair]) for pair in pairs], dtype=int)
-    values = np.zeros((len(pairs), len(t)))
-    for row, pair in enumerate(pairs):
-        values[row, :lengths[row]] = segments[pair]
-    pad = t >= lengths[:, None]
-    theta = np.log(starts[pairs])
-    resid = _residuals(values, pad, model, t, theta)
-    return _LiveRows(
-        ids=pairs, values=values, pad=pad, resid=resid, theta=theta,
-        grad=np.zeros((len(pairs), 3)), hess=np.zeros((len(pairs), 3, 3)),
-        damping=np.full(len(pairs), DAMPING_INIT), sse=_rowdot(resid, resid),
-        iterations=np.ones(len(pairs), dtype=int), trials=np.zeros(len(pairs), dtype=int),
-        fresh=np.ones(len(pairs), dtype=bool),
-    )
+    def _derivatives(self, params: np.ndarray, moved: np.ndarray) -> None:
+        """J^T r and J^T J of the ``moved`` rows at ``params`` (their exp theta as
+        ``_evaluate`` last used it), J = d model / d ln(y_star, alpha, shape).  The
+        rows are gathered to the head of the buffers, each into the one the previous
+        gather emptied, and J is formed there: the Gompertz one in ``_GATHERED`` (the
+        curve is its first column) and the next two buffers, the logistic one in the
+        last three."""
+        y_star, alpha, shape = params
+        k, t = len(moved), self.t
+        live, head = self.view(self.buffers), self.view(self.buffers, k)
+        first = np.take(live[self._CURVE], moved, axis=0, out=head[self._GATHERED], mode="clip")
+        decay = np.take(live[self._DECAY], moved, axis=0, out=head[self._CURVE], mode="clip")
+        resid = np.take(live[self._RESID], moved, axis=0, out=head[self._DECAY], mode="clip")
+        jac = head[self.jac_row:]
+        if self.model is GrowthModel.GOMPERTZ:  # first is the curve y, jac[0]
+            _product(jac[1], first, alpha, shape, t, decay)
+            _product(jac[2], np.negative(first, out=jac[2]), shape, decay)
+        else:  # first is the denominator 1 + shape * decay
+            denom2 = np.square(first, out=head[self._RESID])
+            np.multiply(shape, np.divide(_product(jac[2], -y_star, decay), denom2, out=jac[2]), out=jac[2])
+            np.multiply(alpha, np.divide(_product(jac[1], y_star**2, t, shape, decay), denom2, out=jac[1]), out=jac[1])
+            np.divide(_product(jac[0], y_star * alpha, t, shape, decay), denom2, out=jac[0])
+            np.multiply(y_star, np.add(np.divide(1.0, first, out=first), jac[0], out=jac[0]), out=jac[0])
+        np.copyto(jac, 0.0, where=self.view(self.pad)[moved])
+        # Each entry is one einsum row sum over the width, as a row dot product is.  J^T J
+        # takes three calls that form its six distinct entries: "ibw,jbw->bij" is 3x slower.
+        self.grad[moved] = np.einsum("ibw,bw->bi", jac, resid)
+        entries = np.empty((k, 9))
+        np.einsum("ibw,ibw->bi", jac, jac, out=entries[:, ::4])  # (0, 0), (1, 1), (2, 2)
+        np.einsum("ibw,ibw->bi", jac[:2], jac[1:], out=entries[:, 1:6:4])  # (0, 1), (1, 2)
+        np.einsum("bw,bw->b", jac[0], jac[2], out=entries[:, 2])  # (0, 2)
+        entries[:, 3:8:4], entries[:, 6] = entries[:, 1:6:4], entries[:, 2]
+        self.hess[moved] = entries.reshape(k, 3, 3)
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """One damped Gauss-Newton trial for every live row, as ``_solve``
+        describes; returns the masks (finished, converged)."""
+        count = self.count
+        theta, grad, hess, damping = self.theta[:count], self.grad[:count], self.hess[:count], self.damping[:count]
+        sse, trials, iterations = self.sse[:count], self.trials[:count], self.iterations[:count]
+        lhs = hess.copy()
+        diagonal = lhs.reshape(count, 9)[:, ::4]
+        diagonal += damping[:, None] * np.maximum(diagonal, 1e-12)
+        try:
+            step = np.linalg.solve(lhs, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # Only the singular systems lose their trial: a NaN step is rejected.
+            step = np.full_like(grad, np.nan)
+            for row in range(count):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    step[row] = np.linalg.solve(lhs[row], grad[row])
+        largest = np.abs(step).max(axis=1)
+        step *= np.where(largest > MAX_LOG_STEP, MAX_LOG_STEP / largest, 1.0)[:, None]
+        candidate = theta + step
+        params, cand_sse = self._evaluate(candidate, slice(None))
 
-def _refresh_derivatives(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> None:
-    """J^T r and J^T J at theta for the rows whose theta moved."""
-    rows = np.flatnonzero(live.fresh)
-    jac = _jacobian_columns(t, model, live.theta[rows].T[..., None])
-    pad = live.pad[rows]
-    for col in jac:
-        np.copyto(col, 0.0, where=pad)
-    resid = live.resid[rows]
-    grad, hess = np.empty((len(rows), 3)), np.empty((len(rows), 3, 3))
-    for i in range(3):
-        _rowdot(jac[i], resid, out=grad[:, i])
-        for j in range(i, 3):
-            hess[:, j, i] = _rowdot(jac[i], jac[j], out=hess[:, i, j])
-    live.grad[rows], live.hess[rows] = grad, hess
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _trial_step(live: _LiveRows, t: np.ndarray, model: GrowthModel) -> tuple[np.ndarray, np.ndarray]:
-    """One damped Gauss-Newton trial for every row.
-
-    A row whose trial lowers its SSE takes the step and eases its damping;
-    any other row stiffens it and tries again in the same iteration.  A row
-    finishes, converged, when a step improves its SSE by less than the
-    relative ``TOLERANCE`` or when 60 trials in a row fail (no damping level
-    lowers the SSE: a local minimum); it finishes unconverged when its
-    ``MAX_ITERATIONS``-th iteration takes a step.  Updates the rows in place
-    and returns the masks (finished, converged).
-    """
-    diag = np.arange(3)
-    lhs = live.hess.copy()
-    lhs[:, diag, diag] += live.damping[:, None] * np.maximum(live.hess[:, diag, diag], 1e-12)
-    try:
-        step = np.linalg.solve(lhs, live.grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Only the singular systems lose their trial: a NaN step is rejected.
-        step = np.full_like(live.grad, np.nan)
-        for row in range(len(lhs)):
-            try:
-                step[row] = np.linalg.solve(lhs[row], live.grad[row])
-            except np.linalg.LinAlgError:
-                pass
-    largest = np.max(np.abs(step), axis=1)
-    step *= np.where(largest > MAX_LOG_STEP, MAX_LOG_STEP / largest, 1.0)[:, None]
-    candidate = live.theta + step
-    cand_resid = _residuals(live.values, live.pad, model, t, candidate)
-    cand_sse = _rowdot(cand_resid, cand_resid)
-
-    accepted = np.isfinite(cand_sse) & (cand_sse < live.sse)
-    improvement = np.where(live.sse > 0, (live.sse - cand_sse) / live.sse, 0.0)
-    small = accepted & (improvement < TOLERANCE)
-    np.copyto(live.theta, candidate, where=accepted[:, None])
-    np.copyto(live.resid, cand_resid, where=accepted[:, None])
-    np.copyto(live.sse, cand_sse, where=accepted)
-    factor = DAMPING_FACTOR
-    live.damping = np.where(accepted, np.maximum(live.damping / factor, 1e-15), live.damping * factor)
-    live.trials = np.where(accepted, 0, live.trials + 1)
-    done = np.where(accepted, small | (live.iterations == MAX_ITERATIONS), live.trials == 60)
-    live.iterations += accepted & ~done
-    live.fresh = accepted
-    return done, small | ~accepted
+        accepted = cand_sse < sse  # False for a NaN or infinite trial SSE
+        small = accepted & ((sse - cand_sse) / sse < TOLERANCE)  # accepted: sse > cand_sse >= 0
+        np.copyto(theta, candidate, where=accepted[:, None])
+        np.copyto(sse, cand_sse, where=accepted)
+        damping[...] = np.where(accepted, np.maximum(damping / DAMPING_FACTOR, 1e-15), damping * DAMPING_FACTOR)
+        trials[...] = np.where(accepted, 0, trials + 1)
+        done = np.where(accepted, small | (iterations == MAX_ITERATIONS), trials == 60)
+        moved = accepted & ~done
+        iterations += moved
+        if moved.any():  # their Jacobian comes from the curve the trial computed
+            moved = np.flatnonzero(moved)
+            self._derivatives(params[:, moved], moved)
+        return done, small | ~accepted
 
 
 def _solve(
@@ -306,38 +310,34 @@ def _solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
 
-    Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]`` and
-    returns its log-parameters, SSE, iteration count and convergence.  Each
-    row keeps its own damping and counts (Moré 1978) and, padded to a
-    multiple of ``_PAD``, rounds as it would alone, so a pair's result does
-    not depend on the other pairs.  One turn of the loop is one trial step
-    for every live row.  Pairs enter longest first, so the padded width
-    only shrinks.
+    Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]`` and returns its
+    log-parameters, SSE, iteration count and convergence.  Each row keeps its own
+    damping and counts (Moré 1978) and, padded to a multiple of ``_PAD``, rounds as
+    it would alone, so a pair's result does not depend on the other pairs.  Pairs
+    enter longest first, so the padded width only shrinks.  A turn of the loop is one
+    trial for every live row: a row whose trial lowers its SSE takes the step and
+    eases its damping; any other row stiffens it and tries again in the same
+    iteration.  A row finishes, converged, when a step improves its SSE by less than
+    the relative ``TOLERANCE`` or when 60 trials in a row fail (no damping level
+    lowers the SSE: a local minimum), and unconverged when its ``MAX_ITERATIONS``-th
+    iteration takes a step.
     """
     count = len(segments)
-    lengths = np.array([len(seg) for seg in segments])
-    queue = np.argsort(-lengths, kind="stable")
-    t = np.arange(_padded(lengths.max()), dtype=float)
+    work = _Workspace(segments, starts, model, min(SEARCH_SLOTS, count))
+    queue = np.argsort(-work.lengths, kind="stable")
     theta, sse = np.log(starts), np.empty(count)
     iterations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
-    live = _start_rows(segments, starts, queue[:SEARCH_SLOTS], t, model)
-    queued = len(live.ids)
-    while len(live.ids):
-        width = _padded(lengths[live.ids].max())
-        if width < live.values.shape[1]:
-            live.values, live.pad, live.resid = live.values[:, :width], live.pad[:, :width], live.resid[:, :width]
-        if live.fresh.any():
-            _refresh_derivatives(live, t[:width], model)
-        done, finished_converged = _trial_step(live, t[:width], model)
+    while len(queue) or work.count:
+        if work.count < work.slots and len(queue):
+            pairs, queue = np.split(queue, [work.slots - work.count])
+            work.load(pairs)
+        done, finished_converged = work.step()
         if done.any():
-            ids = live.ids[done]
-            theta[ids], sse[ids] = live.theta[done], live.sse[done]
-            iterations[ids], converged[ids] = live.iterations[done], finished_converged[done]
-            live = live.select(~done)
-            if queued < count:
-                pairs = queue[queued:queued + SEARCH_SLOTS - len(live.ids)]
-                queued += len(pairs)
-                live = live.extend(_start_rows(segments, starts, pairs, t[:width], model))
+            slots = np.flatnonzero(done)
+            ids = work.ids[slots]
+            theta[ids], sse[ids], iterations[ids] = work.theta[slots], work.sse[slots], work.iterations[slots]
+            converged[ids] = finished_converged[slots]
+            work.drop(done)
     return theta, sse, iterations, converged
 
 

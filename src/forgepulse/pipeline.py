@@ -208,10 +208,16 @@ class RunConfig:
             raise ConfigError(f"duplicate project name {duplicate!r}")
         if self.model not in ("gompertz", "logistic", "both"):
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ConfigError("smoothing_window must be odd and positive")
+        check_smoothing_window(self.smoothing_window)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+
+def check_smoothing_window(window: int, key: str = "smoothing_window") -> int:
+    """``window`` when it is odd and positive; otherwise ConfigError naming ``key``."""
+    if window < 1 or window % 2 == 0:
+        raise ConfigError(f"{key} must be odd and positive, got {window}")
+    return window
 
 
 def parse_window(value, key: str = "metrics_window") -> int | str:

@@ -6,7 +6,8 @@ reads one record at a time through ``record_from_dict``, and
 ``build_monthly_series_oracle`` is the dict-and-set aggregation loop.  Timestamps
 go through the scalar ``_parse_timestamp``, the parser's reference conversion.
 ``lm_minimize_oracle`` is the one-series Levenberg-Marquardt loop that the
-batched growth solver replaced.
+batched growth solver replaced, with ``jacobian_columns``, the closed-form
+derivatives it steps along.
 
 The other helpers are independent references for checks: ``record_to_dict``
 (the fields a records.jsonl line holds), ``spearman_distinct_ranks`` (the
@@ -24,7 +25,6 @@ import numpy as np
 from forgepulse import CommitRecord, GrowthModel, GrowthParams, IdentityConfig, LogParseError, SeriesError
 from forgepulse import growth
 from forgepulse.errors import IdentityError
-from forgepulse.growth import _jacobian_columns
 from forgepulse.ingest import (
     REASON_EMPTY_EMAIL,
     REASON_FIELD_COUNT,
@@ -145,6 +145,22 @@ def build_monthly_series_oracle(records, config=IdentityConfig()):
     )
 
 
+def jacobian_columns(t, model, theta):
+    """d y / d ln(param) for (y_star, alpha, shape) at theta, the closed-form
+    derivatives written out as one expression each."""
+    y_star, alpha, shape = np.exp(theta)
+    if model is GrowthModel.GOMPERTZ:
+        decay = np.exp(-alpha * t)
+        y = y_star * np.exp(-shape * decay)
+        return y, y * alpha * shape * t * decay, -y * shape * decay
+    decay = np.exp(-alpha * y_star * t)
+    denom = 1.0 + shape * decay
+    d_raw_y_star = 1.0 / denom + y_star * alpha * t * shape * decay / denom**2
+    d_raw_alpha = y_star**2 * t * shape * decay / denom**2
+    d_raw_shape = -y_star * decay / denom**2
+    return y_star * d_raw_y_star, alpha * d_raw_alpha, shape * d_raw_shape
+
+
 def _growth_values(t, model, theta):
     y_star, alpha, shape = np.exp(theta)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -167,7 +183,7 @@ def lm_minimize_oracle(t, values, model, start):
     converged = False
     iterations = 0
     for iterations in range(1, growth.MAX_ITERATIONS + 1):
-        jac = np.column_stack(_jacobian_columns(t, model, theta))
+        jac = np.column_stack(jacobian_columns(t, model, theta))
         gradient = jac.T @ residuals
         hessian = jac.T @ jac
         accepted = False

@@ -180,7 +180,7 @@ def test_a_row_solves_alone_as_in_any_batch(model, values, factor, peers, at, sl
 
 
 def test_singular_system_costs_only_its_own_row_a_trial():
-    from forgepulse.growth import _refresh_derivatives, _start_rows, _trial_step
+    from forgepulse.growth import _Workspace
 
     t = np.arange(len(SHORT_EPISODES), dtype=float)
     start = _warm_start(t, SHORT_EPISODES, GrowthModel.LOGISTIC)
@@ -188,17 +188,17 @@ def test_singular_system_costs_only_its_own_row_a_trial():
     starts = np.array([start, start])
 
     def rows(pairs):
-        live = _start_rows(segments, starts, np.array(pairs), t, GrowthModel.LOGISTIC)
-        _refresh_derivatives(live, t, GrowthModel.LOGISTIC)
-        return live
+        work = _Workspace(segments, starts, GrowthModel.LOGISTIC, len(pairs))
+        work.load(np.array(pairs))
+        return work
 
     alone = rows([1])
-    _trial_step(alone, t, GrowthModel.LOGISTIC)
+    alone.step()
     both = rows([0, 1])
     both.hess[0] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     both.damping[0] = 0.0  # with no damping the system stays singular
     theta0 = both.theta[0].copy()
-    done, _ = _trial_step(both, t, GrowthModel.LOGISTIC)
+    done, _ = both.step()
     assert not done[0]
     assert both.trials[0] == 1 and both.damping[0] == 0.0
     assert np.array_equal(both.theta[0], theta0)

@@ -293,6 +293,21 @@ def test_a_bad_series_file_ends_in_one_line(tmp_path, text, reason):
         assert reason in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "command, window, message",
+    [("fit", "4", "--window must be odd and positive, got 4"), ("fit", "0", "--window must be odd and positive, got 0"),
+     ("fit", "-3", "--window must be odd and positive, got -3"),
+     ("metrics", "last0", "bad --window 'last0': use 'all' or 'lastN' with N >= 1")],
+)
+def test_a_bad_window_ends_in_one_config_error_before_the_series_is_read(tmp_path, command, window, message):
+    err = io.StringIO()
+    with redirect_stderr(err):  # the series file does not exist: reading it would be an i/o error, exit 1
+        code = main([command, "--series", str(tmp_path / "missing.json"), "--window", window,
+                     "--out", str(tmp_path / "out.json")])
+    assert (code, err.getvalue()) == (2, f"config error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_config_type_errors_end_in_one_line(tmp_path):
     for document, message in (
         ({"projects": ["x"]}, "projects must be a list of objects"),

@@ -193,14 +193,14 @@ def test_accepted_sse_never_increases(monkeypatch):
     values = synthetic(gompertz_params()) * (1 + 0.05 * rng.standard_normal(120))
     steps = []
 
-    def recorded(live, *args):
-        before = live.sse.copy()
-        result = trial_step(live, *args)
-        steps.append((before, live.sse.copy()))
+    def recorded(work):
+        before = work.sse[:work.count].copy()
+        result = step(work)
+        steps.append((before, work.sse[:len(before)].copy()))
         return result
 
-    trial_step = growth._trial_step
-    monkeypatch.setattr(growth, "_trial_step", recorded)
+    step = growth._Workspace.step
+    monkeypatch.setattr(growth._Workspace, "step", recorded)
     for model in (GrowthModel.GOMPERTZ, GrowthModel.LOGISTIC):
         steps.clear()
         fit_growth(values, model)
