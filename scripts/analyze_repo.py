@@ -26,10 +26,10 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    projects = tuple(
-        ProjectSource(name=Path(path).resolve().name, repo=Path(path)) for path in args.repos
-    )
     try:
+        projects = tuple(
+            ProjectSource(name=Path(path).resolve().name, repo=Path(path)) for path in args.repos
+        )
         config = RunConfig(
             projects=projects,
             out_dir=Path(args.out),

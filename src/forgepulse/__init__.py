@@ -56,7 +56,6 @@ from .metrics import (
     spearman,
 )
 from .pipeline import (
-    MetricsReport,
     ProjectSource,
     ProjectSummary,
     RunConfig,

@@ -7,6 +7,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ForgepulseError
@@ -42,9 +43,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _identity_from_args(args: argparse.Namespace) -> IdentityConfig:
-    if args.identity_config:
-        return load_identity_config(args.identity_config, group_providers=args.group_providers)
-    return IdentityConfig(group_providers=args.group_providers)
+    identity = load_identity_config(args.identity_config) if args.identity_config else IdentityConfig()
+    # The flag overrides the file; without the flag the file decides.
+    return replace(identity, group_providers=True) if args.group_providers else identity
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -65,8 +66,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     window = parse_window(args.window, "--window")
-    report = compute_metrics(load_series(args.series), window)
-    write_json_atomic(args.out, report.to_dict())
+    payload = compute_metrics(load_series(args.series), window)
+    write_json_atomic(args.out, payload)
     return 0
 
 

@@ -68,7 +68,7 @@ class IdentityConfig:
             )
 
 
-def load_identity_config(path: str | Path, group_providers: bool = False) -> IdentityConfig:
+def load_identity_config(path: str | Path) -> IdentityConfig:
     """Load config from JSON; any key present replaces the built-in default."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -76,28 +76,23 @@ def load_identity_config(path: str | Path, group_providers: bool = False) -> Ide
         raise ConfigError(f"cannot load identity config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"identity config {path} must be a JSON object")
-
-    def domain_set(key: str, default: frozenset[str]) -> frozenset[str]:
-        if key not in data:
-            return default
-        domains = data[key]
-        if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
-            raise ConfigError(f"identity config {key} must be a list of strings")
-        return frozenset(d.strip().lower() for d in domains)
-
-    aliases = data.get("domain_aliases", {})
-    if not isinstance(aliases, dict) or not all(isinstance(v, str) for v in aliases.values()):
-        raise ConfigError("identity config domain_aliases must map domains to domains")
-    group_providers = data.get("group_providers", group_providers)
-    if type(group_providers) is not bool:
-        raise ConfigError(f"identity config group_providers must be true or false, got {group_providers!r}")
-    return IdentityConfig(
-        provider_domains=domain_set("provider_domains", DEFAULT_PROVIDER_DOMAINS),
-        virtual_org_domains=domain_set("virtual_org_domains", DEFAULT_VIRTUAL_ORG_DOMAINS),
-        domain_aliases={k.strip().lower(): v.strip().lower() for k, v in aliases.items()},
-        public_suffixes=domain_set("public_suffixes", DEFAULT_PUBLIC_SUFFIXES),
-        group_providers=group_providers,
-    )
+    options: dict = {}
+    for key, value in data.items():
+        if key in ("provider_domains", "virtual_org_domains", "public_suffixes"):
+            if not isinstance(value, list) or not all(isinstance(d, str) for d in value):
+                raise ConfigError(f"identity config {key} must be a list of strings")
+            options[key] = frozenset(d.strip().lower() for d in value)
+        elif key == "domain_aliases":
+            if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+                raise ConfigError("identity config domain_aliases must map domains to domains")
+            options[key] = {k.strip().lower(): v.strip().lower() for k, v in value.items()}
+        elif key == "group_providers":
+            if type(value) is not bool:
+                raise ConfigError(f"identity config group_providers must be true or false, got {value!r}")
+            options[key] = value
+        else:
+            raise ConfigError(f"unknown identity config key {key!r}")
+    return IdentityConfig(**options)
 
 
 def normalize_email(raw: str) -> str:

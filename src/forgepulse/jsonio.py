@@ -2,11 +2,13 @@
 
 All JSON emitted by the toolkit goes through ``dumps_stable`` so that two runs
 over identical inputs produce byte-identical files: keys are sorted and every
-float is rounded to 6 significant digits before encoding.
+float is rounded to 6 significant digits before encoding.  All CSV goes
+through ``csv_text``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -33,6 +35,16 @@ def round_floats(obj):
 
 def dumps_stable(obj) -> str:
     return json.dumps(round_floats(obj), sort_keys=True, indent=2)
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text with "\\n" line ends and RFC 4180 minimal quoting: a
+    field is quoted only when it holds a comma, a quote or a line break."""
+    import csv  # only the CSV artifacts need it; it costs start-up time
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 @contextmanager

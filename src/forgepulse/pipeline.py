@@ -24,7 +24,7 @@ from . import growth, metrics
 from .errors import ConfigError, ForgepulseError, MetricError
 from .identity import IdentityConfig, load_identity_config
 from .ingest import IngestReport, RecordBlock, acquire_repo_log, parse_log_stream, ref_state
-from .jsonio import atomic_writer, write_json_atomic, write_text_atomic
+from .jsonio import atomic_writer, csv_text, write_json_atomic, write_text_atomic
 from .series import (
     EligibilityThresholds,
     MonthlySeries,
@@ -93,48 +93,24 @@ _FIELD_CHECKS = {
 }
 
 
-STATISTICS = ("spearman", "trend", "diversity", "tail")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    spearman: metrics.SpearmanResult | None
-    spearman_reason: str | None
-    trend: metrics.TrendResult | None
-    trend_reason: str | None
-    diversity: metrics.DiversityResult | None
-    diversity_reason: str | None
-    tail: metrics.TailResult | None
-    tail_reason: str | None
-    window: str
-
-    def to_dict(self) -> dict:
-        out: dict = {"window": self.window}
-        for name in STATISTICS:
-            result = getattr(self, name)
-            out[name] = None if result is None else asdict(result)
-            if result is None:
-                out[f"{name}_reason"] = getattr(self, f"{name}_reason")
-        return out
-
-
-def compute_metrics(series: MonthlySeries, window: int | str = "all") -> MetricsReport:
-    """All four statistics, each independently degrading to null + reason."""
+def compute_metrics(series: MonthlySeries, window: int | str = "all") -> dict:
+    """The metrics.json payload: all four statistics, each independently
+    degrading to null plus a ``NAME_reason``."""
     actives = series.values("active_contributors")
     commits = series.values("commits")
-    computations = (
-        lambda: metrics.spearman(actives, commits),
-        lambda: metrics.linear_trend(actives, commits),
-        lambda: metrics.diversity(metrics.org_shares(series, window)),
-        lambda: metrics.contribution_tail(list(series.contributor_commits.values())),
-    )
-    outcome: dict = {}
-    for name, compute in zip(STATISTICS, computations):
+    computations = {
+        "spearman": lambda: metrics.spearman(actives, commits),
+        "trend": lambda: metrics.linear_trend(actives, commits),
+        "diversity": lambda: metrics.diversity(metrics.org_shares(series, window)),
+        "tail": lambda: metrics.contribution_tail(list(series.contributor_commits.values())),
+    }
+    payload: dict = {"window": str(window)}
+    for name, compute in computations.items():
         try:
-            outcome[name], outcome[f"{name}_reason"] = compute(), None
+            payload[name] = asdict(compute())
         except MetricError as exc:
-            outcome[name], outcome[f"{name}_reason"] = None, exc.reason
-    return MetricsReport(window=str(window), **outcome)
+            payload[name], payload[f"{name}_reason"] = None, exc.reason
+    return payload
 
 
 def _percentile_range(values: list[int]) -> tuple[float, float]:
@@ -144,11 +120,11 @@ def _percentile_range(values: list[int]) -> tuple[float, float]:
 
 def summarize(
     series: MonthlySeries,
-    metrics_report: MetricsReport,
+    metrics_payload: dict,
     fits: dict[str, growth.GrowthFit] | None = None,
     project: str = "",
 ) -> ProjectSummary:
-    """Assemble the report row from precomputed metrics.
+    """Assemble the report row from a precomputed metrics.json payload.
 
     Monthly ranges are 5th/95th percentiles: the reproducible analogue of
     eyeballed typical ranges, excluding outlier months.
@@ -159,6 +135,8 @@ def summarize(
             for note in fit.notes:
                 if note not in notes:
                     notes.append(note)
+    spearman = metrics_payload["spearman"]
+    diversity = metrics_payload["diversity"]
     return ProjectSummary(
         project=project,
         total_contributors=series.total_contributors,
@@ -167,10 +145,10 @@ def summarize(
         active_contrib_range=_percentile_range(series.values("active_contributors")),
         monthly_commit_range=_percentile_range(series.values("commits")),
         active_org_range=_percentile_range(series.values("active_orgs")),
-        spearman=None if metrics_report.spearman is None else metrics_report.spearman.rho,
-        spearman_reason=metrics_report.spearman_reason,
-        diversity=None if metrics_report.diversity is None else metrics_report.diversity.diversity,
-        diversity_reason=metrics_report.diversity_reason,
+        spearman=None if spearman is None else spearman["rho"],
+        spearman_reason=metrics_payload.get("spearman_reason"),
+        diversity=None if diversity is None else diversity["diversity"],
+        diversity_reason=metrics_payload.get("diversity_reason"),
         notes=tuple(notes),
     )
 
@@ -182,6 +160,13 @@ class ProjectSource:
     log: Path | None = None
 
     def __post_init__(self):
+        # The name is the project's directory under out_dir, beside the files
+        # that run_pipeline writes there.
+        name = self.name
+        if not isinstance(name, str) or not name.isprintable() or "/" in name or name in ("", ".", ".."):
+            raise ConfigError(f"project name must be a file name, got {name!r}")
+        if name in ("summary.csv", "summary.txt", "run_report.json"):
+            raise ConfigError(f"project name {name!r} is reserved: the run writes a file of that name")
         if (self.repo is None) == (self.log is None):
             raise ConfigError(f"project {self.name!r} needs exactly one of repo or log")
 
@@ -232,21 +217,37 @@ def parse_window(value, key: str = "metrics_window") -> int | str:
     return months
 
 
-_THRESHOLD_KEYS = {f.name for f in fields(EligibilityThresholds)}
-
-
-def _config_int(data: dict, key: str, default: int) -> int:
-    value = data.get(key, default)
+def _integer(value, key: str) -> int:
     if type(value) is not int:  # not bool, nor a float that int() would cut
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _config_bool(data: dict, key: str) -> bool:
-    value = data.get(key, False)
+def _boolean(value, key: str) -> bool:
     if type(value) is not bool:
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+# Run-config keys that set the RunConfig field of the same name, each with the
+# check of its value.  An absent key leaves the field's default.
+_RUN_FIELDS = {
+    "smoothing_window": _integer,
+    "model": lambda value, key: str(value),
+    "strict": _boolean,
+    "biphase": _boolean,
+    "metrics_window": parse_window,
+    "workers": _integer,
+}
+_RUN_KEYS = {"projects", "out_dir", "identity_config", "thresholds", "include_merges", *_RUN_FIELDS}
+_PROJECT_KEYS = {"name", "repo", "log"}
+_THRESHOLD_KEYS = {f.name for f in fields(EligibilityThresholds)}
+
+
+def _reject_unknown_keys(table: dict, known: set[str], what: str) -> None:
+    unknown = [key for key in table if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -257,6 +258,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown_keys(data, _RUN_KEYS, "run config")
     base = path.parent
 
     def resolve(table: dict, key: str) -> Path | None:
@@ -274,13 +276,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError("projects must be a list of objects")
     projects = []
     for entry in entries:
-        name = entry.get("name")
-        if not name:
-            raise ConfigError(f"project entry without a name: {entry}")
-        # The name is the project's directory under out_dir.
-        if not isinstance(name, str) or not name.isprintable() or "/" in name or name in (".", ".."):
-            raise ConfigError(f"project name must be a file name, got {name!r}")
-        projects.append(ProjectSource(name=name, repo=resolve(entry, "repo"), log=resolve(entry, "log")))
+        _reject_unknown_keys(entry, _PROJECT_KEYS, "project")
+        projects.append(ProjectSource(name=entry.get("name"), repo=resolve(entry, "repo"), log=resolve(entry, "log")))
     identity = IdentityConfig()
     if "identity_config" in data:
         identity = load_identity_config(resolve(data, "identity_config"))
@@ -298,12 +295,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         out_dir=resolve(data, "out_dir") or base / "forgepulse-out",
         identity=identity,
         thresholds=thresholds,
-        smoothing_window=_config_int(data, "smoothing_window", 3),
-        model=str(data.get("model", "both")),
-        strict=_config_bool(data, "strict"),
-        biphase=_config_bool(data, "biphase"),
-        metrics_window=parse_window(data.get("metrics_window", "all")),
-        workers=_config_int(data, "workers", 1),
+        **{key: check(data[key], key) for key, check in _RUN_FIELDS.items() if key in data},
     )
 
 
@@ -407,20 +399,13 @@ def fit_report(
         result = growth.detect_biphase(smoothed, best.params.model, t_offset=series.origin)
         payload["biphase"] = None if result is None else result.to_dict()
 
-    lines = ["t,month,observed,smoothed" + "".join(f",fitted_{m}" for m in sorted(fits))]
-    t_values = range(len(series.points))
-    fitted = {name: growth.model_value(np.arange(len(series.points), dtype=float), fit.params)
-              for name, fit in fits.items()}
-    for t in t_values:
-        row = [
-            str(t),
-            str(series.points[t].month),
-            f"{observed[t]:.6g}",
-            f"{smoothed[t]:.6g}",
-        ]
-        row += [f"{fitted[name][t]:.6g}" for name in sorted(fits)]
-        lines.append(",".join(row))
-    return payload, "\n".join(lines) + "\n", fits
+    fitted = {name: growth.model_value(np.arange(len(series.points), dtype=float), fits[name].params)
+              for name in sorted(fits)}
+    rows = [["t", "month", "observed", "smoothed"] + [f"fitted_{name}" for name in fitted]]
+    for t, point in enumerate(series.points):
+        values = [observed[t], smoothed[t]] + [curve[t] for curve in fitted.values()]
+        rows.append([t, point.month] + [f"{value:.6g}" for value in values])
+    return payload, csv_text(rows), fits
 
 
 @dataclass
@@ -443,8 +428,8 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         write_json_atomic(project_dir / "ingest_report.json", report.to_dict())
         write_json_atomic(project_dir / "series.json", series_to_dict(series))
 
-        metrics_report = compute_metrics(series, config.metrics_window)
-        write_json_atomic(project_dir / "metrics.json", metrics_report.to_dict())
+        metrics_payload = compute_metrics(series, config.metrics_window)
+        write_json_atomic(project_dir / "metrics.json", metrics_payload)
 
         fit_payload, sidecar, fits = fit_report(
             series, config.smoothing_window, config.model, config.biphase
@@ -452,14 +437,13 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         write_json_atomic(project_dir / "fit.json", fit_payload)
         write_text_atomic(project_dir / "fit.csv", sidecar)
 
-        summary = summarize(series, metrics_report, fits, project=source.name)
+        summary = summarize(series, metrics_payload, fits, project=source.name)
         eligibility = check_eligibility(summary, config.thresholds)
-        summary_payload = summary.to_dict()
-        summary_payload["eligibility"] = eligibility.to_dict()
+        summary_payload = {**summary.to_dict(), "eligibility": eligibility}
         write_json_atomic(project_dir / "summary.json", summary_payload)
 
         result.summary = summary
-        result.eligibility = eligibility.to_dict()
+        result.eligibility = eligibility
     except ForgepulseError as exc:
         result.error = str(exc)
     except OSError as exc:
@@ -479,29 +463,22 @@ def _run_project_in_worker(source: ProjectSource, config: RunConfig) -> ProjectR
 
 
 def summary_csv(rows: list[ProjectSummary]) -> str:
-    header = (
-        "project,total_contributors,total_orgs,mean_monthly_commits,"
-        "active_p5,active_p95,commits_p5,commits_p95,orgs_p5,orgs_p95,"
-        "spearman,diversity"
-    )
-    lines = [header]
+    table = [[
+        "project", "total_contributors", "total_orgs", "mean_monthly_commits",
+        "active_p5", "active_p95", "commits_p5", "commits_p95", "orgs_p5", "orgs_p95",
+        "spearman", "diversity",
+    ]]
     for row in rows:
-        cells = [
-            row.project,
-            str(row.total_contributors),
-            str(row.total_orgs),
-            f"{row.mean_monthly_commits:.6g}",
-            f"{row.active_contrib_range[0]:.6g}",
-            f"{row.active_contrib_range[1]:.6g}",
-            f"{row.monthly_commit_range[0]:.6g}",
-            f"{row.monthly_commit_range[1]:.6g}",
-            f"{row.active_org_range[0]:.6g}",
-            f"{row.active_org_range[1]:.6g}",
-            "" if row.spearman is None else f"{row.spearman:.6g}",
-            "" if row.diversity is None else f"{row.diversity:.6g}",
+        numbers = [
+            row.mean_monthly_commits,
+            *row.active_contrib_range,
+            *row.monthly_commit_range,
+            *row.active_org_range,
         ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cells = [row.project, row.total_contributors, row.total_orgs] + [f"{number:.6g}" for number in numbers]
+        cells += ["" if value is None else f"{value:.6g}" for value in (row.spearman, row.diversity)]
+        table.append(cells)
+    return csv_text(table)
 
 
 def summary_text(rows: list[ProjectSummary]) -> str:
@@ -524,13 +501,10 @@ def summary_text(rows: list[ProjectSummary]) -> str:
                 "n/a" if row.diversity is None else f"{row.diversity:.2f}",
             ]
         )
-    widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-    rendered = []
-    for line_no, line in enumerate(table):
-        rendered.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
-        if line_no == 0:
-            rendered.append("  ".join("-" * widths[i] for i in range(len(columns))))
-    return "\n".join(rendered) + "\n"
+    widths = [max(map(len, column)) for column in zip(*table)]
+    table.insert(1, ["-" * width for width in widths])
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() for line in table]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

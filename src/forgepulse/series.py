@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -224,31 +224,19 @@ class EligibilityThresholds:
     min_mean_monthly_commits: float = 100.0
 
 
-@dataclass(frozen=True)
-class EligibilityReport:
-    contributors_ok: bool
-    orgs_ok: bool
-    commit_rate_ok: bool
-
-    @property
-    def eligible(self) -> bool:
-        return self.contributors_ok and self.orgs_ok and self.commit_rate_ok
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "eligible": self.eligible}
-
-
-def check_eligibility(summary, thresholds: EligibilityThresholds = EligibilityThresholds()) -> EligibilityReport:
+def check_eligibility(summary, thresholds: EligibilityThresholds = EligibilityThresholds()) -> dict[str, bool]:
     """Check study-inclusion thresholds over a project's full history.
 
     ``summary`` is any object exposing total_contributors, total_orgs and
-    mean_monthly_commits (a ProjectSummary or a MonthlySeries).
+    mean_monthly_commits (a ProjectSummary or a MonthlySeries).  Returns the
+    three checks and ``eligible``, which holds when all three pass.
     """
-    return EligibilityReport(
-        contributors_ok=summary.total_contributors >= thresholds.min_total_contributors,
-        orgs_ok=summary.total_orgs >= thresholds.min_total_orgs,
-        commit_rate_ok=summary.mean_monthly_commits >= thresholds.min_mean_monthly_commits,
-    )
+    checks = {
+        "contributors_ok": summary.total_contributors >= thresholds.min_total_contributors,
+        "orgs_ok": summary.total_orgs >= thresholds.min_total_orgs,
+        "commit_rate_ok": summary.mean_monthly_commits >= thresholds.min_mean_monthly_commits,
+    }
+    return {**checks, "eligible": all(checks.values())}
 
 
 def series_to_dict(series: MonthlySeries) -> dict:

@@ -135,6 +135,30 @@ def test_series_group_providers(tmp_path, capsys):
     assert data["points"][0]["active_contributors"] == 3
 
 
+def test_series_group_providers_flag_overrides_the_identity_file(tmp_path, capsys):
+    log = tmp_path / "provider.log"
+    log.write_text(
+        "\n".join(
+            make_line(i, email=f"dev{i}@gmail.com", stamp="2015-01-10T00:00:00+00:00")
+            for i in range(3)
+        )
+        + "\n"
+    )
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"group_providers": False}))
+    records = tmp_path / "records.jsonl"
+    run_cli(capsys, "ingest", "--log", str(log), "--out", str(records))
+    for flags, org_commits in (
+        ([], {f"dev{i}@gmail.com": 1 for i in range(3)}),
+        (["--group-providers"], {"individuals": 3}),
+    ):
+        series = tmp_path / "series.json"
+        code, _, _ = run_cli(capsys, "series", "--in", str(records), "--identity-config", str(identity), *flags,
+                             "--out", str(series))
+        assert code == 0
+        assert json.loads(series.read_text())["points"][0]["org_commits"] == org_commits
+
+
 def test_run_and_summary_commands(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(

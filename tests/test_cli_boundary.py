@@ -309,6 +309,7 @@ def test_a_bad_window_ends_in_one_config_error_before_the_series_is_read(tmp_pat
 
 
 def test_config_type_errors_end_in_one_line(tmp_path):
+    (tmp_path / "identity.json").write_text(json.dumps({"provider_domain": ["gmail.com"]}))
     for document, message in (
         ({"projects": ["x"]}, "projects must be a list of objects"),
         ({"projects": [{"name": "p", "log": 5}]}, "log must be a path string, got 5"),
@@ -318,6 +319,13 @@ def test_config_type_errors_end_in_one_line(tmp_path):
         ({"projects": [{"name": "p", "log": "x.log"}], "smoothing_window": True},
          "smoothing_window must be an integer, got True"),
         ({"projects": [{"name": "a", "log": "x.log"}, {"name": "a", "log": "y.log"}]}, "duplicate project name 'a'"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "biphse": True}, "unknown run config key 'biphse'"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "worker": 4}, "unknown run config key 'worker'"),
+        ({"projects": [{"name": "p", "lgo": "x.log"}]}, "unknown project key 'lgo'"),
+        ({"projects": [{"name": "p", "log": "x.log"}], "identity_config": "identity.json"},
+         "unknown identity config key 'provider_domain'"),
+        ({"projects": [{"name": "summary.csv", "log": "x.log"}]},
+         "project name 'summary.csv' is reserved: the run writes a file of that name"),
     ):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(document))
@@ -330,6 +338,7 @@ def test_analyze_repo_config_errors_end_in_one_line(tmp_path):
     for argv, message in (
         ([str(tmp_path / "r1" / "x"), str(tmp_path / "r2" / "x")], "duplicate project name 'x'"),
         ([str(tmp_path / "x"), "--workers", "0"], "workers must be >= 1"),
+        ([str(tmp_path / "run_report.json")], "project name 'run_report.json' is reserved: the run writes a file of that name"),
     ):
         proc = subprocess.run([sys.executable, str(script), *argv, "--out", str(tmp_path / "out")],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)

@@ -140,6 +140,7 @@ def test_load_identity_config_bad_file(tmp_path):
         ({"domain_aliases": ["a.com"]}, "domain_aliases must map domains to domains"),
         ({"domain_aliases": {"a.com": None}}, "domain_aliases must map domains to domains"),
         ({"group_providers": "no"}, "group_providers must be true or false"),
+        ({"provider_domain": ["gmail.com"]}, "unknown identity config key 'provider_domain'"),
     ],
 )
 def test_load_identity_config_checks_types(tmp_path, document, message):

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +224,14 @@ def test_project_source_needs_one_input():
         ProjectSource(name="x", repo=Path("a"), log=Path("b"))
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".", "..", "f\nx", 3, "summary.csv", "summary.txt",
+                                  "run_report.json"])
+def test_a_run_config_built_in_code_checks_project_names(tmp_path, name):
+    # Each name is the project's directory under out_dir, beside the run's own files.
+    with pytest.raises(ConfigError, match="project name"):
+        make_config(tmp_path, [ProjectSource(name=name, log=DATA_DIR / "fixture_500.log")])
+
+
 def test_load_run_config(tmp_path):
     log = DATA_DIR / "fixture_500.log"
     config_path = tmp_path / "run.json"
@@ -289,6 +300,15 @@ def test_load_run_config_errors(tmp_path):
         ({"biphase": "no"}, "biphase must be true or false, got 'no'"),
         ({"thresholds": [5]}, "bad thresholds"),
         ({"thresholds": {"min_contributors": 5}}, "bad thresholds"),
+        ({"biphse": True}, "unknown run config key 'biphse'"),
+        ({"worker": 4}, "unknown run config key 'worker'"),
+        ({"projects": [{"name": "fx", "lgo": "x.log"}]}, "unknown project key 'lgo'"),
+        ({"projects": [{"log": "x.log"}]}, "project name must be a file name, got None"),
+        ({"projects": [{"name": "", "log": "x.log"}]}, "project name must be a file name, got ''"),
+        ({"projects": [{"name": "..", "log": "x.log"}]}, "project name must be a file name, got '..'"),
+        ({"projects": [{"name": "summary.csv", "log": "x.log"}]}, "project name 'summary.csv' is reserved"),
+        ({"projects": [{"name": "summary.txt", "log": "x.log"}]}, "project name 'summary.txt' is reserved"),
+        ({"projects": [{"name": "run_report.json", "log": "x.log"}]}, "project name 'run_report.json' is reserved"),
     ],
 )
 def test_load_run_config_checks_types(tmp_path, change, message):
@@ -300,7 +320,8 @@ def test_load_run_config_checks_types(tmp_path, change, message):
 
 def test_load_run_config_keeps_json_booleans(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], "strict": True, "biphase": False}))
+    path.write_text(json.dumps({"projects": [{"name": "fx", "log": "x.log"}], "strict": True, "biphase": False,
+                                "include_merges": False}))
     config = load_run_config(path)
     assert (config.strict, config.biphase) == (True, False)
 
@@ -329,3 +350,9 @@ def test_summary_table_renderers():
     text = summary_text([summary])
     assert "Project" in text and "fixture" in text
     assert "0.84" in text  # spearman rendered at 2 decimals
+
+    names = ["acme, inc", 'say "hi"', "fixture"]
+    rows = list(csv.reader(io.StringIO(summary_csv([replace(summary, project=name) for name in names]))))
+    assert [len(row) for row in rows] == [12] * 4
+    assert [row[0] for row in rows[1:]] == names
+    assert rows[1][1:] == rows[3][1:]

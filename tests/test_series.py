@@ -213,20 +213,20 @@ class Totals:
 
 def test_eligibility_pass():
     report = check_eligibility(Totals(370, 25, 400))
-    assert report.eligible
-    assert report.contributors_ok and report.orgs_ok and report.commit_rate_ok
+    assert report["eligible"]
+    assert report["contributors_ok"] and report["orgs_ok"] and report["commit_rate_ok"]
 
 
 def test_eligibility_fails_on_contributors():
     report = check_eligibility(Totals(80, 25, 400))
-    assert not report.eligible
-    assert not report.contributors_ok
-    assert report.orgs_ok and report.commit_rate_ok
+    assert not report["eligible"]
+    assert not report["contributors_ok"]
+    assert report["orgs_ok"] and report["commit_rate_ok"]
 
 
 def test_eligibility_degenerate_thresholds():
     thresholds = EligibilityThresholds(0, 0, 0.0)
-    assert check_eligibility(Totals(0, 0, 0.0), thresholds).eligible
+    assert check_eligibility(Totals(0, 0, 0.0), thresholds)["eligible"]
 
 
 def test_month_key_ordering_and_arithmetic():
