@@ -2,8 +2,9 @@
 
 All JSON emitted by the toolkit goes through ``dumps_stable`` so that two runs
 over identical inputs produce byte-identical files: keys are sorted and every
-float is rounded to 6 significant digits before encoding.  All CSV goes
-through ``csv_text``.
+float is rounded to 6 significant digits before encoding.  It writes the
+layout ``json.dumps`` gives with sorted keys and a 2-space ``indent``, with
+one C-encoder call per innermost container.  All CSV goes through ``csv_text``.
 """
 
 from __future__ import annotations
@@ -14,27 +15,56 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
-def round_floats(obj):
-    """Return a copy of a JSON-ish structure with floats at 6 significant digits.
+def _round(value):
+    """A float at 6 significant digits, NaN and infinities as None (JSON
+    null); any other value as it is."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}") if math.isfinite(value) else None
+    return value
 
-    NaN and infinities become None (JSON null).
+
+def _encode(obj, outer: str) -> str:
+    """``obj`` as ``json.dumps`` with sorted keys and a 2-space ``indent`` lays
+    it out at the nesting depth whose indent is ``outer``, after ``_round``.
+    Dict keys are strings.
+
+    A container whose values hold no container is one C-encoder call: the
+    item separator carries the newline and indent.  With ``indent`` set,
+    ``json`` would run its pure-Python encoder, several generator steps per
+    value.
     """
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return None
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {key: round_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(value) for value in obj]
-    return obj
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(_round(obj))
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner = outer + "  "
+    separator = ",\n" + inner
+    types = set(map(type, obj.values() if is_dict else obj))
+    if not any(issubclass(t, (dict, list, tuple)) for t in types):
+        if any(issubclass(t, float) for t in types):
+            obj = {key: _round(value) for key, value in obj.items()} if is_dict else list(map(_round, obj))
+        body = json.dumps(obj, sort_keys=True, separators=(separator, ": "))[1:-1]
+    elif is_dict:
+        body = separator.join(
+            f"{encode_basestring_ascii(key)}: {_encode(value, inner)}" for key, value in sorted(obj.items())
+        )
+    else:
+        body = separator.join(_encode(value, inner) for value in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{outer}{closing}"
 
 
 def dumps_stable(obj) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, indent=2)
+    """``obj`` as JSON text with sorted keys, a 2-space indent, ASCII-only
+    escapes and every float at 6 significant digits (NaN and infinities as
+    null): the text ``json.dumps`` gives with ``sort_keys`` and a 2-space
+    ``indent`` after that rounding."""
+    return _encode(obj, "")
 
 
 def csv_text(rows) -> str:

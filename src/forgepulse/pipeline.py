@@ -10,6 +10,7 @@ run exit nonzero.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from contextlib import closing
@@ -78,7 +79,9 @@ class ProjectSummary:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # not bool
+    """An int (not a bool) or a finite float: ``json.loads`` also reads
+    ``NaN`` and ``Infinity``."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 # ProjectSummary field annotation -> check of its value in summary.json.
@@ -286,8 +289,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"bad thresholds {thresholds!r}: use an object with keys {sorted(_THRESHOLD_KEYS)}")
     thresholds = EligibilityThresholds(**thresholds)
     for name, value in asdict(thresholds).items():
-        if type(value) not in (int, float):
-            raise ConfigError(f"threshold {name} must be a number, got {value!r}")
+        if not _is_number(value):
+            raise ConfigError(f"threshold {name} must be a finite number, got {value!r}")
     if data.get("include_merges"):
         raise ConfigError("include_merges is not supported: merges are always excluded")
     return RunConfig(

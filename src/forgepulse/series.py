@@ -149,8 +149,10 @@ def build_monthly_series(
     contributors and each month's units are listed in order of first commit.
 
     Each distinct raw address is resolved once; per record only its month
-    index and contributor id are kept, and the counts come from
-    ``np.bincount``/``np.unique`` over those two columns.
+    index and contributor id are kept, and the counts come from those two
+    columns: ``np.bincount`` for commits, a sort of the (month, contributor)
+    keys for active contributors, and ``np.unique`` over (month, unit) keys,
+    where the first-commit order is needed, for each month's units.
     """
     ids = _ContributorIds(config)
     month_blocks: list[np.ndarray] = []
@@ -170,7 +172,11 @@ def build_monthly_series(
     contributor = np.frombuffer(contributors, dtype=np.int64)
     span = int(month.max()) + 1
     commits = np.bincount(month, minlength=span)
-    active = np.bincount(np.unique(month * len(key_ids) + contributor) // len(key_ids), minlength=span)
+    # Distinct (month, contributor) keys by a sort and an adjacent-difference
+    # mask: on numpy >= 2.3 a plain np.unique hashes, then sorts, several times slower.
+    keys = np.sort(month * len(key_ids) + contributor)
+    distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    active = np.bincount(distinct // len(key_ids), minlength=span)
 
     # (month, unit) pairs, each month's units in order of first commit.
     pairs, first_seen, counts = np.unique(

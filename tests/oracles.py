@@ -8,6 +8,9 @@ go through the scalar ``_parse_timestamp``, the parser's reference conversion.
 ``lm_minimize_oracle`` is the one-series Levenberg-Marquardt loop that the
 batched growth solver replaced, with ``jacobian_columns``, the closed-form
 derivatives it steps along.
+``dumps_stable_oracle`` is the pure-Python ``json`` encoder run over a copy
+of the tree with every float rounded by ``round_floats``, the layout
+``dumps_stable`` writes with one C-encoder call per innermost container.
 
 The other helpers are independent references for checks: ``record_to_dict``
 (the fields a records.jsonl line holds), ``spearman_distinct_ranks`` (the
@@ -258,3 +261,21 @@ def initial_value(params: GrowthParams):
     if params.model is GrowthModel.GOMPERTZ:
         return params.y_star * math.exp(-params.shape)
     return params.y_star / (1.0 + params.shape)
+
+
+def round_floats(obj):
+    """A copy of a JSON-ish structure with floats at 6 significant digits,
+    NaN and infinities as None (JSON null)."""
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return None
+        return float(f"{obj:.6g}")
+    if isinstance(obj, dict):
+        return {key: round_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(value) for value in obj]
+    return obj
+
+
+def dumps_stable_oracle(obj) -> str:
+    return json.dumps(round_floats(obj), sort_keys=True, indent=2)

@@ -242,6 +242,28 @@ def test_every_summary_file_is_a_table_or_one_error(document):
             assert (tmp / "s.txt").read_text(encoding="utf-8").count("\n") == 3  # header, rule, one row
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_number_in_a_json_input_ends_in_one_typed_error(tmp_path, number):
+    config = tmp_path / "run.json"
+    config.write_text(
+        '{"projects": [{"name": "p", "log": "x.log"}], "thresholds": {"min_total_contributors": %s}}' % number
+    )
+    message = f"threshold min_total_contributors must be a finite number, got {float(number)!r}"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["run", "--config", str(config)]) == 2
+    assert err.getvalue() == f"config error: {message}\n"
+
+    summary = tmp_path / "summary.json"
+    for field in ("mean_monthly_commits", "spearman"):
+        summary.write_text(json.dumps({**SUMMARY, field: float(number)}))  # json writes NaN, Infinity, -Infinity
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["summary", str(summary), "--out-csv", str(tmp_path / "s.csv")]) == 1
+        assert err.getvalue() == f"error: bad summary file {summary}: missing or bad field {field!r}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+
 POINT = {"month": "2015-01", "active_contributors": 2, "commits": 3, "active_orgs": 1, "org_commits": {"intel.com": 3}}
 SERIES = {
     "origin": "2015-01", "points": [POINT, {**POINT, "month": "2015-02", "commits": 1}],

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forgepulse import (
     CommitRecord,
@@ -24,9 +26,10 @@ from forgepulse import (
 )
 from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import summary_csv, summary_text
-from forgepulse.series import MonthlyPoint, MonthlySeries
+from forgepulse.series import MonthlyPoint, MonthlySeries, series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for, utc
+from oracles import dumps_stable_oracle
 
 
 def fixture_series():
@@ -339,6 +342,41 @@ def test_dumps_stable_is_sorted_and_six_digits():
     text = dumps_stable({"b": 0.8391608391608392, "a": 1, "c": [1 / 3]})
     assert text == '{\n  "a": 1,\n  "b": 0.839161,\n  "c": [\n    0.333333\n  ]\n}'
     assert dumps_stable(float("nan")) == "null"
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63))
+    | st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.5e-310, np.float64("nan")])
+    | st.text()
+    | st.sampled_from(['say "hi"', "a\\b", "\x00\x1f\n\t", "é", "\U0001f600", "\ud800", "{", "[", "a, b", "k: v", "]}"])
+)
+json_keys = st.text() | st.sampled_from(['"', "\\", "\x7f", "ü", "\U0001f600", "{}", "[,]", ":"])
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children) | st.tuples()
+    | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+@settings(max_examples=500, deadline=None)
+def test_dumps_stable_equals_the_pure_python_encoder(tree):
+    assert dumps_stable(tree) == dumps_stable_oracle(tree)
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this Python has no C JSON encoder")
+def test_dumps_stable_never_runs_the_pure_python_encoder(monkeypatch):
+    series = fixture_series()
+    payloads = [series_to_dict(series), compute_metrics(series)]
+    expected = [dumps_stable_oracle(payload) for payload in payloads]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json ran its pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [dumps_stable(payload) for payload in payloads] == expected
 
 
 def test_summary_table_renderers():
