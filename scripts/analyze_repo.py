@@ -44,7 +44,7 @@ def main() -> int:
     except ForgepulseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    rows = sorted((r.summary for r in outcome.results if r.summary), key=lambda s: s.project)
+    rows = sorted((r.summary for r in outcome.results if r.summary), key=lambda row: row["project"])
     sys.stdout.write(summary_text(rows))
     for result in outcome.results:
         if result.error:

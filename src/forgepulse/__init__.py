@@ -45,10 +45,6 @@ from .ingest import (
     parse_log_stream,
 )
 from .metrics import (
-    DiversityResult,
-    SpearmanResult,
-    TailResult,
-    TrendResult,
     contribution_tail,
     diversity,
     linear_trend,
@@ -57,7 +53,6 @@ from .metrics import (
 )
 from .pipeline import (
     ProjectSource,
-    ProjectSummary,
     RunConfig,
     compute_metrics,
     load_run_config,

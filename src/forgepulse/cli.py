@@ -22,11 +22,11 @@ from .pipeline import (
     ingest,
     load_run_config,
     parse_window,
+    read_summary_row,
     run_pipeline,
     summary_csv,
     summary_text,
     tee_records,
-    ProjectSummary,
 )
 from .series import build_monthly_series, load_series, series_to_dict
 
@@ -73,10 +73,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     window = check_smoothing_window(args.window, "--window")
-    payload, sidecar, _ = fit_report(load_series(args.series), window, args.model, args.biphase)
+    if Path(args.out).suffix == ".csv":
+        raise ConfigError(f"--out {args.out!r} would be overwritten by its .csv sidecar: give it another suffix")
+    payload, sidecar = fit_report(load_series(args.series), window, args.model, args.biphase)
     write_json_atomic(args.out, payload)
-    sidecar_path = Path(args.out).with_suffix(".csv")
-    write_text_atomic(sidecar_path, sidecar)
+    write_text_atomic(Path(args.out).with_suffix(".csv"), sidecar)
     return 0
 
 
@@ -86,7 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for result in outcome.results:
         if result.error is not None:
             sys.stderr.write(f"error: {result.name}: {result.error}\n")
-        elif result.eligibility and not result.eligibility.get("eligible", True):
+        elif not result.summary["eligibility"]["eligible"]:
             sys.stderr.write(f"warning: {result.name}: below eligibility thresholds\n")
     return outcome.exit_code
 
@@ -95,10 +96,10 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     rows = []
     for path in args.inputs:
         try:
-            rows.append(ProjectSummary.from_dict(json.loads(Path(path).read_text(encoding="utf-8"))))
+            rows.append(read_summary_row(json.loads(Path(path).read_text(encoding="utf-8"))))
         except (ValueError, RecursionError, ForgepulseError) as exc:  # ValueError: not JSON, or not UTF-8
             raise ForgepulseError(f"bad summary file {path}: {exc}") from exc
-    rows.sort(key=lambda r: r.project)
+    rows.sort(key=lambda row: row["project"])
     if args.out_csv:
         write_text_atomic(args.out_csv, summary_csv(rows))
     if args.out_text:

@@ -5,48 +5,19 @@ average ranks, which handles tied monthly counts; on tie-free data it equals
 the closed form 1 - 6*sum(d^2) / (n*(n^2-1)) exactly.  The diversity index is
 the square root of the inverse Simpson index over organization commit
 shares.  The contribution-tail exponent is a shifted discrete Hill/MLE
-estimate; it is a diagnostic, not a goodness-of-fit claim.
+estimate; it is a diagnostic, not a goodness-of-fit claim.  Each statistic
+returns the dict that metrics.json holds for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import MetricError
 from .series import MonthlySeries
-
-
-@dataclass(frozen=True)
-class SpearmanResult:
-    rho: float
-    n: int
-    used_tie_correction: bool
-
-
-@dataclass(frozen=True)
-class TrendResult:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-@dataclass(frozen=True)
-class DiversityResult:
-    simpson: float
-    diversity: float
-    n_units: int
-    shares: dict[str, float]
-
-
-@dataclass(frozen=True)
-class TailResult:
-    alpha_hat: float
-    x_min: int
-    n_tail: int
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -66,7 +37,7 @@ def _as_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.nda
     return xv, yv
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
+def spearman(x: Sequence[float], y: Sequence[float]) -> dict:
     """Rank correlation of two equal-length sequences.
 
     Raises MetricError for mismatched lengths, n < 2, or a constant sequence
@@ -82,10 +53,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     ry -= ry.mean()
     rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
     rho = max(-1.0, min(1.0, rho))
-    return SpearmanResult(rho=rho, n=len(xv), used_tie_correction=ties)
+    return {"rho": rho, "n": len(xv), "used_tie_correction": ties}
 
 
-def linear_trend(x: Sequence[float], y: Sequence[float]) -> TrendResult:
+def linear_trend(x: Sequence[float], y: Sequence[float]) -> dict:
     """Ordinary least squares with intercept; R^2 = 1 - SSE/SST.
 
     A constant y has SST = 0 and is reported as r_squared = 0 by convention.
@@ -102,7 +73,7 @@ def linear_trend(x: Sequence[float], y: Sequence[float]) -> TrendResult:
     sse = float(residuals @ residuals)
     sst = float((yv - yv.mean()) @ (yv - yv.mean()))
     r_squared = 0.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - sse / sst))
-    return TrendResult(slope=slope, intercept=intercept, r_squared=r_squared)
+    return {"slope": slope, "intercept": intercept, "r_squared": r_squared}
 
 
 def org_shares(series: MonthlySeries, window: int | str = "all") -> dict[str, float]:
@@ -131,7 +102,7 @@ def org_shares(series: MonthlySeries, window: int | str = "all") -> dict[str, fl
 SHARE_SUM_TOLERANCE = 1e-9
 
 
-def diversity(shares: Mapping[str, float]) -> DiversityResult:
+def diversity(shares: Mapping[str, float]) -> dict:
     """Simpson index S = sum(p_i^2) and diversity index D = sqrt(1/S).
 
     Shares must be nonnegative and sum to 1 within 1e-9.  Units with zero
@@ -146,28 +117,30 @@ def diversity(shares: Mapping[str, float]) -> DiversityResult:
     if abs(total - 1.0) > SHARE_SUM_TOLERANCE:
         raise MetricError(f"shares sum to {total!r}, not 1")
     simpson = math.fsum(p * p for p in values)
-    return DiversityResult(
-        simpson=simpson,
-        diversity=math.sqrt(1.0 / simpson),
-        n_units=sum(1 for p in values if p > 0),
-        shares=dict(shares),
-    )
+    return {
+        "simpson": simpson,
+        "diversity": math.sqrt(1.0 / simpson),
+        "n_units": sum(1 for p in values if p > 0),
+        "shares": dict(shares),
+    }
 
 
 MIN_TAIL_POINTS = 10
 
 
-def contribution_tail(per_contributor_commits: Sequence[int]) -> TailResult:
+def contribution_tail(per_contributor_commits: Sequence[int]) -> dict:
     """Tail exponent of the per-contributor commit-count distribution.
 
     Shifted discrete MLE over the tail x >= x_min:
 
         alpha_hat = 1 + n_tail / sum(ln(x_i / (x_min - 0.5)))
 
-    x_min starts at the 50th percentile of the counts and is lowered to the
-    next smaller observed value until the tail holds at least
-    ``MIN_TAIL_POINTS`` points.  Errors: fewer than ``MIN_TAIL_POINTS``
-    counts overall, nonpositive counts, or a tail without variation.
+    x_min is the smaller of two observed counts: the least count at or
+    above the median (``np.percentile(counts, 50)``), and the
+    ``MIN_TAIL_POINTS``-th largest count.  The tail thus holds at least
+    ``MIN_TAIL_POINTS`` points, and x_min is the median's count unless that
+    leaves fewer.  Errors: fewer than ``MIN_TAIL_POINTS`` counts overall,
+    nonpositive counts, or a tail without variation.
     """
     counts = np.asarray(per_contributor_commits)
     if len(counts) < MIN_TAIL_POINTS:
@@ -175,18 +148,10 @@ def contribution_tail(per_contributor_commits: Sequence[int]) -> TailResult:
     if np.any(counts <= 0):
         raise MetricError("contributor commit counts must be positive")
     xs = np.sort(counts.astype(float))
-    unique_desc = sorted(set(xs.tolist()), reverse=True)
-    threshold = float(np.percentile(xs, 50.0))
-    feasible = [v for v in unique_desc if v >= threshold]
-    x_min = min(feasible) if feasible else unique_desc[0]
-    while int(np.count_nonzero(xs >= x_min)) < MIN_TAIL_POINTS:
-        lower = [v for v in unique_desc if v < x_min]
-        if not lower:
-            raise MetricError("too few tail points")
-        x_min = max(lower)
+    x_min = min(xs[np.searchsorted(xs, np.percentile(xs, 50.0))], xs[-MIN_TAIL_POINTS])
     tail = xs[xs >= x_min]
     if tail.max() == tail.min():
         raise MetricError("no tail variation")
     log_terms = np.log(tail / (x_min - 0.5))
     alpha_hat = 1.0 + len(tail) / float(np.sum(log_terms))
-    return TailResult(alpha_hat=alpha_hat, x_min=int(x_min), n_tail=int(len(tail)))
+    return {"alpha_hat": alpha_hat, "x_min": int(x_min), "n_tail": len(tail)}

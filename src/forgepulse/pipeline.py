@@ -40,60 +40,47 @@ CACHE_ENV_VAR = "FORGEPULSE_CACHE"
 MERGE_POLICY = "excluded"  # `ingest` drops merges; summary.json still says so
 
 
-@dataclass(frozen=True)
-class ProjectSummary:
-    """One report row: life-span totals, typical monthly ranges (5th/95th
-    percentiles), and the two headline statistics."""
-
-    project: str
-    total_contributors: int
-    total_orgs: int
-    mean_monthly_commits: float
-    active_contrib_range: tuple[float, float]
-    monthly_commit_range: tuple[float, float]
-    active_org_range: tuple[float, float]
-    spearman: float | None
-    spearman_reason: str | None
-    diversity: float | None
-    diversity_reason: str | None
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "merge_policy": MERGE_POLICY}
-
-    @classmethod
-    def from_dict(cls, data) -> ProjectSummary:
-        """Inverse of ``to_dict``; the ``*_reason`` fields and ``notes`` may be
-        absent.  Raises ForgepulseError for any other missing or bad field."""
-        if not isinstance(data, dict):
-            raise ForgepulseError(f"summary must be a JSON object, got {type(data).__name__}")
-        optional = {"spearman_reason": None, "diversity_reason": None, "notes": ()}
-        missing = object()  # passes no check
-        row = {}
-        for f in fields(cls):
-            value = data.get(f.name, optional.get(f.name, missing))
-            if not _FIELD_CHECKS[f.type](value):
-                raise ForgepulseError(f"missing or bad field {f.name!r}")
-            row[f.name] = tuple(value) if f.type.startswith("tuple") else value
-        return cls(**row)
-
-
 def _is_number(value) -> bool:
     """An int (not a bool) or a finite float: ``json.loads`` also reads
     ``NaN`` and ``Infinity``."""
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-# ProjectSummary field annotation -> check of its value in summary.json.
-_FIELD_CHECKS = {
-    "str": lambda v: isinstance(v, str) and v.isprintable(),  # the project name, printed in the table
-    "int": lambda v: type(v) is int,
-    "float": _is_number,
-    "tuple[float, float]": lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
-    "float | None": lambda v: v is None or _is_number(v),
-    "str | None": lambda v: v is None or isinstance(v, str),
-    "tuple[str, ...]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+def _is_range(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+# summary.json field -> (check of its value[, the value when it is absent]):
+# every field but ``merge_policy`` and ``eligibility``, which no table shows.
+_SUMMARY_FIELDS = {
+    "project": (lambda v: isinstance(v, str) and v.isprintable(),),  # printed in the table
+    "total_contributors": (lambda v: type(v) is int,),
+    "total_orgs": (lambda v: type(v) is int,),
+    "mean_monthly_commits": (_is_number,),
+    "active_contrib_range": (_is_range,),
+    "monthly_commit_range": (_is_range,),
+    "active_org_range": (_is_range,),
+    "spearman": (lambda v: v is None or _is_number(v),),
+    "spearman_reason": (lambda v: v is None or isinstance(v, str), None),
+    "diversity": (lambda v: v is None or _is_number(v),),
+    "diversity_reason": (lambda v: v is None or isinstance(v, str), None),
+    "notes": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v), ()),
 }
+
+
+def read_summary_row(data) -> dict:
+    """The summary row of a loaded summary.json; an absent ``*_reason`` or
+    ``notes`` takes its default.  Raises ForgepulseError for any other
+    missing or bad field."""
+    if not isinstance(data, dict):
+        raise ForgepulseError(f"summary must be a JSON object, got {type(data).__name__}")
+    missing = object()  # passes no check
+    row = {}
+    for name, (check, *default) in _SUMMARY_FIELDS.items():
+        row[name] = data.get(name, default[0] if default else missing)
+        if not check(row[name]):
+            raise ForgepulseError(f"missing or bad field {name!r}")
+    return row
 
 
 def compute_metrics(series: MonthlySeries, window: int | str = "all") -> dict:
@@ -110,7 +97,7 @@ def compute_metrics(series: MonthlySeries, window: int | str = "all") -> dict:
     payload: dict = {"window": str(window)}
     for name, compute in computations.items():
         try:
-            payload[name] = asdict(compute())
+            payload[name] = compute()
         except MetricError as exc:
             payload[name], payload[f"{name}_reason"] = None, exc.reason
     return payload
@@ -121,39 +108,33 @@ def _percentile_range(values: list[int]) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def summarize(
-    series: MonthlySeries,
-    metrics_payload: dict,
-    fits: dict[str, growth.GrowthFit] | None = None,
-    project: str = "",
-) -> ProjectSummary:
-    """Assemble the report row from a precomputed metrics.json payload.
+def summarize(series: MonthlySeries, metrics_payload: dict, fit_payload: dict | None = None, project: str = "") -> dict:
+    """The report row, from precomputed metrics.json and fit.json payloads:
+    life-span totals, typical monthly ranges, the two headline statistics
+    and the fits' notes.
 
     Monthly ranges are 5th/95th percentiles: the reproducible analogue of
     eyeballed typical ranges, excluding outlier months.
     """
-    notes: list[str] = []
-    if fits:
-        for fit in fits.values():
-            for note in fit.notes:
-                if note not in notes:
-                    notes.append(note)
+    fits = fit_payload["model_fits"].values() if fit_payload else ()
+    notes = [note for fit in fits if fit is not None for note in fit["notes"]]
     spearman = metrics_payload["spearman"]
     diversity = metrics_payload["diversity"]
-    return ProjectSummary(
-        project=project,
-        total_contributors=series.total_contributors,
-        total_orgs=series.total_orgs,
-        mean_monthly_commits=series.mean_monthly_commits,
-        active_contrib_range=_percentile_range(series.values("active_contributors")),
-        monthly_commit_range=_percentile_range(series.values("commits")),
-        active_org_range=_percentile_range(series.values("active_orgs")),
-        spearman=None if spearman is None else spearman["rho"],
-        spearman_reason=metrics_payload.get("spearman_reason"),
-        diversity=None if diversity is None else diversity["diversity"],
-        diversity_reason=metrics_payload.get("diversity_reason"),
-        notes=tuple(notes),
-    )
+    return {
+        "project": project,
+        "total_contributors": series.total_contributors,
+        "total_orgs": series.total_orgs,
+        "mean_monthly_commits": series.mean_monthly_commits,
+        "active_contrib_range": _percentile_range(series.values("active_contributors")),
+        "monthly_commit_range": _percentile_range(series.values("commits")),
+        "active_org_range": _percentile_range(series.values("active_orgs")),
+        "spearman": None if spearman is None else spearman["rho"],
+        "spearman_reason": metrics_payload.get("spearman_reason"),
+        "diversity": None if diversity is None else diversity["diversity"],
+        "diversity_reason": metrics_payload.get("diversity_reason"),
+        "notes": list(dict.fromkeys(notes)),
+        "merge_policy": MERGE_POLICY,
+    }
 
 
 @dataclass(frozen=True)
@@ -197,6 +178,7 @@ class RunConfig:
         if self.model not in ("gompertz", "logistic", "both"):
             raise ConfigError(f"unknown model {self.model!r}")
         check_smoothing_window(self.smoothing_window)
+        object.__setattr__(self, "metrics_window", parse_window(self.metrics_window))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -239,7 +221,7 @@ _RUN_FIELDS = {
     "model": lambda value, key: str(value),
     "strict": _boolean,
     "biphase": _boolean,
-    "metrics_window": parse_window,
+    "metrics_window": lambda value, key: value,  # RunConfig parses it
     "workers": _integer,
 }
 _RUN_KEYS = {"projects", "out_dir", "identity_config", "thresholds", "include_merges", *_RUN_FIELDS}
@@ -365,7 +347,7 @@ def fit_report(
     smoothing_window: int,
     model_selection: str,
     biphase: bool,
-) -> tuple[dict, str, dict[str, growth.GrowthFit]]:
+) -> tuple[dict, str]:
     """Fit the selected models; returns (FIT.json payload, CSV sidecar text).
 
     The sidecar has one row per month: t, month, observed and smoothed active
@@ -408,14 +390,13 @@ def fit_report(
     for t, point in enumerate(series.points):
         values = [observed[t], smoothed[t]] + [curve[t] for curve in fitted.values()]
         rows.append([t, point.month] + [f"{value:.6g}" for value in values])
-    return payload, csv_text(rows), fits
+    return payload, csv_text(rows)
 
 
 @dataclass
 class ProjectResult:
     name: str
-    summary: ProjectSummary | None = None
-    eligibility: dict | None = None
+    summary: dict | None = None  # summary.json's payload
     error: str | None = None
 
 
@@ -434,19 +415,16 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         metrics_payload = compute_metrics(series, config.metrics_window)
         write_json_atomic(project_dir / "metrics.json", metrics_payload)
 
-        fit_payload, sidecar, fits = fit_report(
-            series, config.smoothing_window, config.model, config.biphase
-        )
+        fit_payload, sidecar = fit_report(series, config.smoothing_window, config.model, config.biphase)
         write_json_atomic(project_dir / "fit.json", fit_payload)
         write_text_atomic(project_dir / "fit.csv", sidecar)
 
-        summary = summarize(series, metrics_payload, fits, project=source.name)
-        eligibility = check_eligibility(summary, config.thresholds)
-        summary_payload = {**summary.to_dict(), "eligibility": eligibility}
-        write_json_atomic(project_dir / "summary.json", summary_payload)
-
+        summary = {
+            **summarize(series, metrics_payload, fit_payload, project=source.name),
+            "eligibility": check_eligibility(series, config.thresholds),
+        }
+        write_json_atomic(project_dir / "summary.json", summary)
         result.summary = summary
-        result.eligibility = eligibility
     except ForgepulseError as exc:
         result.error = str(exc)
     except OSError as exc:
@@ -465,7 +443,7 @@ def _run_project_in_worker(source: ProjectSource, config: RunConfig) -> ProjectR
     return run_project(source, config)
 
 
-def summary_csv(rows: list[ProjectSummary]) -> str:
+def summary_csv(rows: list[dict]) -> str:
     table = [[
         "project", "total_contributors", "total_orgs", "mean_monthly_commits",
         "active_p5", "active_p95", "commits_p5", "commits_p95", "orgs_p5", "orgs_p95",
@@ -473,18 +451,18 @@ def summary_csv(rows: list[ProjectSummary]) -> str:
     ]]
     for row in rows:
         numbers = [
-            row.mean_monthly_commits,
-            *row.active_contrib_range,
-            *row.monthly_commit_range,
-            *row.active_org_range,
+            row["mean_monthly_commits"],
+            *row["active_contrib_range"],
+            *row["monthly_commit_range"],
+            *row["active_org_range"],
         ]
-        cells = [row.project, row.total_contributors, row.total_orgs] + [f"{number:.6g}" for number in numbers]
-        cells += ["" if value is None else f"{value:.6g}" for value in (row.spearman, row.diversity)]
+        cells = [row["project"], row["total_contributors"], row["total_orgs"]] + [f"{number:.6g}" for number in numbers]
+        cells += ["" if row[key] is None else f"{row[key]:.6g}" for key in ("spearman", "diversity")]
         table.append(cells)
     return csv_text(table)
 
 
-def summary_text(rows: list[ProjectSummary]) -> str:
+def summary_text(rows: list[dict]) -> str:
     """Aligned text rendering of the combined summary table."""
     columns = ["Project", "Contributors", "Active/month", "Commits/month", "Orgs/month", "Spearman", "Diversity"]
 
@@ -495,13 +473,13 @@ def summary_text(rows: list[ProjectSummary]) -> str:
     for row in rows:
         table.append(
             [
-                row.project,
-                str(row.total_contributors),
-                cell_range(row.active_contrib_range),
-                cell_range(row.monthly_commit_range),
-                cell_range(row.active_org_range),
-                "n/a" if row.spearman is None else f"{row.spearman:.2f}",
-                "n/a" if row.diversity is None else f"{row.diversity:.2f}",
+                row["project"],
+                str(row["total_contributors"]),
+                cell_range(row["active_contrib_range"]),
+                cell_range(row["monthly_commit_range"]),
+                cell_range(row["active_org_range"]),
+                "n/a" if row["spearman"] is None else f"{row['spearman']:.2f}",
+                "n/a" if row["diversity"] is None else f"{row['diversity']:.2f}",
             ]
         )
     widths = [max(map(len, column)) for column in zip(*table)]
@@ -533,9 +511,7 @@ def run_pipeline(config: RunConfig) -> RunOutcome:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(config.projects))) as pool:
             results = list(pool.map(partial(_run_project_in_worker, config=config), config.projects))
 
-    rows = sorted(
-        (r.summary for r in results if r.summary is not None), key=lambda s: s.project
-    )
+    rows = sorted((r.summary for r in results if r.summary is not None), key=lambda row: row["project"])
     write_text_atomic(config.out_dir / "summary.csv", summary_csv(rows))
     write_text_atomic(config.out_dir / "summary.txt", summary_text(rows))
     report = {

@@ -230,17 +230,17 @@ class EligibilityThresholds:
     min_mean_monthly_commits: float = 100.0
 
 
-def check_eligibility(summary, thresholds: EligibilityThresholds = EligibilityThresholds()) -> dict[str, bool]:
+def check_eligibility(series, thresholds: EligibilityThresholds = EligibilityThresholds()) -> dict[str, bool]:
     """Check study-inclusion thresholds over a project's full history.
 
-    ``summary`` is any object exposing total_contributors, total_orgs and
-    mean_monthly_commits (a ProjectSummary or a MonthlySeries).  Returns the
+    ``series`` is a MonthlySeries, or any object exposing its
+    total_contributors, total_orgs and mean_monthly_commits.  Returns the
     three checks and ``eligible``, which holds when all three pass.
     """
     checks = {
-        "contributors_ok": summary.total_contributors >= thresholds.min_total_contributors,
-        "orgs_ok": summary.total_orgs >= thresholds.min_total_orgs,
-        "commit_rate_ok": summary.mean_monthly_commits >= thresholds.min_mean_monthly_commits,
+        "contributors_ok": series.total_contributors >= thresholds.min_total_contributors,
+        "orgs_ok": series.total_orgs >= thresholds.min_total_orgs,
+        "commit_rate_ok": series.mean_monthly_commits >= thresholds.min_mean_monthly_commits,
     }
     return {**checks, "eligible": all(checks.values())}
 

@@ -11,6 +11,10 @@ derivatives it steps along.
 ``dumps_stable_oracle`` is the pure-Python ``json`` encoder run over a copy
 of the tree with every float rounded by ``round_floats``, the layout
 ``dumps_stable`` writes with one C-encoder call per innermost container.
+``contribution_tail_oracle`` finds x_min by the search that
+``contribution_tail`` replaced with one expression: start at the least
+observed count at or above the median, and lower it one observed value at a
+time until the tail holds ``MIN_TAIL_POINTS`` points.
 
 The other helpers are independent references for checks: ``record_to_dict``
 (the fields a records.jsonl line holds), ``spearman_distinct_ranks`` (the
@@ -27,7 +31,7 @@ import numpy as np
 
 from forgepulse import CommitRecord, GrowthModel, GrowthParams, IdentityConfig, LogParseError, SeriesError
 from forgepulse import growth
-from forgepulse.errors import IdentityError
+from forgepulse.errors import IdentityError, MetricError
 from forgepulse.ingest import (
     REASON_EMPTY_EMAIL,
     REASON_FIELD_COUNT,
@@ -38,6 +42,7 @@ from forgepulse.ingest import (
     _parse_timestamp,
     record_from_dict,
 )
+from forgepulse.metrics import MIN_TAIL_POINTS
 from forgepulse.series import MonthKey, MonthlyPoint, MonthlySeries, _fallback_unit, normalize_email, resolve_org
 
 _HEX40 = re.compile(r"[0-9a-fA-F]{40}")
@@ -279,3 +284,26 @@ def round_floats(obj):
 
 def dumps_stable_oracle(obj) -> str:
     return json.dumps(round_floats(obj), sort_keys=True, indent=2)
+
+
+def contribution_tail_oracle(per_contributor_commits):
+    counts = np.asarray(per_contributor_commits)
+    if len(counts) < MIN_TAIL_POINTS:
+        raise MetricError(f"need at least {MIN_TAIL_POINTS} contributors, got {len(counts)}")
+    if np.any(counts <= 0):
+        raise MetricError("contributor commit counts must be positive")
+    xs = np.sort(counts.astype(float))
+    unique_desc = sorted(set(xs.tolist()), reverse=True)
+    threshold = float(np.percentile(xs, 50.0))
+    feasible = [v for v in unique_desc if v >= threshold]
+    x_min = min(feasible) if feasible else unique_desc[0]
+    while int(np.count_nonzero(xs >= x_min)) < MIN_TAIL_POINTS:
+        lower = [v for v in unique_desc if v < x_min]
+        if not lower:
+            raise MetricError("too few tail points")
+        x_min = max(lower)
+    tail = xs[xs >= x_min]
+    if tail.max() == tail.min():
+        raise MetricError("no tail variation")
+    alpha_hat = 1.0 + len(tail) / float(np.sum(np.log(tail / (x_min - 0.5))))
+    return {"alpha_hat": alpha_hat, "x_min": int(x_min), "n_tail": len(tail)}

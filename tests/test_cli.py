@@ -184,6 +184,22 @@ def test_run_and_summary_commands(tmp_path, capsys):
     assert "fixture" in out
 
 
+def test_summary_command_rebuilds_the_run_tables_byte_for_byte(tmp_path, capsys):
+    fixture = DATA_DIR / "fixture_500.log"
+    acme = tmp_path / "acme.log"  # every other commit of the fixture
+    acme.write_text("".join(fixture.read_text().splitlines(keepends=True)[::2]))
+    out = tmp_path / "out"
+    projects = (ProjectSource("fixture", log=fixture), ProjectSource("acme, inc", log=acme))  # a name CSV quotes
+    assert run_pipeline(RunConfig(projects=projects, out_dir=out)).exit_code == 0
+
+    inputs = [str(out / name / "summary.json") for name in ("fixture", "acme, inc")]  # not in table order
+    code, _, _ = run_cli(capsys, "summary", *inputs, "--out-csv", str(tmp_path / "A"), "--out-text", str(tmp_path / "B"))
+    assert code == 0
+    assert (tmp_path / "A").read_bytes() == (out / "summary.csv").read_bytes()
+    assert (tmp_path / "B").read_bytes() == (out / "summary.txt").read_bytes()
+    assert b'"acme, inc"' in (tmp_path / "A").read_bytes()
+
+
 GOOD_SUMMARY = {
     "project": "x", "total_contributors": 3, "total_orgs": 1, "mean_monthly_commits": 2.5,
     "active_contrib_range": [1, 2.5], "monthly_commit_range": [1, 4], "active_org_range": [1, 1],

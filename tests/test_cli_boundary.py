@@ -330,6 +330,16 @@ def test_a_bad_window_ends_in_one_config_error_before_the_series_is_read(tmp_pat
     assert not (tmp_path / "out.json").exists()
 
 
+def test_a_fit_report_at_its_sidecar_path_ends_in_one_config_error_before_the_series_is_read(tmp_path):
+    out = str(tmp_path / "fit.csv")  # the .csv sidecar would be written over the report
+    err = io.StringIO()
+    with redirect_stderr(err):  # the series file does not exist: reading it would be an i/o error, exit 1
+        code = main(["fit", "--series", str(tmp_path / "missing.json"), "--out", out])
+    message = f"--out {out!r} would be overwritten by its .csv sidecar: give it another suffix"
+    assert (code, err.getvalue()) == (2, f"config error: {message}\n")
+    assert not (tmp_path / "fit.csv").exists()
+
+
 def test_config_type_errors_end_in_one_line(tmp_path):
     (tmp_path / "identity.json").write_text(json.dumps({"provider_domain": ["gmail.com"]}))
     for document, message in (

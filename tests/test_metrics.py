@@ -17,7 +17,7 @@ from forgepulse import (
 from forgepulse.metrics import average_ranks
 from forgepulse.series import MonthlyPoint, MonthlySeries
 
-from oracles import spearman_distinct_ranks
+from oracles import contribution_tail_oracle, spearman_distinct_ranks
 
 
 def one_month_series(org_commits):
@@ -38,18 +38,18 @@ def one_month_series(org_commits):
 
 
 def test_spearman_monotone_pair():
-    assert spearman([1, 2, 3], [2, 4, 9]).rho == 1.0
+    assert spearman([1, 2, 3], [2, 4, 9])["rho"] == 1.0
 
 
 def test_spearman_hand_value():
     result = spearman([1, 2, 3], [10, 30, 20])
-    assert result.rho == 0.5
-    assert result.n == 3
-    assert result.used_tie_correction is False
+    assert result["rho"] == 0.5
+    assert result["n"] == 3
+    assert result["used_tie_correction"] is False
 
 
 def test_spearman_antimonotone_pair():
-    assert spearman([1, 2, 3], [9, 4, 1]).rho == -1.0
+    assert spearman([1, 2, 3], [9, 4, 1])["rho"] == -1.0
 
 
 def test_spearman_domain_errors():
@@ -66,8 +66,8 @@ def test_spearman_domain_errors():
 def test_spearman_with_ties_uses_average_ranks():
     # x ranks: (1.5, 1.5, 3); y ranks: (1, 2, 3); Pearson by hand = sqrt(3)/2
     result = spearman([4, 4, 9], [1, 2, 3])
-    assert result.used_tie_correction is True
-    assert result.rho == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+    assert result["used_tie_correction"] is True
+    assert result["rho"] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
 
 def loop_average_ranks(values):
@@ -102,46 +102,46 @@ no_ties_pairs = st.integers(2, 50).flatmap(
 @settings(max_examples=200)
 def test_spearman_matches_closed_form_without_ties(pair):
     x, y = pair
-    assert spearman(x, y).rho == pytest.approx(spearman_distinct_ranks(x, y), abs=1e-12)
+    assert spearman(x, y)["rho"] == pytest.approx(spearman_distinct_ranks(x, y), abs=1e-12)
 
 
 @given(pair=no_ties_pairs)
 @settings(max_examples=100)
 def test_spearman_monotone_transform_invariance(pair):
     x, y = pair
-    base = spearman(x, y).rho
+    base = spearman(x, y)["rho"]
     cubed = [v**3 for v in x]  # strictly increasing on ints
     shifted = [7 * v + 3 for v in y]
-    assert spearman(cubed, y).rho == base
-    assert spearman(x, shifted).rho == base
+    assert spearman(cubed, y)["rho"] == base
+    assert spearman(x, shifted)["rho"] == base
 
 
 @given(pair=no_ties_pairs)
 @settings(max_examples=100)
 def test_spearman_symmetry_and_negation(pair):
     x, y = pair
-    assert spearman(x, y).rho == spearman(y, x).rho
-    assert spearman(x, [-v for v in y]).rho == pytest.approx(-spearman(x, y).rho, abs=1e-12)
+    assert spearman(x, y)["rho"] == spearman(y, x)["rho"]
+    assert spearman(x, [-v for v in y])["rho"] == pytest.approx(-spearman(x, y)["rho"], abs=1e-12)
 
 
 def test_trend_perfect_line():
     result = linear_trend([0, 1, 2, 3], [1, 3, 5, 7])
-    assert result.slope == pytest.approx(2.0)
-    assert result.intercept == pytest.approx(1.0)
-    assert result.r_squared == pytest.approx(1.0)
+    assert result["slope"] == pytest.approx(2.0)
+    assert result["intercept"] == pytest.approx(1.0)
+    assert result["r_squared"] == pytest.approx(1.0)
 
 
 def test_trend_constant_y_r_squared_zero():
     result = linear_trend([0, 1, 2], [5, 5, 5])
-    assert result.slope == pytest.approx(0.0)
-    assert result.r_squared == 0.0
+    assert result["slope"] == pytest.approx(0.0)
+    assert result["r_squared"] == 0.0
 
 
 def test_trend_hand_ols():
     result = linear_trend([0, 1, 2], [0, 1, 1])
-    assert result.slope == pytest.approx(0.5)
-    assert result.intercept == pytest.approx(1 / 6)
-    assert result.r_squared == pytest.approx(0.75)
+    assert result["slope"] == pytest.approx(0.5)
+    assert result["intercept"] == pytest.approx(1 / 6)
+    assert result["r_squared"] == pytest.approx(0.75)
 
 
 def test_trend_constant_x_is_error():
@@ -205,21 +205,21 @@ def test_org_shares_empty_window():
 
 def test_diversity_single_unit():
     result = diversity({"a": 1.0})
-    assert result.simpson == 1.0
-    assert result.diversity == 1.0
-    assert result.n_units == 1
+    assert result["simpson"] == 1.0
+    assert result["diversity"] == 1.0
+    assert result["n_units"] == 1
 
 
 def test_diversity_uniform_four():
     result = diversity({k: 0.25 for k in "abcd"})
-    assert result.simpson == pytest.approx(0.25)
-    assert result.diversity == pytest.approx(2.0)
+    assert result["simpson"] == pytest.approx(0.25)
+    assert result["diversity"] == pytest.approx(2.0)
 
 
 def test_diversity_hand_value():
     result = diversity({"a": 0.6, "b": 0.3, "c": 0.1})
-    assert result.simpson == pytest.approx(0.46, abs=1e-12)
-    assert result.diversity == pytest.approx(1.47442, abs=1e-5)
+    assert result["simpson"] == pytest.approx(0.46, abs=1e-12)
+    assert result["diversity"] == pytest.approx(1.47442, abs=1e-5)
 
 
 def test_diversity_rejects_bad_shares():
@@ -240,11 +240,11 @@ def test_diversity_bounds_and_scale_freedom(counts):
     total = sum(counts)
     shares = {f"u{i}": c / total for i, c in enumerate(counts)}
     result = diversity(shares)
-    n = result.n_units
-    assert 1.0 - 1e-12 <= result.diversity <= math.sqrt(n) + 1e-12
+    n = result["n_units"]
+    assert 1.0 - 1e-12 <= result["diversity"] <= math.sqrt(n) + 1e-12
     # scaling all counts leaves shares (hence S and D) unchanged
     scaled = {f"u{i}": (7 * c) / (7 * total) for i, c in enumerate(counts)}
-    assert diversity(scaled).diversity == pytest.approx(result.diversity, rel=1e-12)
+    assert diversity(scaled)["diversity"] == pytest.approx(result["diversity"], rel=1e-12)
 
 
 @given(counts=share_counts.filter(lambda c: len(c) >= 2))
@@ -256,8 +256,8 @@ def test_diversity_merge_monotonicity(counts):
     merged_shares = [shares[0] + shares[1]] + shares[2:]
     merged = diversity({f"m{i}": p for i, p in enumerate(merged_shares)})
     # S grows by exactly 2*p*q, so D can only fall
-    assert merged.simpson == pytest.approx(base.simpson + 2 * shares[0] * shares[1], rel=1e-9)
-    assert merged.diversity <= base.diversity + 1e-12
+    assert merged["simpson"] == pytest.approx(base["simpson"] + 2 * shares[0] * shares[1], rel=1e-9)
+    assert merged["diversity"] <= base["diversity"] + 1e-12
 
 
 def test_tail_equal_counts_error():
@@ -278,10 +278,10 @@ def test_tail_rejects_nonpositive():
 def test_tail_hand_formula():
     counts = [1] * 90 + [10] * 9 + [100]
     result = contribution_tail(counts)
-    assert result.x_min == 1
-    assert result.n_tail == 100
+    assert result["x_min"] == 1
+    assert result["n_tail"] == 100
     denominator = 90 * math.log(1 / 0.5) + 9 * math.log(10 / 0.5) + math.log(100 / 0.5)
-    assert result.alpha_hat == pytest.approx(1.0 + 100 / denominator, rel=1e-12)
+    assert result["alpha_hat"] == pytest.approx(1.0 + 100 / denominator, rel=1e-12)
 
 
 def sample_discrete_power_law(alpha, support_start, n, seed):
@@ -297,13 +297,33 @@ def sample_discrete_power_law(alpha, support_start, n, seed):
 def test_tail_recovers_synthetic_alpha():
     sample = sample_discrete_power_law(2.5, support_start=6, n=5000, seed=42)
     result = contribution_tail(sample.tolist())
-    assert 2.3 <= result.alpha_hat <= 2.7
-    assert result.n_tail >= 10
+    assert 2.3 <= result["alpha_hat"] <= 2.7
+    assert result["n_tail"] >= 10
 
 
 def test_tail_xmin_lowered_to_keep_ten_points():
     # median leaves plenty of points here; craft data where it does not
     counts = [1] * 5 + [2] * 4 + [50] * 6
     result = contribution_tail(counts)
-    assert result.n_tail >= 10
-    assert result.x_min <= 2
+    assert result["n_tail"] >= 10
+    assert result["x_min"] <= 2
+
+
+def _tail_or_error(function, counts):
+    try:
+        return function(counts)
+    except MetricError as exc:
+        return exc.reason
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 12), min_size=8, max_size=40),  # many ties, short and flat tails
+        st.lists(st.integers(1, 10**6), min_size=10, max_size=60),
+        st.lists(st.integers(-2, 5), min_size=10, max_size=20),  # nonpositive counts
+    )
+)
+def test_tail_x_min_expression_equals_the_lowering_search(counts):
+    # The same alpha_hat bit for bit, x_min and n_tail, or the same error.
+    assert _tail_or_error(contribution_tail, counts) == _tail_or_error(contribution_tail_oracle, counts)

@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +43,12 @@ def test_summary_row_on_fixture():
     series = fixture_series()
     report = compute_metrics(series)
     summary = summarize(series, report, project="fixture")
-    assert summary.total_contributors == 12
-    assert summary.total_orgs == 3
-    assert summary.diversity == pytest.approx(1.47442, abs=1e-5)
-    assert summary.spearman == pytest.approx(120 / 143, abs=1e-12)
-    assert summary.mean_monthly_commits == pytest.approx(500 / 12)
-    lo, hi = summary.monthly_commit_range
+    assert summary["total_contributors"] == 12
+    assert summary["total_orgs"] == 3
+    assert summary["diversity"] == pytest.approx(1.47442, abs=1e-5)
+    assert summary["spearman"] == pytest.approx(120 / 143, abs=1e-12)
+    assert summary["mean_monthly_commits"] == pytest.approx(500 / 12)
+    lo, hi = summary["monthly_commit_range"]
     assert 18 <= lo <= hi <= 62
 
 
@@ -62,9 +61,9 @@ def test_summary_degenerate_single_contributor():
     report = compute_metrics(series)
     summary = summarize(series, report, project="solo")
     # one commit every month: both monthly series are constant
-    assert summary.spearman is None
-    assert summary.spearman_reason is not None
-    assert summary.diversity == pytest.approx(1.0)
+    assert summary["spearman"] is None
+    assert summary["spearman_reason"] is not None
+    assert summary["diversity"] == pytest.approx(1.0)
 
 
 def test_summary_small_community_ranges():
@@ -90,10 +89,10 @@ def test_summary_small_community_ranges():
         contributor_commits={f"dev{i}@site{i % 7}.com": 20 for i in range(80)},
     )
     summary = summarize(series, compute_metrics(series), project="small")
-    assert 5 <= summary.active_contrib_range[0] <= summary.active_contrib_range[1] <= 10
-    assert 50 <= summary.monthly_commit_range[0] <= summary.monthly_commit_range[1] <= 100
-    assert 1 <= summary.active_org_range[0] <= summary.active_org_range[1] <= 5
-    assert summary.total_contributors == 80
+    assert 5 <= summary["active_contrib_range"][0] <= summary["active_contrib_range"][1] <= 10
+    assert 50 <= summary["monthly_commit_range"][0] <= summary["monthly_commit_range"][1] <= 100
+    assert 1 <= summary["active_org_range"][0] <= summary["active_org_range"][1] <= 5
+    assert summary["total_contributors"] == 80
 
 
 def make_config(tmp_path, projects, **overrides):
@@ -118,6 +117,9 @@ def test_run_pipeline_fixture_outputs(tmp_path):
     summary_data = json.loads((project_dir / "summary.json").read_text())
     assert summary_data["diversity"] == pytest.approx(1.47442, abs=1e-4)
     assert summary_data["eligibility"]["eligible"] is False  # tiny fixture community
+    # Both fits carry both notes; the row keeps each once, in model order.
+    assert summary_data["notes"] == ["decline detected; fit truncated at peak month index 9",
+                                     "low confidence: series peak below 15 active contributors"]
     assert (tmp_path / "out" / "summary.csv").exists()
     assert (tmp_path / "out" / "summary.txt").exists()
 
@@ -233,6 +235,18 @@ def test_a_run_config_built_in_code_checks_project_names(tmp_path, name):
     # Each name is the project's directory under out_dir, beside the run's own files.
     with pytest.raises(ConfigError, match="project name"):
         make_config(tmp_path, [ProjectSource(name=name, log=DATA_DIR / "fixture_500.log")])
+
+
+@pytest.mark.parametrize("window, months", [("last12", 12), (12, 12), ("all", "all")])
+def test_a_run_config_built_in_code_parses_its_metrics_window(tmp_path, window, months):
+    config = make_config(tmp_path, [ProjectSource(name="fx", log=DATA_DIR / "fixture_500.log")], metrics_window=window)
+    assert config.metrics_window == months
+
+
+@pytest.mark.parametrize("window", [0, "bogus", "last0", True])
+def test_a_run_config_built_in_code_rejects_a_bad_metrics_window(tmp_path, window):
+    with pytest.raises(ConfigError, match=f"bad metrics_window {window!r}"):
+        make_config(tmp_path, [ProjectSource(name="fx", log=DATA_DIR / "fixture_500.log")], metrics_window=window)
 
 
 def test_load_run_config(tmp_path):
@@ -390,7 +404,7 @@ def test_summary_table_renderers():
     assert "0.84" in text  # spearman rendered at 2 decimals
 
     names = ["acme, inc", 'say "hi"', "fixture"]
-    rows = list(csv.reader(io.StringIO(summary_csv([replace(summary, project=name) for name in names]))))
+    rows = list(csv.reader(io.StringIO(summary_csv([{**summary, "project": name} for name in names]))))
     assert [len(row) for row in rows] == [12] * 4
     assert [row[0] for row in rows[1:]] == names
     assert rows[1][1:] == rows[3][1:]
