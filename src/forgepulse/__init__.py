@@ -17,7 +17,6 @@ from .errors import (
     SeriesError,
 )
 from .growth import (
-    BiPhaseFit,
     GrowthFit,
     GrowthModel,
     GrowthParams,
@@ -62,7 +61,6 @@ from .pipeline import (
 from .series import (
     EligibilityThresholds,
     MonthKey,
-    MonthlyPoint,
     MonthlySeries,
     build_monthly_series,
     check_eligibility,

@@ -455,26 +455,6 @@ def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
     return PhaseLabel.EXPONENTIAL
 
 
-@dataclass(frozen=True)
-class BiPhaseFit:
-    breakpoint_index: int
-    breakpoint: MonthKey | None
-    first: GrowthFit
-    second: GrowthFit
-    combined_sse: float
-    preferred: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "breakpoint_index": self.breakpoint_index,
-            "breakpoint": None if self.breakpoint is None else str(self.breakpoint),
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-            "combined_sse": self.combined_sse,
-            "preferred": self.preferred,
-        }
-
-
 MIN_SEGMENT_MONTHS = 12
 
 def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
@@ -486,8 +466,9 @@ def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
 
 def detect_biphase(
     values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None
-) -> BiPhaseFit | None:
-    """Search for two successive growth episodes.
+) -> dict | None:
+    """Search for two successive growth episodes; returns fit.json's
+    ``biphase`` entry.
 
     Every interior breakpoint leaving at least ``MIN_SEGMENT_MONTHS`` months
     per side is tried; each segment is fit independently and the split with the
@@ -527,11 +508,11 @@ def detect_biphase(
     combined = first.sse + second.sse
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     single_bic = _bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
-    return BiPhaseFit(
-        breakpoint_index=breakpoint_index,
-        breakpoint=breakpoint,
-        first=first,
-        second=second,
-        combined_sse=combined,
-        preferred=_bic(combined, n, 7, sse_floor) < single_bic,
-    )
+    return {
+        "breakpoint_index": breakpoint_index,
+        "breakpoint": None if breakpoint is None else str(breakpoint),
+        "first": first.to_dict(),
+        "second": second.to_dict(),
+        "combined_sse": combined,
+        "preferred": _bic(combined, n, 7, sse_floor) < single_bic,
+    }

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -80,16 +79,17 @@ def csv_text(rows) -> str:
 @contextmanager
 def atomic_writer(path: Path | str):
     """Text handle that lands at ``path`` via temp file + rename, so readers
-    and concurrent runs never see partial files."""
+    and concurrent runs never see partial files.  The file gets the mode
+    ``open()`` would give it: 0666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # exclusive: never another's file
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -91,7 +91,7 @@ def org_shares(series: MonthlySeries, window: int | str = "all") -> dict[str, fl
         raise MetricError(f"window must be 'all' or a positive integer, got {window!r}")
     totals: dict[str, int] = {}
     for point in points:
-        for key, count in point.org_commits.items():
+        for key, count in point["org_commits"].items():
             totals[key] = totals.get(key, 0) + count
     grand_total = sum(totals.values())
     if grand_total == 0:

@@ -169,6 +169,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for key, kind, what in (("smoothing_window", int, "an integer"), ("strict", bool, "true or false"),
+                                ("biphase", bool, "true or false"), ("workers", int, "an integer")):
+            value = getattr(self, key)
+            if type(value) is not kind:  # an int is not a bool, nor a float that int() would cut
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         if not self.projects:
             raise ConfigError("config lists no projects")
         names = [source.name for source in self.projects]
@@ -202,28 +207,9 @@ def parse_window(value, key: str = "metrics_window") -> int | str:
     return months
 
 
-def _integer(value, key: str) -> int:
-    if type(value) is not int:  # not bool, nor a float that int() would cut
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, key: str) -> bool:
-    if type(value) is not bool:
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-# Run-config keys that set the RunConfig field of the same name, each with the
-# check of its value.  An absent key leaves the field's default.
-_RUN_FIELDS = {
-    "smoothing_window": _integer,
-    "model": lambda value, key: str(value),
-    "strict": _boolean,
-    "biphase": _boolean,
-    "metrics_window": lambda value, key: value,  # RunConfig parses it
-    "workers": _integer,
-}
+# Run-config keys that set the RunConfig field of the same name, which checks
+# their values.  An absent key leaves the field's default.
+_RUN_FIELDS = {"smoothing_window", "model", "strict", "biphase", "metrics_window", "workers"}
 _RUN_KEYS = {"projects", "out_dir", "identity_config", "thresholds", "include_merges", *_RUN_FIELDS}
 _PROJECT_KEYS = {"name", "repo", "log"}
 _THRESHOLD_KEYS = {f.name for f in fields(EligibilityThresholds)}
@@ -280,7 +266,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         out_dir=resolve(data, "out_dir") or base / "forgepulse-out",
         identity=identity,
         thresholds=thresholds,
-        **{key: check(data[key], key) for key, check in _RUN_FIELDS.items() if key in data},
+        **{key: data[key] for key in _RUN_FIELDS if key in data},
     )
 
 
@@ -374,22 +360,19 @@ def fit_report(
             payload["model_fits"][model.value] = None
             payload[f"{model.value}_reason"] = str(exc)
 
-    best = min(fits.values(), key=lambda f: f.sse) if fits else None
-    if best is not None:
-        try:
-            payload["phase"] = growth.classify_phase(smoothed, best).value
-        except growth.GrowthFitError as exc:
-            payload["phase_reason"] = str(exc)
-    if biphase and fits:
-        result = growth.detect_biphase(smoothed, best.params.model, t_offset=series.origin)
-        payload["biphase"] = None if result is None else result.to_dict()
+    if fits:
+        # A fit needs MIN_FIT_POINTS months, more than classify_phase needs.
+        best = min(fits.values(), key=lambda f: f.sse)
+        payload["phase"] = growth.classify_phase(smoothed, best).value
+        if biphase:
+            payload["biphase"] = growth.detect_biphase(smoothed, best.params.model, t_offset=series.origin)
 
     fitted = {name: growth.model_value(np.arange(len(series.points), dtype=float), fits[name].params)
               for name in sorted(fits)}
     rows = [["t", "month", "observed", "smoothed"] + [f"fitted_{name}" for name in fitted]]
     for t, point in enumerate(series.points):
         values = [observed[t], smoothed[t]] + [curve[t] for curve in fitted.values()]
-        rows.append([t, point.month] + [f"{value:.6g}" for value in values])
+        rows.append([t, point["month"]] + [f"{value:.6g}" for value in values])
     return payload, csv_text(rows)
 
 

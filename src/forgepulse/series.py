@@ -20,8 +20,6 @@ from .errors import IdentityError, SeriesError
 from .identity import DomainClass, IdentityConfig, OrgUnit, normalize_email, resolve_org
 from .ingest import RecordBlock
 
-SMOOTHABLE_FIELDS = ("active_contributors", "commits", "active_orgs")
-
 
 @dataclass(frozen=True, order=True)
 class MonthKey:
@@ -56,25 +54,19 @@ class MonthKey:
 
 
 @dataclass(frozen=True)
-class MonthlyPoint:
-    month: MonthKey
-    active_contributors: int
-    commits: int
-    active_orgs: int
-    org_commits: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class MonthlySeries:
     """Gap-filled monthly points plus whole-history contributor totals.
 
+    Each point is its series.json object: ``month`` ("YYYY-MM"), the counts
+    ``active_contributors``, ``commits`` and ``active_orgs``, and
+    ``org_commits``, the commits of each unit active that month.
     ``contributor_commits`` maps each contributor key to its total commit
     count over the full history; it feeds the contribution-distribution tail
     estimate and life-span totals, which are not derivable from the monthly
     points alone.
     """
 
-    points: tuple[MonthlyPoint, ...]
+    points: tuple[dict, ...]
     origin: MonthKey
     contributor_commits: dict[str, int] = field(default_factory=dict)
 
@@ -86,21 +78,19 @@ class MonthlySeries:
     def total_orgs(self) -> int:
         keys: set[str] = set()
         for point in self.points:
-            keys.update(point.org_commits)
+            keys.update(point["org_commits"])
         return len(keys)
 
     @property
     def total_commits(self) -> int:
-        return sum(point.commits for point in self.points)
+        return sum(point["commits"] for point in self.points)
 
     @property
     def mean_monthly_commits(self) -> float:
         return self.total_commits / len(self.points)
 
     def values(self, field_name: str) -> list[int]:
-        if field_name not in SMOOTHABLE_FIELDS:
-            raise SeriesError(f"unknown series field {field_name!r}")
-        return [getattr(point, field_name) for point in self.points]
+        return [point[field_name] for point in self.points]
 
 
 def _fallback_unit(raw_email: str) -> tuple[str, OrgUnit]:
@@ -191,13 +181,8 @@ def build_monthly_series(
         month_orgs[m][unit_keys[u]] = c
 
     points = tuple(
-        MonthlyPoint(
-            month=MonthKey.from_index(first + m),
-            active_contributors=n_active,
-            commits=n_commits,
-            active_orgs=len(orgs),
-            org_commits=orgs,
-        )
+        {"month": str(MonthKey.from_index(first + m)), "active_contributors": n_active, "commits": n_commits,
+         "active_orgs": len(orgs), "org_commits": orgs}
         for m, (n_active, n_commits, orgs) in enumerate(zip(active.tolist(), commits.tolist(), month_orgs))
     )
     return MonthlySeries(
@@ -248,16 +233,7 @@ def check_eligibility(series, thresholds: EligibilityThresholds = EligibilityThr
 def series_to_dict(series: MonthlySeries) -> dict:
     return {
         "origin": str(series.origin),
-        "points": [
-            {
-                "month": str(point.month),
-                "active_contributors": point.active_contributors,
-                "commits": point.commits,
-                "active_orgs": point.active_orgs,
-                "org_commits": dict(point.org_commits),
-            }
-            for point in series.points
-        ],
+        "points": list(series.points),
         "contributor_commits": dict(series.contributor_commits),
     }
 
@@ -281,26 +257,29 @@ def series_from_dict(data) -> MonthlySeries:
     """Inverse of ``series_to_dict``; ``contributor_commits`` may be absent.
     Raises SeriesError for any other missing or bad field: counts are
     non-negative integers, months "YYYY-MM" text, and the points' months
-    run on one by one from ``origin``."""
+    run on one by one from ``origin``.  Each point keeps its five fields,
+    its month written as ``MonthKey`` writes it ("2015-1" as "2015-01")."""
     if not isinstance(data, dict):
         raise SeriesError(f"series must be a JSON object, got {type(data).__name__}")
     entries = _field(data, "points", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
     if not entries:
         raise SeriesError("series has no points")
     points = tuple(
-        MonthlyPoint(
-            month=MonthKey.parse(_field(entry, "month", lambda v: isinstance(v, str))),
-            active_contributors=_field(entry, "active_contributors", _is_count),
-            commits=_field(entry, "commits", _is_count),
-            active_orgs=_field(entry, "active_orgs", _is_count),
-            org_commits=dict(_field(entry, "org_commits", _is_counts)),
-        )
+        {
+            "month": MonthKey.parse(_field(entry, "month", lambda v: isinstance(v, str))),
+            "active_contributors": _field(entry, "active_contributors", _is_count),
+            "commits": _field(entry, "commits", _is_count),
+            "active_orgs": _field(entry, "active_orgs", _is_count),
+            "org_commits": dict(_field(entry, "org_commits", _is_counts)),
+        }
         for entry in entries
     )
     origin = MonthKey.parse(_field(data, "origin", lambda v: isinstance(v, str)))
     for i, point in enumerate(points):
-        if point.month.index != origin.index + i:
-            raise SeriesError(f"point {i} is month {point.month}, not {origin.shift(i)}: months must be consecutive")
+        month = point["month"]
+        if month.index != origin.index + i:
+            raise SeriesError(f"point {i} is month {month}, not {origin.shift(i)}: months must be consecutive")
+        point["month"] = str(month)
     return MonthlySeries(
         points=points,
         origin=origin,

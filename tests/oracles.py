@@ -43,7 +43,7 @@ from forgepulse.ingest import (
     record_from_dict,
 )
 from forgepulse.metrics import MIN_TAIL_POINTS
-from forgepulse.series import MonthKey, MonthlyPoint, MonthlySeries, _fallback_unit, normalize_email, resolve_org
+from forgepulse.series import MonthKey, MonthlySeries, _fallback_unit, normalize_email, resolve_org
 
 _HEX40 = re.compile(r"[0-9a-fA-F]{40}")
 
@@ -138,13 +138,13 @@ def build_monthly_series_oracle(records, config=IdentityConfig()):
     for index in range(first, last + 1):
         orgs = month_org_commits.get(index, {})
         points.append(
-            MonthlyPoint(
-                month=MonthKey.from_index(index),
-                active_contributors=len(month_contributors.get(index, ())),
-                commits=month_commits.get(index, 0),
-                active_orgs=len(orgs),
-                org_commits=orgs,
-            )
+            {
+                "month": str(MonthKey.from_index(index)),
+                "active_contributors": len(month_contributors.get(index, ())),
+                "commits": month_commits.get(index, 0),
+                "active_orgs": len(orgs),
+                "org_commits": orgs,
+            }
         )
     return MonthlySeries(
         points=tuple(points),

@@ -142,12 +142,12 @@ def test_criterion_6_biphase_recovery():
         second = model_value(t36, GrowthParams(GrowthModel.LOGISTIC, 120.0, 0.2 / 120.0, 5.0))
         two_episode = np.concatenate([first, second])
         result = detect_biphase(two_episode, GrowthModel.LOGISTIC)
-        assert result is not None and result.preferred
-        assert abs(result.breakpoint_index - 36) <= 3
+        assert result is not None and result["preferred"]
+        assert abs(result["breakpoint_index"] - 36) <= 3
 
         single = model_value(np.arange(72, dtype=float), GrowthParams(GrowthModel.GOMPERTZ, 100.0, 0.06, 5.0))
         result = detect_biphase(single, GrowthModel.GOMPERTZ)
-        assert result is not None and not result.preferred
+        assert result is not None and not result["preferred"]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

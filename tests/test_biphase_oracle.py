@@ -24,7 +24,7 @@ from forgepulse import (
     model_value,
 )
 from forgepulse import growth
-from forgepulse.growth import MIN_SEGMENT_MONTHS, BiPhaseFit, _bic, _solve, _warm_start
+from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve, _warm_start
 
 
 def untruncated_fit(values, model, t_offset=None):
@@ -60,14 +60,14 @@ def exhaustive_biphase(values, model, t_offset=None):
     except GrowthFitError:
         single_bic = math.inf
     breakpoint_index, combined, first, second = best
-    return BiPhaseFit(
-        breakpoint_index=breakpoint_index,
-        breakpoint=None if t_offset is None else t_offset.shift(breakpoint_index),
-        first=first,
-        second=second,
-        combined_sse=combined,
-        preferred=_bic(combined, n, 7, sse_floor) < single_bic,
-    )
+    return {
+        "breakpoint_index": breakpoint_index,
+        "breakpoint": None if t_offset is None else str(t_offset.shift(breakpoint_index)),
+        "first": first.to_dict(),
+        "second": second.to_dict(),
+        "combined_sse": combined,
+        "preferred": _bic(combined, n, 7, sse_floor) < single_bic,
+    }
 
 
 def logistic(n, y_star, rate, shape):
@@ -103,8 +103,8 @@ def test_batched_search_matches_exhaustive_search(name, model):
     expected = exhaustive_biphase(values, model, t_offset=t_offset)
     assert expected is not None
     assert result == expected
-    k = result.breakpoint_index
-    assert result.first == untruncated_fit(np.asarray(values, dtype=float)[:k], model, t_offset=t_offset)
+    k = result["breakpoint_index"]
+    assert result["first"] == untruncated_fit(np.asarray(values, dtype=float)[:k], model, t_offset=t_offset).to_dict()
 
 
 def test_batched_search_skips_unfittable_splits():
@@ -112,7 +112,7 @@ def test_batched_search_skips_unfittable_splits():
     # rejects it; the first fittable split starts past the zeros.
     values = np.concatenate([np.zeros(20), SHORT_EPISODES])
     result = detect_biphase(values, GrowthModel.LOGISTIC)
-    assert result.breakpoint_index > 20
+    assert result["breakpoint_index"] > 20
     expected = exhaustive_biphase(values, GrowthModel.LOGISTIC)
     assert result == expected
 

@@ -18,7 +18,7 @@ import forgepulse
 from forgepulse import ConfigError, RunConfig, load_run_config
 from forgepulse.cli import main
 
-from conftest import sha_for
+from conftest import DATA_DIR, sha_for
 
 SRC = Path(forgepulse.__file__).resolve().parents[1]
 
@@ -375,6 +375,22 @@ def test_analyze_repo_config_errors_end_in_one_line(tmp_path):
         proc = subprocess.run([sys.executable, str(script), *argv, "--out", str(tmp_path / "out")],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
         assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_a_run_writes_its_files_with_the_mode_the_umask_gives(tmp_path, umask):
+    # The umask is set in a process of its own, as a shell sets it.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"projects": [{"name": "fixture", "log": str(DATA_DIR / "fixture_500.log")}]}))
+    code = f"import os, sys; os.umask({umask}); from forgepulse.cli import main; sys.exit(main(['run', '--config', {str(config)!r}]))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = [path for path in (tmp_path / "forgepulse-out").rglob("*") if path.is_file()]
+    assert len(written) == 10
+    assert {path.name: oct(path.stat().st_mode & 0o777) for path in written} == {
+        path.name: oct(0o666 & ~umask) for path in written
+    }
 
 
 def test_repository_bytes_that_are_not_utf8_end_like_a_log_file(tmp_path, repo_builder, monkeypatch):

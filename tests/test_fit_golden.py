@@ -27,7 +27,7 @@ import pytest
 from forgepulse import MonthKey
 from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import fit_report
-from forgepulse.series import MonthlyPoint, MonthlySeries
+from forgepulse.series import MonthlySeries
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN = DATA_DIR / "fit_golden.json"
@@ -50,7 +50,11 @@ def golden_entry(name: str) -> dict:
     values = json.loads((DATA_DIR / f"{name}.json").read_text())["values"]
     origin = MonthKey(2010, 1)
     series = MonthlySeries(
-        points=tuple(MonthlyPoint(origin.shift(i), value, 0, 0) for i, value in enumerate(values)),
+        points=tuple(
+            {"month": str(origin.shift(i)), "active_contributors": value, "commits": 0, "active_orgs": 0,
+             "org_commits": {}}
+            for i, value in enumerate(values)
+        ),
         origin=origin,
     )
     payload, _ = fit_report(series, 3, "both", True)

@@ -311,22 +311,22 @@ def two_episode_series():
 def test_biphase_recovers_junction():
     result = detect_biphase(two_episode_series(), GrowthModel.LOGISTIC, t_offset=MonthKey(2010, 1))
     assert result is not None
-    assert result.preferred is True
-    assert abs(result.breakpoint_index - 36) <= 3
-    assert result.breakpoint == MonthKey(2010, 1).shift(result.breakpoint_index)
-    assert result.combined_sse <= result.first.sse + result.second.sse + 1e-9
+    assert result["preferred"] is True
+    assert abs(result["breakpoint_index"] - 36) <= 3
+    assert result["breakpoint"] == str(MonthKey(2010, 1).shift(result["breakpoint_index"]))
+    assert result["combined_sse"] <= result["first"]["sse"] + result["second"]["sse"] + 1e-9
 
 
 def test_biphase_rejects_single_episode():
     values = synthetic(gompertz_params(), n=60)
     result = detect_biphase(values, GrowthModel.GOMPERTZ)
     assert result is not None
-    assert result.preferred is False
+    assert result["preferred"] is False
 
 
 def test_biphase_constant_series_not_preferred():
     result = detect_biphase([5.0] * 40, GrowthModel.GOMPERTZ)
-    assert result is None or result.preferred is False
+    assert result is None or result["preferred"] is False
 
 
 def test_biphase_too_short_returns_none():

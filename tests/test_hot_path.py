@@ -4,9 +4,11 @@
 that used to be ``build_monthly_series``, and
 ``json.dumps(record_to_dict(r), sort_keys=True)`` is how records.jsonl lines
 used to be encoded.  The fixture digests were
-recorded with that code; ``records.jsonl``, ``ingest_report.json`` and
-``series.json`` hold only integers and strings, so they do not depend on the
-platform.
+recorded with that code; ``records.jsonl``, ``ingest_report.json``,
+``series.json`` and ``run_report.json`` hold only integers and strings, so
+they do not depend on the platform.  Every other file of the run holds
+floats, whose digests hold only for the environment they were recorded on,
+as in tests/test_fit_golden.py.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from contextlib import redirect_stderr
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +29,23 @@ from forgepulse.series import series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for
 from oracles import build_monthly_series_oracle, record_to_dict
+from test_fit_golden import environment
 
+# Every file the fixture run writes, by its path under out_dir.
 FIXTURE_DIGESTS = {
-    "records.jsonl": "74bdce0dc497ab9226a7244e99c6067735f731bf2194e079a270f83169c8c918",
-    "ingest_report.json": "743922978a7572d316cc71e63b7a5d82ab10d6d90316b2a0f1f0a8470d232f0e",
-    "series.json": "929b5d19cbf1995e8e2a65b9f26063aca0331d585c4df96ab4510b7d834cf9c9",
+    "fixture/records.jsonl": "74bdce0dc497ab9226a7244e99c6067735f731bf2194e079a270f83169c8c918",
+    "fixture/ingest_report.json": "743922978a7572d316cc71e63b7a5d82ab10d6d90316b2a0f1f0a8470d232f0e",
+    "fixture/series.json": "929b5d19cbf1995e8e2a65b9f26063aca0331d585c4df96ab4510b7d834cf9c9",
+    "run_report.json": "de24d664b99dd54e910905b2953b7c0fc9cfaeb7d6d7e53963e9ee850b362ee9",
+}
+FLOAT_DIGESTS_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
+FLOAT_DIGESTS = {
+    "fixture/metrics.json": "ca6926f220f3cbccc581a106dd1bc1cc4ad322cfbd0e38d70dbda5482fee54fa",
+    "fixture/fit.json": "e2c22d238083a607ac081cda4b67fc92d84b50e1ee5b85bf46553e765bd160d4",
+    "fixture/fit.csv": "263bb90ffc4619931ead3c6397cd77c6c8b2abd671dd466c6e42e38a69594fe3",
+    "fixture/summary.json": "752636a0bcbda8bd9d785194d490904e051026413553225818db4631ecf3bc81",
+    "summary.csv": "d8a9fb0dee8cd04dcdd6421ef9d5825aad52492ed64b5a84db1d80f6c9722f97",
+    "summary.txt": "6a82439a0680a4f7290497c3339d46aff091561b51ac5cb7481bc70cf56fa703",
 }
 
 
@@ -41,17 +56,25 @@ def sha256(path: Path) -> str:
 def test_fixture_artifacts_keep_their_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(DATA_DIR.parent)  # ingest_report.json names the log as given
     log = Path(DATA_DIR.name) / "fixture_500.log"
-    config = RunConfig(projects=(ProjectSource("fixture", log=log),), out_dir=tmp_path / "run", biphase=True)
+    out_dir = tmp_path / "run"
+    config = RunConfig(projects=(ProjectSource("fixture", log=log),), out_dir=out_dir, biphase=True)
     assert run_pipeline(config).exit_code == 0
+    written = {path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*") if path.is_file()}
+    assert written == FIXTURE_DIGESTS.keys() | FLOAT_DIGESTS.keys()
     for name, digest in FIXTURE_DIGESTS.items():
-        assert sha256(tmp_path / "run" / "fixture" / name) == digest, name
+        assert sha256(out_dir / name) == digest, name
 
     records, series = tmp_path / "records.jsonl", tmp_path / "series.json"
     with redirect_stderr(io.StringIO()):
         assert main(["ingest", "--log", str(log), "--out", str(records)]) == 0
         assert main(["series", "--in", str(records), "--out", str(series)]) == 0
-    assert sha256(records) == FIXTURE_DIGESTS["records.jsonl"]
-    assert sha256(series) == FIXTURE_DIGESTS["series.json"]
+    assert sha256(records) == FIXTURE_DIGESTS["fixture/records.jsonl"]
+    assert sha256(series) == FIXTURE_DIGESTS["fixture/series.json"]
+
+    if environment() != FLOAT_DIGESTS_ENVIRONMENT:
+        pytest.skip(f"float digests recorded on {FLOAT_DIGESTS_ENVIRONMENT}, this is {environment()}")
+    for name, digest in FLOAT_DIGESTS.items():
+        assert sha256(out_dir / name) == digest, name
 
 
 awkward_text = st.text(
@@ -114,7 +137,7 @@ def test_series_matches_the_dict_and_set_oracle(batch, group_providers, aliases)
     assert series_to_dict(built) == series_to_dict(expected)
     # Orders that float sums downstream (diversity, tail) follow.
     assert list(built.contributor_commits.items()) == list(expected.contributor_commits.items())
-    assert [list(p.org_commits.items()) for p in built.points] == [
-        list(p.org_commits.items()) for p in expected.points
+    assert [list(p["org_commits"].items()) for p in built.points] == [
+        list(p["org_commits"].items()) for p in expected.points
     ]
 

@@ -15,7 +15,7 @@ from forgepulse import (
     spearman,
 )
 from forgepulse.metrics import average_ranks
-from forgepulse.series import MonthlyPoint, MonthlySeries
+from forgepulse.series import MonthlySeries
 
 from oracles import contribution_tail_oracle, spearman_distinct_ranks
 
@@ -24,13 +24,13 @@ def one_month_series(org_commits):
     total = sum(org_commits.values())
     return MonthlySeries(
         points=(
-            MonthlyPoint(
-                month=MonthKey(2015, 1),
-                active_contributors=max(1, len(org_commits)),
-                commits=total,
-                active_orgs=len(org_commits),
-                org_commits=dict(org_commits),
-            ),
+            {
+                "month": "2015-01",
+                "active_contributors": max(1, len(org_commits)),
+                "commits": total,
+                "active_orgs": len(org_commits),
+                "org_commits": dict(org_commits),
+            },
         ),
         origin=MonthKey(2015, 1),
         contributor_commits={f"dev{i}@x.com": c for i, c in enumerate(org_commits.values())},
@@ -176,13 +176,13 @@ def test_org_shares_window():
     points = []
     for month, commits in ((1, {"a": 10}), (2, {"b": 10}), (3, {"b": 5, "c": 5})):
         points.append(
-            MonthlyPoint(
-                month=MonthKey(2015, month),
-                active_contributors=1,
-                commits=sum(commits.values()),
-                active_orgs=len(commits),
-                org_commits=commits,
-            )
+            {
+                "month": str(MonthKey(2015, month)),
+                "active_contributors": 1,
+                "commits": sum(commits.values()),
+                "active_orgs": len(commits),
+                "org_commits": commits,
+            }
         )
     series = MonthlySeries(points=tuple(points), origin=MonthKey(2015, 1))
     assert org_shares(series, "all") == {"a": 1 / 3, "b": 0.5, "c": 1 / 6}
@@ -194,8 +194,8 @@ def test_org_shares_window():
 def test_org_shares_empty_window():
     series = MonthlySeries(
         points=(
-            MonthlyPoint(MonthKey(2015, 1), 1, 1, 1, {"a": 1}),
-            MonthlyPoint(MonthKey(2015, 2), 0, 0, 0, {}),
+            {"month": "2015-01", "active_contributors": 1, "commits": 1, "active_orgs": 1, "org_commits": {"a": 1}},
+            {"month": "2015-02", "active_contributors": 0, "commits": 0, "active_orgs": 0, "org_commits": {}},
         ),
         origin=MonthKey(2015, 1),
     )

@@ -25,7 +25,7 @@ from forgepulse import (
 )
 from forgepulse.jsonio import dumps_stable
 from forgepulse.pipeline import summary_csv, summary_text
-from forgepulse.series import MonthlyPoint, MonthlySeries, series_to_dict
+from forgepulse.series import MonthlySeries, series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for, utc
 from oracles import dumps_stable_oracle
@@ -74,14 +74,14 @@ def test_summary_small_community_ranges():
         commits = 50 + (i * 17) % 51
         orgs = 1 + (i * 2) % 5
         points.append(
-            MonthlyPoint(
-                month=MonthKey(2014, 1).shift(i),
-                active_contributors=active,
-                commits=commits,
-                active_orgs=orgs,
-                org_commits={f"org{k}.com": commits // orgs + (1 if k < commits % orgs else 0)
-                             for k in range(orgs)},
-            )
+            {
+                "month": str(MonthKey(2014, 1).shift(i)),
+                "active_contributors": active,
+                "commits": commits,
+                "active_orgs": orgs,
+                "org_commits": {f"org{k}.com": commits // orgs + (1 if k < commits % orgs else 0)
+                                for k in range(orgs)},
+            }
         )
     series = MonthlySeries(
         points=tuple(points),
@@ -247,6 +247,21 @@ def test_a_run_config_built_in_code_parses_its_metrics_window(tmp_path, window, 
 def test_a_run_config_built_in_code_rejects_a_bad_metrics_window(tmp_path, window):
     with pytest.raises(ConfigError, match=f"bad metrics_window {window!r}"):
         make_config(tmp_path, [ProjectSource(name="fx", log=DATA_DIR / "fixture_500.log")], metrics_window=window)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("smoothing_window", 3.0, "smoothing_window must be an integer, got 3.0"),
+        ("workers", "2", "workers must be an integer, got '2'"),
+        ("strict", "yes", "strict must be true or false, got 'yes'"),
+        ("biphase", 1, "biphase must be true or false, got 1"),
+    ],
+)
+def test_a_run_config_built_in_code_checks_its_field_types(tmp_path, field, value, message):
+    # The same rules and messages as a run config file's keys.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make_config(tmp_path, [ProjectSource(name="fx", log=DATA_DIR / "fixture_500.log")], **{field: value})
 
 
 def test_load_run_config(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -14,8 +15,9 @@ from forgepulse import (
     check_eligibility,
     moving_average,
 )
+from forgepulse.cli import main
 from forgepulse.pipeline import ingest
-from forgepulse.series import series_from_dict, series_to_dict
+from forgepulse.series import load_series, series_from_dict, series_to_dict
 
 from conftest import make_line, series_of, sha_for, utc
 
@@ -36,19 +38,19 @@ def test_two_commits_one_contributor_one_month():
     )
     assert len(series.points) == 1
     point = series.points[0]
-    assert point.active_contributors == 1
-    assert point.commits == 2
+    assert point["active_contributors"] == 1
+    assert point["commits"] == 2
     assert series.origin == MonthKey(2015, 1)
 
 
 def test_interior_gap_becomes_zero_point():
     series = series_of([record(1, utc(2015, 1, 5)), record(2, utc(2015, 3, 5))])
-    assert [str(p.month) for p in series.points] == ["2015-01", "2015-02", "2015-03"]
+    assert [p["month"] for p in series.points] == ["2015-01", "2015-02", "2015-03"]
     gap = series.points[1]
-    assert gap.commits == 0
-    assert gap.active_contributors == 0
-    assert gap.active_orgs == 0
-    assert gap.org_commits == {}
+    assert gap["commits"] == 0
+    assert gap["active_contributors"] == 0
+    assert gap["active_orgs"] == 0
+    assert gap["org_commits"] == {}
 
 
 def test_multi_org_month():
@@ -60,10 +62,10 @@ def test_multi_org_month():
     ]
     series = series_of(records)
     point = series.points[0]
-    assert point.active_contributors == 3
-    assert point.active_orgs == 2
-    assert point.commits == 4
-    assert point.org_commits == {"intel.com": 3, "c@gmail.com": 1}
+    assert point["active_contributors"] == 3
+    assert point["active_orgs"] == 2
+    assert point["commits"] == 4
+    assert point["org_commits"] == {"intel.com": 3, "c@gmail.com": 1}
 
 
 def test_utc_bucketing_across_month_boundary():
@@ -79,7 +81,7 @@ def test_merges_are_ignored(tmp_path):
                    + make_line(2, stamp="2015-01-02T00:00:00+00:00", parents=2) + "\n")
     records, report = ingest(None, log)
     series = build_monthly_series(records)
-    assert series.points[0].commits == 1
+    assert series.points[0]["commits"] == 1
     assert report.records_parsed == 2
 
 
@@ -88,9 +90,9 @@ def test_unparsable_email_falls_back_to_unknown_unit():
         [record(1, utc(2015, 1, 1), email="Not An Email"), record(2, utc(2015, 1, 2))]
     )
     point = series.points[0]
-    assert point.commits == 2
-    assert point.active_contributors == 2
-    assert "not an email" in point.org_commits
+    assert point["commits"] == 2
+    assert point["active_contributors"] == 2
+    assert "not an email" in point["org_commits"]
 
 
 def test_empty_input_is_an_error(tmp_path):
@@ -137,12 +139,12 @@ def record_batches(draw):
 def test_conservation_and_gap_invariants(records):
     series = series_of(records)
     assert series.total_commits == len(records)
-    indexes = [p.month.index for p in series.points]
+    indexes = [MonthKey.parse(p["month"]).index for p in series.points]
     assert indexes == list(range(indexes[0], indexes[-1] + 1))
     for point in series.points:
-        assert point.commits == sum(point.org_commits.values())
-        assert (point.active_contributors >= 1) == (point.commits >= 1)
-        assert point.active_orgs == len(point.org_commits)
+        assert point["commits"] == sum(point["org_commits"].values())
+        assert (point["active_contributors"] >= 1) == (point["commits"] >= 1)
+        assert point["active_orgs"] == len(point["org_commits"])
 
 
 @given(records=record_batches(), seed=st.integers(0, 2**16))
@@ -161,9 +163,9 @@ def test_activity_is_idempotent_per_contributor(records):
         distinct = {
             r.author_email.strip().lower()
             for r in records
-            if MonthKey(r.authored_at.year, r.authored_at.month) == point.month
+            if str(MonthKey(r.authored_at.year, r.authored_at.month)) == point["month"]
         }
-        assert point.active_contributors == len(distinct)
+        assert point["active_contributors"] == len(distinct)
 
 
 def test_smooth_constant_is_fixed_point():
@@ -256,3 +258,15 @@ def test_series_json_round_trip():
         ]
     )
     assert series_from_dict(series_to_dict(series)) == series
+
+
+def test_months_without_a_leading_zero_are_read_and_written_padded(tmp_path):
+    path = tmp_path / "series.json"
+    point = {"active_contributors": 1, "commits": 1, "active_orgs": 1, "org_commits": {"a.com": 1}}
+    path.write_text(json.dumps({"origin": "2015-9", "points": [{**point, "month": f"2015-{m}"} for m in (9, 10, 11)]}))
+    rewritten = series_to_dict(load_series(path))
+    assert rewritten["origin"] == "2015-09"
+    assert [p["month"] for p in rewritten["points"]] == ["2015-09", "2015-10", "2015-11"]
+    assert main(["fit", "--series", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+    rows = (tmp_path / "fit.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["2015-09", "2015-10", "2015-11"]
