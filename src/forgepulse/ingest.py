@@ -17,15 +17,15 @@ block, over arrays, and a block's records.jsonl text is built in one join.
 from __future__ import annotations
 
 import json
-import re
 import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -242,6 +242,14 @@ def _utc_block(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
     if (width > _STAMP_WIDTH).any():  # the fixed-width array would cut them short
         stamps = [stamp if len(stamp) <= _STAMP_WIDTH else "" for stamp in stamps]
     chars = np.array(stamps, dtype=f"<U{_STAMP_WIDTH}").view(np.uint32).reshape(n, _STAMP_WIDTH)
+    return _utc_codes(chars, width)
+
+
+def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``_utc_block`` of stamps given as their code points, one row each,
+    NUL-padded and cut to ``_STAMP_WIDTH`` columns, and their widths.  A
+    stamp wider than the array is left over.  ``chars`` must be a
+    C-contiguous uint32 array; it is rewritten."""
     digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
@@ -471,26 +479,105 @@ def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
     return LogParseError(line_no, f"bad record: {exc}")
 
 
-# A JSON string (RFC 8259 section 7): no quote, backslash or control
-# character but in an escape.
-_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
-# One whole line as ``RecordBlock.jsonl`` writes it: the text before the
-# stamp, the stamp, the hash and the merge flag.  Stamps and hashes hold no
-# escapes, so their text is their value.  ``re`` compiles it on first use,
-# so the commands that read no records.jsonl do not pay for it.
-_CANONICAL_LINE = (
-    rf'(?m)^(\{{"author_email": {_JSON_STRING}, "author_name": {_JSON_STRING}, "authored_at": ")'
-    r'([^"\\\x00-\x1f]*)", "hash": "([^"\\\x00-\x1f]*)", "is_merge": (true|false)\}\n'
+def _ascii_codes(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+# A records.jsonl line as ``RecordBlock.jsonl`` writes it with a 40-hex
+# hash is its head (the text before the stamp), a 25- or 32-character
+# stamp and a fixed tail:
+#     <stamp>", "hash": "<hash>", "is_merge": false}\n    (or true}\n)
+# The last _TAIL_WIDTH characters of such a line hold the longest stamp,
+# its tail and the quote that opens the stamp.
+_TAIL_WIDTH = 107
+_HASH_SEPARATOR = _ascii_codes(_HASH_KEY)
+_END_FALSE = _ascii_codes('", "is_merge": false}\n')
+_END_TRUE = _ascii_codes('", "is_merge": true}\n')
+_QUOTE = ord('"')
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+# The ASCII characters a JSON string holds as they are: no quote,
+# backslash or control character.
+_PLAIN = bytes(c for c in range(32, 128) if c not in b'"\\')
+# Where the head, hash and stamp lie, from the line's end, for a line with
+# a false or true merge flag (0 or 1), plus 2 for a 32-character stamp.
+_CUTS = tuple(
+    (slice(None, -tail), slice(end - 40, end), slice(-tail, end - 52))
+    for tail, end in ((99, -22), (98, -21), (106, -22), (105, -21))
 )
+_HEAD_KEYS = ('{"author_email": "', ', "author_name": "', ', "authored_at": "')
 
 
-def _head_author(key: tuple[str, str]) -> Author:
-    """The Author of a canonical line's text before the stamp and its merge
-    flag."""
-    head, merge = key
-    email, end = scanstring(head, len('{"author_email": "'))
-    name, _ = scanstring(head, end + len(', "author_name": "'))
-    return _author((email, name, merge == "true"))
+def _head_author(head: str, is_merge: bool) -> Author | None:
+    """The Author of a written line's head and merge flag, or None when the
+    head is not the keys ``RecordBlock.jsonl`` writes around two JSON
+    strings."""
+    email_key, name_key, stamp_key = _HEAD_KEYS
+    if not head.startswith(email_key):
+        return None
+    try:
+        email, end = scanstring(head, len(email_key))
+        if not head.startswith(name_key, end):
+            return None
+        name, end = scanstring(head, end + len(name_key))
+    except ValueError:  # JSONDecodeError: not a JSON string
+        return None
+    if head[end:] != stamp_key:
+        return None
+    return _author((email, name, is_merge))
+
+
+def _only(codes: np.ndarray, allowed: bytes) -> bool:
+    """Whether every byte of ``codes`` is one of ``allowed``."""
+    return not codes.tobytes().translate(None, allowed)
+
+
+def _written_columns(
+    lines: list[str], authors: list[_Memo]
+) -> tuple[list[str], list[Author], tuple[np.ndarray, np.ndarray, list[str]]] | None:
+    """The hashes and authors of ``lines``, and their stamps as
+    ``_utc_stamps`` converts them, when every line has the layout
+    ``RecordBlock.jsonl`` writes with a 40-hex hash; else None.
+
+    Each line's tail is checked at fixed offsets from its end, all lines at
+    once, and each distinct head once, through ``authors[is_merge]``."""
+    n = len(lines)
+    tails = "".join(map(getitem, lines, repeat(slice(-_TAIL_WIDTH, None), n)))
+    if not n or len(tails) != n * _TAIL_WIDTH or not tails.isascii():
+        return None
+    codes = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(n, _TAIL_WIDTH)
+    merge = codes[:, -6] == ord("t")
+    if not ((codes[~merge, -len(_END_FALSE):] == _END_FALSE).all()
+            and (codes[merge, -len(_END_TRUE):] == _END_TRUE).all()):
+        return None
+    # The rows aligned on the hash's end, which a true merge flag moves one
+    # character right: the hash is columns -61..-22, the separator before
+    # it, then the stamp, whose opening quote is column -99, or -106 for a
+    # 32-character stamp.
+    aligned = codes[:, :-1].copy()
+    aligned[merge] = codes[merge, 1:]
+    long_stamp = aligned[:, -99] != _QUOTE
+    long_rows = aligned[long_stamp]
+    if not ((aligned[:, -73:-61] == _HASH_SEPARATOR).all() and _only(aligned[:, -61:-21], _HEX_DIGITS)
+            and _only(aligned[:, -98:-73], _PLAIN) and _only(long_rows[:, 1:8], _PLAIN)
+            and (long_rows[:, 0] == _QUOTE).all()):
+        return None
+    # Each run of lines of one layout is cut with one pair of slices.
+    layouts = merge + 2 * long_stamp
+    bounds = [0, *(np.flatnonzero(np.diff(layouts)) + 1).tolist(), n]
+    hashes, line_authors = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        layout = int(layouts[start])
+        head, sha, _ = _CUTS[layout]
+        run = lines[start:stop]
+        line_authors += map(authors[layout & 1].__getitem__, map(getitem, run, repeat(head)))
+        hashes += map(getitem, run, repeat(sha))
+    if not all(line_authors):
+        return None
+    # A short stamp's digits are read from the rows; a long one is left over.
+    stamps = _utc_codes(aligned[:, -98:-73].astype(np.uint32), np.where(long_stamp, 32, 25))
+    if not stamps[0].all():  # some stamps need their text
+        stamps = _utc_stamps([line[_CUTS[layout][2]] for line, layout in zip(lines, layouts.tolist())])
+    return hashes, line_authors, stamps
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
@@ -498,33 +585,33 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
     newline but at its end (as iterating a file gives them).
 
     A block whose every line has the layout ``RecordBlock.jsonl`` writes
-    (keys in that order, those separators, a boolean merge flag, stamp and
-    hash without escapes, a final newline) is read with one regex pass, and
-    each distinct author text is decoded once.  Any other block is read a
-    line at a time with ``record_from_dict(json.loads(line.strip()))``:
-    every valid record line is still read, with the same records and
-    errors, only slower.
+    with a 40-hex hash (its keys in that order, its separators and final
+    newline, a 25- or 32-character stamp, either merge flag) is read by
+    checking each line's tail at fixed offsets from its end, all lines at
+    once, and decoding each distinct text before the stamp once.  Any
+    other block is read a line at a time with
+    ``record_from_dict(json.loads(line.strip()))``: every valid record
+    line, other hash or stamp widths included, is still read, with the
+    same records and errors, only slower.
 
     Blank lines are ignored.  A line that is not such a record, or not
     UTF-8, raises LogParseError with its 1-based line number, after the
     records of the lines before it.
     """
-    authors = _Memo(_head_author)
+    authors = [_Memo(partial(_head_author, is_merge=flag)) for flag in (False, True)]
     pending = iter(lines)
     first = 1
     while chunk := list(islice(pending, BLOCK_LINES)):
         utf8 = _utf8_prefix(chunk)
         error = LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
-        rows = re.findall(_CANONICAL_LINE, "".join(chunk[:utf8]))
-        if rows and len(rows) == utf8:  # each line matched whole
-            heads, stamps, hashes, merges = zip(*rows)
-            ok, months, texts = _utc_stamps(list(stamps))
-            n = len(rows)
+        columns = _written_columns(chunk[:utf8], authors)
+        if columns is not None:
+            hashes, block_authors, (ok, months, texts) = columns
+            n = len(hashes)
             if not ok.all():
                 n = int(np.argmin(ok))
                 error = LogParseError(first + n, REASON_TIMESTAMP)
-            block = RecordBlock(list(hashes[:n]), list(map(authors.__getitem__, zip(heads[:n], merges[:n]))),
-                                texts[:n], months[:n])
+            block = RecordBlock(hashes[:n], block_authors[:n], texts[:n], months[:n], hex_hashes=True)
         else:
             records = []
             for offset, raw in enumerate(chunk[:utf8]):

@@ -15,7 +15,6 @@ import os
 import re
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -426,6 +425,43 @@ def _run_project_in_worker(source: ProjectSource, config: RunConfig) -> ProjectR
     return run_project(source, config)
 
 
+def _run_in_workers(config: RunConfig) -> list[ProjectResult]:
+    """``run_project`` for each project, in up to ``config.workers`` worker
+    processes.  A worker that dies breaks the whole pool, which cannot say
+    whose worker it was: each project left without a result then runs
+    alone in a fresh one-worker pool, and a project whose pool breaks again
+    gets ``worker process died`` as its error."""
+    # Imported here: multiprocessing adds about 8 ms and 0.7 MB to the
+    # start-up of every run, and only runs with workers use it.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def run(sources: tuple[ProjectSource, ...], workers: int) -> tuple[list[ProjectResult | None], list[int]]:
+        """Each source's result, None where the pool broke, and the exit
+        codes of the pool's workers."""
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_project_in_worker, source, config) for source in sources]
+            # The pool has no public record of its workers; the first
+            # submit started them.
+            processes = list((getattr(pool, "_processes", None) or {}).values())
+            results = []
+            for future in futures:
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool:
+                    results.append(None)
+        return results, [process.exitcode for process in processes]  # the pool's shutdown joined them
+
+    results, _ = run(config.projects, min(config.workers, len(config.projects)))
+    for i, source in enumerate(config.projects):
+        if results[i] is None:
+            (results[i],), codes = run((source,), 1)
+            if results[i] is None:
+                exit_code = f" (exit code {codes[0]})" if codes else ""
+                results[i] = ProjectResult(name=source.name, error=f"worker process died{exit_code}")
+    return results
+
+
 def summary_csv(rows: list[dict]) -> str:
     table = [[
         "project", "total_contributors", "total_orgs", "mean_monthly_commits",
@@ -487,12 +523,7 @@ def run_pipeline(config: RunConfig) -> RunOutcome:
     if config.workers == 1 or len(config.projects) == 1:
         results = [run_project(source, config) for source in config.projects]
     else:
-        # Imported here: multiprocessing adds about 8 ms and 0.7 MB to the
-        # start-up of every run, and only runs with workers use it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(config.projects))) as pool:
-            results = list(pool.map(partial(_run_project_in_worker, config=config), config.projects))
+        results = _run_in_workers(config)
 
     rows = sorted((r.summary for r in results if r.summary is not None), key=lambda row: row["project"])
     write_text_atomic(config.out_dir / "summary.csv", summary_csv(rows))

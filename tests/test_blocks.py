@@ -315,18 +315,29 @@ def _written_lines():
         (3, lambda line: line.replace('"is_merge": false', '"is_merge": 0'), True, None),
         (3, lambda line: line.replace("Dev", "D\\xev"), True, (4, "bad JSON: Invalid \\escape")),
         (3, lambda line: line.replace("2015-03-04", "2015-02-30"), False, (4, "bad timestamp")),
+        (3, lambda line: line.replace(sha_for(3), sha_for(3)[1:]), True, None),
+        (3, lambda line: line.replace(sha_for(3), "g" + sha_for(3)[1:]), True, None),
+        (3, lambda line: line.replace(sha_for(3), sha_for(3).upper()), False, None),
+        (3, lambda line: line.replace("00:00:00+00:00", "00:00:00Z"), True, None),
+        (3, lambda line: line.replace("00:00:00+00:00", "00:00:00.500000+00:00"), False, None),
+        (3, lambda line: line.replace("+00:00", '+00"00'), True, (4, "bad JSON: Expecting ',' delimiter")),
+        (3, lambda line: line.replace("+00:00", "+00\\00"), True, (4, "bad JSON: Invalid \\escape")),
     ],
-    ids=["text-before-brace", "crlf", "no-final-newline", "merge-flag-0", "bad-escape", "bad-stamp"],
+    ids=["text-before-brace", "crlf", "no-final-newline", "merge-flag-0", "bad-escape", "bad-stamp",
+         "hash-39-digits", "hash-not-hex", "hash-upper-case", "stamp-z", "stamp-microseconds",
+         "stamp-quote", "stamp-backslash"],
 )
 def test_a_line_off_the_written_layout_reads_as_the_oracle_reads_it(line, change, per_line, error):
     lines = _written_lines()
     lines[line] = change(lines[line])
     fail = None if per_line else AssertionError("read a line at a time")
-    with mock.patch.object(ingest_module, "record_from_dict", side_effect=fail, wraps=ingest_module.record_from_dict):
+    with mock.patch.object(ingest_module, "record_from_dict", side_effect=fail,
+                           wraps=ingest_module.record_from_dict) as read_line:
         blocks, got = _drain(read_records_jsonl(lines))
     expected, expected_error = _drain(read_records_jsonl_oracle(lines))
     assert _dicts(r for block in blocks for r in block) == _dicts(expected)
     assert got == expected_error == error
+    assert read_line.called == per_line
 
 
 month_stamps = st.builds(

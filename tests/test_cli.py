@@ -1,7 +1,10 @@
 import json
+import os
+from unittest import mock
 
 import pytest
 
+from forgepulse import ingest as ingest_module
 from forgepulse import pipeline
 from forgepulse.cli import main
 from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
@@ -184,6 +187,39 @@ def test_run_and_summary_commands(tmp_path, capsys):
     assert "fixture" in out
 
 
+def test_a_dead_worker_fails_only_its_project(tmp_path, monkeypatch, capsys):
+    def config(workers):
+        path = tmp_path / f"run{workers}.json"
+        path.write_text(json.dumps({
+            "projects": [{"name": name, "log": str(DATA_DIR / "fixture_500.log")} for name in ("a", "b")],
+            "out_dir": str(tmp_path / f"out{workers}"),
+            "workers": workers,
+        }))
+        return str(path)
+
+    assert run_cli(capsys, "run", "--config", config(1))[0] == 0
+    run_project = pipeline.run_project
+
+    def die_in_b(source, config):  # forked workers inherit it
+        if source.name == "b":
+            os._exit(9)  # no result and no exception, as when the OOM killer ends a worker
+        return run_project(source, config)
+
+    monkeypatch.setattr(pipeline, "run_project", die_in_b)
+    code, _, err = run_cli(capsys, "run", "--config", config(2))
+    assert code == 1
+    died = "worker process died (exit code 9)"
+    assert [line for line in err.splitlines() if line.startswith("error")] == [f"error: b: {died}"]
+    out = tmp_path / "out2"
+    assert json.loads((out / "run_report.json").read_text())["projects"] == {
+        "a": {"status": "ok", "error": None}, "b": {"status": "error", "error": died},
+    }
+    assert [line.split(",")[0] for line in (out / "summary.csv").read_text().splitlines()] == ["project", "a"]
+    assert (out / "summary.txt").exists()
+    for artifact in (tmp_path / "out1" / "a").iterdir():
+        assert (out / "a" / artifact.name).read_bytes() == artifact.read_bytes(), artifact.name
+
+
 def test_summary_command_rebuilds_the_run_tables_byte_for_byte(tmp_path, capsys):
     fixture = DATA_DIR / "fixture_500.log"
     acme = tmp_path / "acme.log"  # every other commit of the fixture
@@ -336,7 +372,8 @@ def test_cache_env_sees_new_commits(tmp_path, capsys, repo_builder, monkeypatch)
 
 
 def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
-    lines = [make_line(i, stamp=f"2015-{1 + i % 12:02d}-10T00:00:00+00:00",
+    offsets = ["+00:00", "+05:30", "-08:00"]
+    lines = [make_line(i, stamp=f"2015-{1 + i % 12:02d}-10T00:00:00{offsets[i % 3]}",
                        email=f"dev{i % 5}@org{i % 3}.com", parents=2 if i % 4 == 0 else 1)
              for i in range(60)]
     lines[7] = "corrupted"
@@ -344,11 +381,13 @@ def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
     log.write_text("\n".join(lines) + "\n")
     out = tmp_path / "cli"
     out.mkdir()
-    for argv in (["ingest", "--log", str(log), "--out", str(out / "records.jsonl")],
-                 ["series", "--in", str(out / "records.jsonl"), "--out", str(out / "series.json")],
-                 ["metrics", "--series", str(out / "series.json"), "--window", "all",
-                  "--out", str(out / "metrics.json")]):
-        assert run_cli(capsys, *argv)[0] == 0
+    # What ingest writes, series reads a block at a time, never a line at a time.
+    with mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
+        for argv in (["ingest", "--log", str(log), "--out", str(out / "records.jsonl")],
+                     ["series", "--in", str(out / "records.jsonl"), "--out", str(out / "series.json")],
+                     ["metrics", "--series", str(out / "series.json"), "--window", "all",
+                      "--out", str(out / "metrics.json")]):
+            assert run_cli(capsys, *argv)[0] == 0
     config = RunConfig(projects=(ProjectSource("mixed", log=log),), out_dir=tmp_path / "run")
     assert run_pipeline(config).exit_code == 0
 
