@@ -21,7 +21,6 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -249,7 +248,8 @@ def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nda
     """``_utc_block`` of stamps given as their code points, one row each,
     NUL-padded and cut to ``_STAMP_WIDTH`` columns, and their widths.  A
     stamp wider than the array is left over.  ``chars`` must be a
-    C-contiguous uint32 array; it is rewritten."""
+    C-contiguous uint32 array; it is rewritten.  ``_utc_block`` calls it
+    for a log's stamps, ``_written_block`` for a records.jsonl block's."""
     digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
@@ -312,8 +312,13 @@ def _hex40(hashes: list[str]) -> np.ndarray:
         hashes = [sha if len(sha) == 40 else "-" * 40 for sha in hashes]
     # One byte per character: "?" stands for any character past U+00FF.
     codes = np.frombuffer("".join(hashes).encode("latin-1", "replace"), dtype=np.uint8).reshape(n, 40)
+    return _is_hex(codes).all(axis=1) & forty
+
+
+def _is_hex(codes: np.ndarray) -> np.ndarray:
+    """Which bytes of a uint8 array are hex digits."""
     # Bytes below "0" or "a" wrap around; | 32 lowercases A-F.
-    return ((codes - 48 < 10) | ((codes | 32) - 97 < 6)).all(axis=1) & forty
+    return (codes - 48 < 10) | ((codes | 32) - 97 < 6)
 
 
 def _utf8_prefix(lines: list[str]) -> int:
@@ -479,140 +484,75 @@ def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
     return LogParseError(line_no, f"bad record: {exc}")
 
 
-def _ascii_codes(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+# ``ingest`` writes each records.jsonl line as its author's head and a
+# fixed-width tail: a 25-character stamp (git's %aI has no fraction of a
+# second), a 40-hex hash and a false merge flag (merges are dropped):
+#     <head><stamp>", "hash": "<hash>", "is_merge": false}\n
+# The template of the tail has NUL in the columns that vary.
+_TAIL = "\0" * _STAMP_WIDTH + _HASH_KEY + "\0" * 40 + _author(("", "", False)).end
+_TAIL_CODES = np.frombuffer(_TAIL.encode("ascii"), dtype=np.uint8)
+_VARIES = _TAIL_CODES == 0
+_HASH_AT = _STAMP_WIDTH + len(_HASH_KEY) - len(_TAIL)  # the hash's first column, from the line's end
 
 
-# A records.jsonl line as ``RecordBlock.jsonl`` writes it with a 40-hex
-# hash is its head (the text before the stamp), a 25- or 32-character
-# stamp and a fixed tail:
-#     <stamp>", "hash": "<hash>", "is_merge": false}\n    (or true}\n)
-# The last _TAIL_WIDTH characters of such a line hold the longest stamp,
-# its tail and the quote that opens the stamp.
-_TAIL_WIDTH = 107
-_HASH_SEPARATOR = _ascii_codes(_HASH_KEY)
-_END_FALSE = _ascii_codes('", "is_merge": false}\n')
-_END_TRUE = _ascii_codes('", "is_merge": true}\n')
-_QUOTE = ord('"')
-_HEX_DIGITS = b"0123456789abcdefABCDEF"
-# The ASCII characters a JSON string holds as they are: no quote,
-# backslash or control character.
-_PLAIN = bytes(c for c in range(32, 128) if c not in b'"\\')
-# Where the head, hash and stamp lie, from the line's end, for a line with
-# a false or true merge flag (0 or 1), plus 2 for a 32-character stamp.
-_CUTS = tuple(
-    (slice(None, -tail), slice(end - 40, end), slice(-tail, end - 52))
-    for tail, end in ((99, -22), (98, -21), (106, -22), (105, -21))
-)
-_HEAD_KEYS = ('{"author_email": "', ', "author_name": "', ', "authored_at": "')
-
-
-def _head_author(head: str, is_merge: bool) -> Author | None:
-    """The Author of a written line's head and merge flag, or None when the
-    head is not the keys ``RecordBlock.jsonl`` writes around two JSON
-    strings."""
-    email_key, name_key, stamp_key = _HEAD_KEYS
-    if not head.startswith(email_key):
-        return None
+def _head_author(head: str) -> Author | None:
+    """The Author whose records.jsonl head ``_author`` writes as ``head``
+    for a commit that is not a merge, or None."""
     try:
-        email, end = scanstring(head, len(email_key))
-        if not head.startswith(name_key, end):
-            return None
-        name, end = scanstring(head, end + len(name_key))
+        email, end = scanstring(head, 18)  # after '{"author_email": "'
+        name, _ = scanstring(head, end + 18)  # after ', "author_name": "'
     except ValueError:  # JSONDecodeError: not a JSON string
         return None
-    if head[end:] != stamp_key:
-        return None
-    return _author((email, name, is_merge))
+    author = _author((email, name, False))
+    return author if author.head == head else None
 
 
-def _only(codes: np.ndarray, allowed: bytes) -> bool:
-    """Whether every byte of ``codes`` is one of ``allowed``."""
-    return not codes.tobytes().translate(None, allowed)
-
-
-def _written_columns(
-    lines: list[str], authors: list[_Memo]
-) -> tuple[list[str], list[Author], tuple[np.ndarray, np.ndarray, list[str]]] | None:
-    """The hashes and authors of ``lines``, and their stamps as
-    ``_utc_stamps`` converts them, when every line has the layout
-    ``RecordBlock.jsonl`` writes with a 40-hex hash; else None.
-
-    Each line's tail is checked at fixed offsets from its end, all lines at
-    once, and each distinct head once, through ``authors[is_merge]``."""
+def _written_block(lines: list[str], heads: _Memo) -> RecordBlock | None:
+    """The records of ``lines`` when every line has the layout ``ingest``
+    writes, else None.  Each line's tail is checked against ``_TAIL`` column
+    by column, all lines at once, and each distinct head once, through
+    ``heads``."""
     n = len(lines)
-    tails = "".join(map(getitem, lines, repeat(slice(-_TAIL_WIDTH, None), n)))
-    if not n or len(tails) != n * _TAIL_WIDTH or not tails.isascii():
+    tails = "".join(map(getitem, lines, repeat(slice(-len(_TAIL), None), n)))
+    if len(tails) != n * len(_TAIL) or not tails.isascii():
         return None
-    codes = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(n, _TAIL_WIDTH)
-    merge = codes[:, -6] == ord("t")
-    if not ((codes[~merge, -len(_END_FALSE):] == _END_FALSE).all()
-            and (codes[merge, -len(_END_TRUE):] == _END_TRUE).all()):
+    codes = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(n, len(_TAIL))
+    if not (((codes == _TAIL_CODES) | _VARIES).all() and _is_hex(codes[:, _HASH_AT:_HASH_AT + 40]).all()):
         return None
-    # The rows aligned on the hash's end, which a true merge flag moves one
-    # character right: the hash is columns -61..-22, the separator before
-    # it, then the stamp, whose opening quote is column -99, or -106 for a
-    # 32-character stamp.
-    aligned = codes[:, :-1].copy()
-    aligned[merge] = codes[merge, 1:]
-    long_stamp = aligned[:, -99] != _QUOTE
-    long_rows = aligned[long_stamp]
-    if not ((aligned[:, -73:-61] == _HASH_SEPARATOR).all() and _only(aligned[:, -61:-21], _HEX_DIGITS)
-            and _only(aligned[:, -98:-73], _PLAIN) and _only(long_rows[:, 1:8], _PLAIN)
-            and (long_rows[:, 0] == _QUOTE).all()):
+    authors = list(map(heads.__getitem__, map(getitem, lines, repeat(slice(None, -len(_TAIL)), n))))
+    if not all(authors):
         return None
-    # Each run of lines of one layout is cut with one pair of slices.
-    layouts = merge + 2 * long_stamp
-    bounds = [0, *(np.flatnonzero(np.diff(layouts)) + 1).tolist(), n]
-    hashes, line_authors = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        layout = int(layouts[start])
-        head, sha, _ = _CUTS[layout]
-        run = lines[start:stop]
-        line_authors += map(authors[layout & 1].__getitem__, map(getitem, run, repeat(head)))
-        hashes += map(getitem, run, repeat(sha))
-    if not all(line_authors):
+    ok, months, texts = _utc_codes(codes[:, :_STAMP_WIDTH].astype(np.uint32), np.full(n, _STAMP_WIDTH))
+    if not ok.all():
         return None
-    # A short stamp's digits are read from the rows; a long one is left over.
-    stamps = _utc_codes(aligned[:, -98:-73].astype(np.uint32), np.where(long_stamp, 32, 25))
-    if not stamps[0].all():  # some stamps need their text
-        stamps = _utc_stamps([line[_CUTS[layout][2]] for line, layout in zip(lines, layouts.tolist())])
-    return hashes, line_authors, stamps
+    hashes = list(map(getitem, lines, repeat(slice(_HASH_AT, _HASH_AT + 40), n)))
+    return RecordBlock(hashes, authors, texts, months, hex_hashes=True)
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
     """Blocks of records from JSONL lines, each line one item with no
     newline but at its end (as iterating a file gives them).
 
-    A block whose every line has the layout ``RecordBlock.jsonl`` writes
-    with a 40-hex hash (its keys in that order, its separators and final
-    newline, a 25- or 32-character stamp, either merge flag) is read by
-    checking each line's tail at fixed offsets from its end, all lines at
-    once, and decoding each distinct text before the stamp once.  Any
-    other block is read a line at a time with
-    ``record_from_dict(json.loads(line.strip()))``: every valid record
-    line, other hash or stamp widths included, is still read, with the
-    same records and errors, only slower.
+    A block whose every line has the one layout ``ingest`` writes (see
+    ``_TAIL``) is read by checking each line's tail against a template,
+    all lines at once, and decoding each distinct head once.  Any other
+    block, say with a merge or a fraction of a second, which ``ingest``
+    never writes, is read a line at a time with
+    ``record_from_dict(json.loads(line.strip()))``: the same records and
+    errors, only slower.
 
     Blank lines are ignored.  A line that is not such a record, or not
     UTF-8, raises LogParseError with its 1-based line number, after the
     records of the lines before it.
     """
-    authors = [_Memo(partial(_head_author, is_merge=flag)) for flag in (False, True)]
+    heads = _Memo(_head_author)
     pending = iter(lines)
     first = 1
     while chunk := list(islice(pending, BLOCK_LINES)):
         utf8 = _utf8_prefix(chunk)
         error = LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
-        columns = _written_columns(chunk[:utf8], authors)
-        if columns is not None:
-            hashes, block_authors, (ok, months, texts) = columns
-            n = len(hashes)
-            if not ok.all():
-                n = int(np.argmin(ok))
-                error = LogParseError(first + n, REASON_TIMESTAMP)
-            block = RecordBlock(hashes[:n], block_authors[:n], texts[:n], months[:n], hex_hashes=True)
-        else:
+        block = _written_block(chunk[:utf8], heads)
+        if block is None:
             records = []
             for offset, raw in enumerate(chunk[:utf8]):
                 line = raw.strip()

@@ -82,7 +82,7 @@ def atomic_writer(path: Path | str):
     and concurrent runs never see partial files.  The file gets the mode
     ``open()`` would give it: 0666 less the umask."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # exclusive: never another's file
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -91,6 +91,14 @@ def atomic_writer(path: Path | str):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_temp_files(directory: Path, pids: list[int]) -> None:
+    """Remove the temp files a killed ``atomic_writer`` in processes ``pids`` left in ``directory``."""
+    writers = {str(pid) for pid in pids}
+    for tmp in directory.glob(".*.tmp"):
+        if tmp.name.rsplit(".", 3)[1] in writers:  # .<name>.<pid>.<hex>.tmp
+            tmp.unlink(missing_ok=True)
 
 
 def write_text_atomic(path: Path | str, text: str) -> None:

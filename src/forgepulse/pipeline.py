@@ -24,7 +24,7 @@ from . import growth, metrics
 from .errors import ConfigError, ForgepulseError, MetricError
 from .identity import IdentityConfig, load_identity_config
 from .ingest import IngestReport, RecordBlock, acquire_repo_log, parse_log_stream, ref_state
-from .jsonio import atomic_writer, csv_text, write_json_atomic, write_text_atomic
+from .jsonio import atomic_writer, csv_text, remove_temp_files, write_json_atomic, write_text_atomic
 from .series import (
     EligibilityThresholds,
     MonthlySeries,
@@ -450,7 +450,11 @@ def _run_in_workers(config: RunConfig) -> list[ProjectResult]:
                     results.append(future.result())
                 except BrokenProcessPool:
                     results.append(None)
-        return results, [process.exitcode for process in processes]  # the pool's shutdown joined them
+        # Its shutdown joined the workers: drop what a killed one left half-written.
+        for source, result in zip(sources, results):
+            if result is None:
+                remove_temp_files(config.out_dir / source.name, [process.pid for process in processes])
+        return results, [process.exitcode for process in processes]
 
     results, _ = run(config.projects, min(config.workers, len(config.projects)))
     for i, source in enumerate(config.projects):

@@ -289,10 +289,9 @@ written_records = st.builds(
 
 @given(records=st.lists(written_records, min_size=1, max_size=25), size=block_sizes)
 @settings(max_examples=300)
-def test_written_records_are_read_back_a_block_at_a_time(records, size):
+def test_written_records_round_trip(records, size):
     text = RecordBlock.from_records(records).jsonl()
-    with mock.patch.object(ingest_module, "BLOCK_LINES", size), \
-            mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
+    with mock.patch.object(ingest_module, "BLOCK_LINES", size):
         blocks, error = _drain(read_records_jsonl(io.StringIO(text)))
     assert error is None
     expected, _ = _drain(read_records_jsonl_oracle(io.StringIO(text)))
@@ -300,9 +299,28 @@ def test_written_records_are_read_back_a_block_at_a_time(records, size):
     assert "".join(block.jsonl() for block in blocks) == text
 
 
+# What ``ingest`` writes: no merges, and UTC stamps in whole seconds, as
+# git's %aI gives them.
+ingested_records = st.builds(
+    CommitRecord, hex_hashes, any_text, any_text,
+    st.datetimes(timezones=st.just(timezone.utc)).map(lambda stamp: stamp.replace(microsecond=0)), st.just(False),
+)
+
+
+@given(records=st.lists(ingested_records, min_size=1, max_size=25), size=block_sizes)
+@settings(max_examples=300)
+def test_written_records_are_read_back_a_block_at_a_time(records, size):
+    text = RecordBlock.from_records(records).jsonl()
+    with mock.patch.object(ingest_module, "BLOCK_LINES", size), \
+            mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
+        blocks, error = _drain(read_records_jsonl(io.StringIO(text)))
+    assert error is None
+    assert _dicts(r for block in blocks for r in block) == _dicts(records)
+
+
 def _written_lines():
     records = [CommitRecord(sha_for(i), f"dev{i}@intel.com", f"Dev {i}", datetime(2015, 3, i + 1, tzinfo=timezone.utc),
-                            i == 1) for i in range(6)]
+                            False) for i in range(6)]
     return io.StringIO(RecordBlock.from_records(records).jsonl()).readlines()
 
 
@@ -314,18 +332,20 @@ def _written_lines():
         (5, lambda line: line[:-1], True, None),
         (3, lambda line: line.replace('"is_merge": false', '"is_merge": 0'), True, None),
         (3, lambda line: line.replace("Dev", "D\\xev"), True, (4, "bad JSON: Invalid \\escape")),
-        (3, lambda line: line.replace("2015-03-04", "2015-02-30"), False, (4, "bad timestamp")),
+        (3, lambda line: line.replace("2015-03-04", "2015-02-30"), True, (4, "bad timestamp")),
         (3, lambda line: line.replace(sha_for(3), sha_for(3)[1:]), True, None),
         (3, lambda line: line.replace(sha_for(3), "g" + sha_for(3)[1:]), True, None),
         (3, lambda line: line.replace(sha_for(3), sha_for(3).upper()), False, None),
         (3, lambda line: line.replace("00:00:00+00:00", "00:00:00Z"), True, None),
-        (3, lambda line: line.replace("00:00:00+00:00", "00:00:00.500000+00:00"), False, None),
+        (3, lambda line: line.replace("00:00:00+00:00", "00:00:00.500000+00:00"), True, None),
         (3, lambda line: line.replace("+00:00", '+00"00'), True, (4, "bad JSON: Expecting ',' delimiter")),
         (3, lambda line: line.replace("+00:00", "+00\\00"), True, (4, "bad JSON: Invalid \\escape")),
+        (3, lambda line: line.replace('"is_merge": false', '"is_merge": true'), True, None),
+        (3, lambda line: line.replace("Dev", "D\\/ev"), True, None),
     ],
     ids=["text-before-brace", "crlf", "no-final-newline", "merge-flag-0", "bad-escape", "bad-stamp",
          "hash-39-digits", "hash-not-hex", "hash-upper-case", "stamp-z", "stamp-microseconds",
-         "stamp-quote", "stamp-backslash"],
+         "stamp-quote", "stamp-backslash", "merge-flag-true", "escaped-slash"],
 )
 def test_a_line_off_the_written_layout_reads_as_the_oracle_reads_it(line, change, per_line, error):
     lines = _written_lines()

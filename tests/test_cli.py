@@ -206,6 +206,12 @@ def test_a_dead_worker_fails_only_its_project(tmp_path, monkeypatch, capsys):
         return run_project(source, config)
 
     monkeypatch.setattr(pipeline, "run_project", die_in_b)
+    # Temp files that no worker of this run wrote: another name, and the
+    # name of a writer whose pid is outside the pool.
+    (tmp_path / "out2" / "a").mkdir(parents=True)
+    foreign = [tmp_path / "out2" / "a" / name for name in (".notes.tmp", f".series.json.{os.getpid()}.0123abcd.tmp")]
+    for path in foreign:
+        path.write_text("kept")
     code, _, err = run_cli(capsys, "run", "--config", config(2))
     assert code == 1
     died = "worker process died (exit code 9)"
@@ -218,6 +224,9 @@ def test_a_dead_worker_fails_only_its_project(tmp_path, monkeypatch, capsys):
     assert (out / "summary.txt").exists()
     for artifact in (tmp_path / "out1" / "a").iterdir():
         assert (out / "a" / artifact.name).read_bytes() == artifact.read_bytes(), artifact.name
+    # Neither b's worker nor the worker its death killed left a temp file.
+    assert sorted((out / "a").glob("*.tmp")) + sorted((out / "b").glob("*.tmp")) == sorted(foreign)
+    assert all(path.read_text() == "kept" for path in foreign)
 
 
 def test_summary_command_rebuilds_the_run_tables_byte_for_byte(tmp_path, capsys):
@@ -373,7 +382,7 @@ def test_cache_env_sees_new_commits(tmp_path, capsys, repo_builder, monkeypatch)
 
 def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
     offsets = ["+00:00", "+05:30", "-08:00"]
-    lines = [make_line(i, stamp=f"2015-{1 + i % 12:02d}-10T00:00:00{offsets[i % 3]}",
+    lines = [make_line(i, stamp=f"2015-{1 + i % 12:02d}-10T00:00:00{'Z' if i % 4 == 2 else offsets[i % 3]}",
                        email=f"dev{i % 5}@org{i % 3}.com", parents=2 if i % 4 == 0 else 1)
              for i in range(60)]
     lines[7] = "corrupted"
@@ -381,7 +390,8 @@ def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
     log.write_text("\n".join(lines) + "\n")
     out = tmp_path / "cli"
     out.mkdir()
-    # What ingest writes, series reads a block at a time, never a line at a time.
+    # What ingest writes from offset and Z stamps, merges dropped, series
+    # reads a block at a time, never a line at a time.
     with mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
         for argv in (["ingest", "--log", str(log), "--out", str(out / "records.jsonl")],
                      ["series", "--in", str(out / "records.jsonl"), "--out", str(out / "series.json")],
