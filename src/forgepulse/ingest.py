@@ -12,6 +12,12 @@ bucketing downstream is timezone-independent.
 Logs and records JSONL are read ``BLOCK_LINES`` lines at a time into
 ``RecordBlock`` columns: the checks and the UTC conversion run once per
 block, over arrays, and a block's records.jsonl text is built in one join.
+Each line git writes starts with a fixed head: 40 hex digits, a tab, a
+25-character offset stamp or a 20-character Z stamp, and a tab.  A log
+block's first 67 characters per line are checked as one uint8 matrix, and
+a line with that head takes its hash, stamp and tail from fixed columns.
+Any other line, such as a short or blank one, another hash width, or
+another stamp form, is split at its tabs.
 """
 
 from __future__ import annotations
@@ -246,10 +252,12 @@ def _utc_block(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """``_utc_block`` of stamps given as their code points, one row each,
-    NUL-padded and cut to ``_STAMP_WIDTH`` columns, and their widths.  A
-    stamp wider than the array is left over.  ``chars`` must be a
-    C-contiguous uint32 array; it is rewritten.  ``_utc_block`` calls it
-    for a log's stamps, ``_written_block`` for a records.jsonl block's."""
+    cut to ``_STAMP_WIDTH`` columns, and their widths.  A row's columns past
+    its width are ignored, and a stamp wider than the array is left over.
+    ``chars`` must be a C-contiguous uint32 array; it is rewritten.  Three
+    functions call it: ``_utc_block`` for a list of stamps, ``_parse_block``
+    for the stamp columns of a log block's heads and ``_written_block`` for
+    those of a records.jsonl block's tails."""
     digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
@@ -288,31 +296,6 @@ def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nda
         text[moved, :10] = np.datetime_as_string(date).astype("<U10").view(np.uint32).reshape(-1, 10)
     texts = text.view(f"<U{_STAMP_WIDTH}").ravel().tolist()
     return ok, months, texts
-
-
-def _utc_stamps(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """``_utc_block``, with each stamp it leaves over converted by
-    ``_parse_timestamp``: false entries are the stamps that are not
-    timestamps."""
-    ok, months, texts = _utc_block(stamps)
-    for i in np.flatnonzero(~ok).tolist():
-        stamp = _parse_timestamp(stamps[i])
-        if stamp is not None:
-            ok[i] = True
-            months[i] = stamp.year * 12 + stamp.month - 1
-            texts[i] = stamp.isoformat()
-    return ok, months, texts
-
-
-def _hex40(hashes: list[str]) -> np.ndarray:
-    """Which hashes are 40 hex digits."""
-    n = len(hashes)
-    forty = np.fromiter(map(len, hashes), dtype=np.int64, count=n) == 40
-    if not forty.all():
-        hashes = [sha if len(sha) == 40 else "-" * 40 for sha in hashes]
-    # One byte per character: "?" stands for any character past U+00FF.
-    codes = np.frombuffer("".join(hashes).encode("latin-1", "replace"), dtype=np.uint8).reshape(n, 40)
-    return _is_hex(codes).all(axis=1) & forty
 
 
 def _is_hex(codes: np.ndarray) -> np.ndarray:
@@ -354,13 +337,37 @@ def _tail_author(tail: str) -> Author | str:
 
 
 _NO_FIELDS = ("", "", "")
-_HASHES, _STAMPS, _TAILS = itemgetter(0), itemgetter(1), itemgetter(2)
+_STAMPS, _TAILS = itemgetter(1), itemgetter(2)
+_TAB = ord("\t")
+# The head of a line: hash, tab, stamp, tab; a Z stamp's ends at _ZULU_HEAD.
+_HEAD = 40 + 1 + _STAMP_WIDTH + 1
+_ZULU_HEAD = _HEAD - 5
+
+
+def _split_lines(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+    """Lines off the fixed head, read one at a time: the text after their
+    second tab, and ``_utc_block`` of the text between their first two, with
+    each stamp it leaves over converted by ``_parse_timestamp``.  False
+    entries are the stamps that are not timestamps."""
+    parts = [fields if len(fields) == 3 else _NO_FIELDS for fields in map(str.split, lines, repeat("\t"), repeat(2))]
+    stamps = list(map(_STAMPS, parts))
+    ok, months, texts = _utc_block(stamps)
+    for i in np.flatnonzero(~ok).tolist():
+        stamp = _parse_timestamp(stamps[i])
+        if stamp is not None:
+            ok[i] = True
+            months[i] = stamp.year * 12 + stamp.month - 1
+            texts[i] = stamp.isoformat()
+    return list(map(_TAILS, parts)), ok, months, texts
 
 
 def _parse_block(
     chunk: list[str], first: int, tails: _Memo, report: IngestReport, strict: bool
 ) -> Iterator[RecordBlock]:
     """Parse the lines of ``chunk``, the first of which is line ``first``.
+
+    The lines' heads are checked as one matrix; a line whose head is off
+    git's layout goes to ``_split_lines``.
 
     A line with faults takes the reason of the first of: field count, hash,
     timestamp, then parent count or empty email.  Before a LogParseError
@@ -370,15 +377,33 @@ def _parse_block(
     utf8 = _utf8_prefix(chunk)
     lines = chunk[:utf8]
     n = len(lines)
-    parts = list(map(str.split, lines, repeat("\t", n), repeat(2, n)))
-    if min(map(len, parts), default=3) < 3:
-        parts = [fields if len(fields) == 3 else _NO_FIELDS for fields in parts]
-    hashes = list(map(_HASHES, parts))
-    stamps = list(map(_STAMPS, parts))
-    authors = list(map(tails.__getitem__, map(_TAILS, parts)))
-    del parts  # frees each line's field list and tail before the array work
-    hex_ok = _hex40(hashes)
-    stamp_ok, months, texts = _utc_stamps(stamps)
+    heads = list(map(getitem, lines, repeat(slice(_HEAD), n)))
+    text = "".join(heads)
+    if len(text) != n * _HEAD:  # a short line: spaces fail the checks below
+        text = "".join(map(str.ljust, heads, repeat(_HEAD, n)))
+    # One byte per character: "?" stands for any character past U+00FF.
+    codes = np.frombuffer(text.encode("latin-1", "replace"), dtype=np.uint8).reshape(n, _HEAD)
+    zulu = (codes[:, _ZULU_HEAD - 2] == ord("Z")) & (codes[:, _ZULU_HEAD - 1] == _TAB)
+    stamp_ok, months, texts = _utc_codes(codes[:, 41:_HEAD - 1].astype(np.uint32), np.where(zulu, 20, _STAMP_WIDTH))
+    on = stamp_ok & (codes[:, 40] == _TAB) & (zulu | (codes[:, _HEAD - 1] == _TAB))
+    hex_digits = _is_hex(codes[:, :40])
+    if not hex_digits.all():  # numpy reduces 40-column rows slowly, so most blocks skip it
+        on &= hex_digits.all(axis=1)
+
+    hashes = list(map(getitem, lines, repeat(slice(40), n)))
+    rest = list(map(getitem, lines, repeat(slice(_HEAD, None), n)))
+    for i in np.flatnonzero(zulu & on).tolist():
+        rest[i] = lines[i][_ZULU_HEAD:]
+    hex_ok = np.ones(n, dtype=bool)
+    off = np.flatnonzero(~on)
+    if off.size:
+        # A hash field is 40 hex digits just when the head starts with them and a tab.
+        hex_ok[off] = hex_digits[off].all(axis=1) & (codes[off, 40] == _TAB)
+        rows = off.tolist()
+        off_tails, stamp_ok[off], months[off], off_texts = _split_lines([lines[i] for i in rows])
+        for i, tail, stamp in zip(rows, off_tails, off_texts):
+            rest[i], texts[i] = tail, stamp
+    authors = list(map(tails.__getitem__, rest))
     faulty = ~(hex_ok & stamp_ok) | np.fromiter(map(isinstance, authors, repeat(str, n)), dtype=bool, count=n)
 
     keep = np.ones(n, dtype=bool)

@@ -219,6 +219,72 @@ def test_a_line_that_is_not_utf8_ends_the_parse_in_either_mode():
         assert error == expected
 
 
+def _parse_with_spy(lines):
+    """What the block parser and the oracle give for ``lines``, and the
+    lines the parser read a line at a time, off the fixed head."""
+    with mock.patch.object(ingest_module, "_split_lines", wraps=ingest_module._split_lines) as split:
+        blocks, report = parse_log_stream(lines, blocks=True)
+        blocks, error = _drain(blocks)
+    expected, expected_report = parse_log_stream_oracle(lines)
+    expected, expected_error = _drain(expected)
+    assert _dicts(r for block in blocks for r in block) == _dicts(expected)
+    assert report.to_dict() == expected_report.to_dict()
+    assert error == expected_error
+    return [line for call in split.call_args_list for line in call.args[0]], report
+
+
+def _git_line(tag=1, stamp="2015-03-10T14:22:05+05:30", email="dev@intel.com", name="Dev", end="\n"):
+    return f"{sha_for(tag)}\t{stamp}\t{email}\t{name}\t1{end}"
+
+
+@pytest.mark.parametrize(
+    "line, per_line, parsed",
+    [
+        (_git_line()[:60] + "\n", True, False),
+        ("\n", True, False),
+        (_git_line(stamp="2015-03-10T14:22:05Z"), False, True),
+        (_git_line(stamp="2015-03-10T14:22:05Z", email="a", name="", end=""), False, True),
+        (_git_line(stamp="2015-03-10T14:22:05z"), True, True),
+        (_git_line(stamp="2015-03-10T14:22:05Z", email="a@bc"), False, True),
+        ("ā" + _git_line()[1:], True, False),
+        (_git_line()[1:], True, False),
+        (_git_line(stamp="2015-03-10T14:22:05.5+05:30"), True, True),
+        (_git_line(end="\r\n"), False, True),
+        (_git_line(stamp="2015-02-30T14:22:05+05:30"), True, False),
+        (_git_line(email=""), False, False),
+    ],
+    ids=["short", "blank", "stamp-z", "stamp-z-shorter-than-head", "stamp-lowercase-z", "stamp-z-email-4",
+         "hash-past-latin-1", "hash-39-digits", "stamp-fraction", "crlf", "stamp-not-a-date", "empty-email"],
+)
+def test_lines_off_the_fixed_head_are_read_one_at_a_time(line, per_line, parsed):
+    lines = [_git_line(0), line, _git_line(2)]
+    off_head, report = _parse_with_spy(lines)
+    assert off_head == ([line] if per_line else [])
+    assert report.records_parsed == 2 + parsed
+
+
+def _git_stamp(stamp, offset):
+    zone = "Z" if offset is None else "{}{:02d}:{:02d}".format("+-"[offset < 0], *divmod(abs(offset), 60))
+    return stamp.isoformat(timespec="seconds") + zone
+
+
+# What git's %H and %aI give: 40 hex digits, and a stamp in whole seconds
+# with a Z or an offset of under a day, whose UTC instant is in years 1..9999.
+git_lines = st.builds(
+    "{}\t{}\t{}\t{}\t{}\n".format,
+    st.one_of(hex_hashes, hex_hashes.map(str.upper)),
+    st.builds(_git_stamp, st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31)),
+              st.one_of(st.none(), st.integers(-1439, 1439))),
+    field_text, field_text, st.sampled_from(["0", "1", "2"]),
+)
+
+
+@given(lines=st.lists(git_lines, min_size=1, max_size=20))
+@settings(max_examples=300)
+def test_lines_in_git_layout_are_read_at_fixed_offsets(lines):
+    assert _parse_with_spy(lines)[0] == []
+
+
 json_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), text, st.just([]), st.just({}))
 
 

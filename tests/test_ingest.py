@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from forgepulse import (
     acquire_repo_log,
     parse_log_stream,
 )
+from forgepulse import ingest as ingest_module
 from forgepulse.ingest import read_records_jsonl, record_from_dict
 from forgepulse.pipeline import ingest
 
 from conftest import make_line, record_line, sha_for
-from oracles import record_to_dict
+from oracles import parse_log_stream_oracle, record_to_dict
 
 
 def parse_all(lines, strict=False):
@@ -229,6 +231,25 @@ def test_acquire_keeps_merges_and_ingest_drops_them(repo_builder):
     records = [record for block in blocks for record in block]
     assert len(records) == 3 and all(not r.is_merge for r in records)
     assert report.records_parsed == 4
+
+
+def test_git_output_is_read_at_fixed_offsets(repo_builder):
+    """Every line git writes has the fixed head (hash, tab, %aI stamp, tab),
+    so none of it is read a line at a time."""
+    repo = repo_builder()
+    repo.commit(date="2015-03-01T12:00:00+00:00")
+    repo.commit(email="lei@example.cn", name="李雷 Łukasz", date="2015-03-02T23:45:00+05:30")
+    repo.commit(email="a@b.co", name="B", date="2015-03-03T20:00:00-08:00")
+    repo.branch_and_merge(date="2015-04-01T00:30:00+05:30")
+    lines = list(acquire_repo_log(repo.root))
+    assert len(lines) == 5
+    with mock.patch.object(ingest_module, "_split_lines", side_effect=AssertionError("read a line at a time")):
+        records, report = parse_all(lines)
+    expected, expected_report = parse_log_stream_oracle(lines)
+    assert [record_to_dict(r) for r in records] == [record_to_dict(r) for r in expected]
+    assert report.to_dict() == expected_report.to_dict()
+    assert sum(r.is_merge for r in records) == 1
+    assert "李雷 Łukasz" in {r.author_name for r in records}
 
 
 def test_acquire_missing_path(tmp_path):
