@@ -71,15 +71,27 @@ class CommitRecord(NamedTuple):
     is_merge: bool
 
 
+# What the fields after a log line's stamp make: a record, a merge or no
+# record.  A block parse reads this one column to choose the lines it keeps.
+RECORD, MERGE, SKIP = 0, 1, 2
+
+
 class Author(NamedTuple):
     """The fields a commit shares with the author's other commits, with
     the records.jsonl text around its stamp and hash."""
 
     email: str
     name: str
-    is_merge: bool
+    kind: int  # RECORD, or MERGE for a merge commit
     head: str  # '{"author_email": ..., "author_name": ..., "authored_at": "'
     end: str  # '", "is_merge": false}' and the newline
+
+
+class _Skip(NamedTuple):
+    """Why a line's fields after the stamp make no record."""
+
+    reason: str
+    kind: int = SKIP
 
 
 def _author(key: tuple[str, str, bool]) -> Author:
@@ -88,7 +100,7 @@ def _author(key: tuple[str, str, bool]) -> Author:
     return Author(
         email,
         name,
-        is_merge,
+        MERGE if is_merge else RECORD,
         f'{{"author_email": {encode_basestring_ascii(email)}, '
         f'"author_name": {encode_basestring_ascii(name)}, "authored_at": "',
         '", "is_merge": true}\n' if is_merge else '", "is_merge": false}\n',
@@ -113,7 +125,7 @@ class _Memo(dict):
 
 _HEADS = attrgetter("head")
 _ENDS = attrgetter("end")
-_MERGES = attrgetter("is_merge")
+_KINDS = attrgetter("kind")
 _HASH_KEY = '", "hash": "'
 
 
@@ -152,11 +164,7 @@ class RecordBlock:
 
     def __iter__(self) -> Iterator[CommitRecord]:
         for sha, author, stamp in zip(self.hashes, self.authors, self.stamps):
-            yield CommitRecord(sha, author.email, author.name, datetime.fromisoformat(stamp), author.is_merge)
-
-    @property
-    def emails(self) -> list[str]:
-        return [author.email for author in self.authors]
+            yield CommitRecord(sha, author.email, author.name, datetime.fromisoformat(stamp), author.kind == MERGE)
 
     def select(self, keep) -> RecordBlock:
         """The commits whose ``keep`` entry is true."""
@@ -169,10 +177,6 @@ class RecordBlock:
             self.months[keep],
             self.hex_hashes,
         )
-
-    def without_merges(self) -> RecordBlock:
-        merges = list(map(_MERGES, self.authors))
-        return self.select([not merge for merge in merges]) if any(merges) else self
 
     def jsonl(self) -> str:
         """The block as records.jsonl lines: for each record, its fields
@@ -233,31 +237,18 @@ _TWO_DIGITS = np.array([[48 + v // 10, 48 + v % 10] for v in range(100)], dtype=
 _MONTH_ZERO = np.datetime64("0000-01", "M")  # month index 0
 
 
-def _utc_block(stamps: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Convert the stamps of canonical shape to UTC together.
+def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Convert the stamps of canonical shape to UTC together, given as their
+    code points, one row each, cut to ``_STAMP_WIDTH`` columns, and their
+    widths.  A row's columns past its width are ignored, and a stamp wider
+    than the array is left over.  ``chars`` must be a C-contiguous uint32
+    array; it is rewritten.
 
     Returns which stamps were converted, their UTC month index and their
     UTC ISO text, the form ``_parse_timestamp(...).isoformat()`` gives.  A
     stamp is converted only when every field is ASCII digits and in range
     (the day within its month, the offset under 24 hours) and its UTC
-    instant falls in years 1..9999; the entries of the others are filler.
-    """
-    n = len(stamps)
-    width = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
-    if (width > _STAMP_WIDTH).any():  # the fixed-width array would cut them short
-        stamps = [stamp if len(stamp) <= _STAMP_WIDTH else "" for stamp in stamps]
-    chars = np.array(stamps, dtype=f"<U{_STAMP_WIDTH}").view(np.uint32).reshape(n, _STAMP_WIDTH)
-    return _utc_codes(chars, width)
-
-
-def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """``_utc_block`` of stamps given as their code points, one row each,
-    cut to ``_STAMP_WIDTH`` columns, and their widths.  A row's columns past
-    its width are ignored, and a stamp wider than the array is left over.
-    ``chars`` must be a C-contiguous uint32 array; it is rewritten.  Three
-    functions call it: ``_utc_block`` for a list of stamps, ``_parse_block``
-    for the stamp columns of a log block's heads and ``_written_block`` for
-    those of a records.jsonl block's tails."""
+    instant falls in years 1..9999; the entries of the others are filler."""
     digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
@@ -318,21 +309,21 @@ def _utf8_prefix(lines: list[str]) -> int:
     return len(lines)
 
 
-def _tail_author(tail: str) -> Author | str:
+def _tail_author(tail: str) -> Author | _Skip:
     """The Author of a line's fields after the stamp, or why they make no
     record."""
     fields = tail.rstrip("\r\n").split("\t")
     if len(fields) != 3:
-        return REASON_FIELD_COUNT
+        return _Skip(REASON_FIELD_COUNT)
     email, name, parent_text = fields
     try:
         parent_count = int(parent_text)
     except ValueError:
-        return REASON_PARENT_COUNT
+        return _Skip(REASON_PARENT_COUNT)
     if parent_count < 0:
-        return REASON_PARENT_COUNT
+        return _Skip(REASON_PARENT_COUNT)
     if not email.strip():
-        return REASON_EMPTY_EMAIL
+        return _Skip(REASON_EMPTY_EMAIL)
     return _author((email, name, parent_count >= 2))
 
 
@@ -344,30 +335,23 @@ _HEAD = 40 + 1 + _STAMP_WIDTH + 1
 _ZULU_HEAD = _HEAD - 5
 
 
-def _split_lines(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+def _split_lines(lines: list[str]) -> tuple[list[str], list[datetime | None]]:
     """Lines off the fixed head, read one at a time: the text after their
-    second tab, and ``_utc_block`` of the text between their first two, with
-    each stamp it leaves over converted by ``_parse_timestamp``.  False
-    entries are the stamps that are not timestamps."""
+    second tab, and ``_parse_timestamp`` of the text between their first two."""
     parts = [fields if len(fields) == 3 else _NO_FIELDS for fields in map(str.split, lines, repeat("\t"), repeat(2))]
-    stamps = list(map(_STAMPS, parts))
-    ok, months, texts = _utc_block(stamps)
-    for i in np.flatnonzero(~ok).tolist():
-        stamp = _parse_timestamp(stamps[i])
-        if stamp is not None:
-            ok[i] = True
-            months[i] = stamp.year * 12 + stamp.month - 1
-            texts[i] = stamp.isoformat()
-    return list(map(_TAILS, parts)), ok, months, texts
+    return list(map(_TAILS, parts)), list(map(_parse_timestamp, map(_STAMPS, parts)))
 
 
 def _parse_block(
-    chunk: list[str], first: int, tails: _Memo, report: IngestReport, strict: bool
+    chunk: list[str], first: int, tails: _Memo, report: IngestReport, strict: bool, merges: bool
 ) -> Iterator[RecordBlock]:
-    """Parse the lines of ``chunk``, the first of which is line ``first``.
+    """Parse the lines of ``chunk``, the first of which is line ``first``,
+    keeping merges only when ``merges`` is set.
 
     The lines' heads are checked as one matrix; a line whose head is off
-    git's layout goes to ``_split_lines``.
+    git's layout goes to ``_split_lines``.  Each distinct tail is read once,
+    through ``tails``; the ``kind`` column of what it gives chooses the
+    lines the block keeps, in one ``select``.
 
     A line with faults takes the reason of the first of: field count, hash,
     timestamp, then parent count or empty email.  Before a LogParseError
@@ -400,39 +384,40 @@ def _parse_block(
         # A hash field is 40 hex digits just when the head starts with them and a tab.
         hex_ok[off] = hex_digits[off].all(axis=1) & (codes[off, 40] == _TAB)
         rows = off.tolist()
-        off_tails, stamp_ok[off], months[off], off_texts = _split_lines([lines[i] for i in rows])
-        for i, tail, stamp in zip(rows, off_tails, off_texts):
-            rest[i], texts[i] = tail, stamp
+        for i, tail, stamp in zip(rows, *_split_lines([lines[i] for i in rows])):
+            rest[i], stamp_ok[i] = tail, stamp is not None
+            if stamp is not None:
+                months[i], texts[i] = stamp.year * 12 + stamp.month - 1, stamp.isoformat()
     authors = list(map(tails.__getitem__, rest))
-    faulty = ~(hex_ok & stamp_ok) | np.fromiter(map(isinstance, authors, repeat(str, n)), dtype=bool, count=n)
+    kinds = np.fromiter(map(_KINDS, authors), dtype=np.uint8, count=n)
+    kinds[~(hex_ok & stamp_ok)] = SKIP
 
-    keep = np.ones(n, dtype=bool)
     error = None
-    for i in np.flatnonzero(faulty).tolist():
+    for i in np.flatnonzero(kinds == SKIP).tolist():
         author = authors[i]
-        if author == REASON_FIELD_COUNT:
+        if author == _Skip(REASON_FIELD_COUNT):
             reason = REASON_FIELD_COUNT if lines[i].rstrip("\r\n") else None  # else blank: not a record
         elif not hex_ok[i]:
             reason = REASON_HASH
         elif not stamp_ok[i]:
             reason = REASON_TIMESTAMP
         else:
-            reason = author
-        keep[i] = False
+            reason = author.reason
         if reason is None:
             continue
         if strict:
             error = LogParseError(first + i, reason)
-            keep[i:] = False
+            kinds[i:] = SKIP
             break
         report.tally_skip(reason)
     if error is None and utf8 < len(chunk):
         error = LogParseError(first + utf8, REASON_NOT_UTF8)
 
+    report.records_parsed += n - int(np.count_nonzero(kinds == SKIP))
+    keep = kinds != SKIP if merges else kinds == RECORD
     block = RecordBlock(hashes, authors, texts, months, hex_hashes=True)
     if not keep.all():
         block = block.select(keep)
-    report.records_parsed += len(block)
     if block:
         yield block
     if error is not None:
@@ -445,6 +430,7 @@ def parse_log_stream(
     source: str = "<stream>",
     *,
     blocks: bool = False,
+    _merges: bool = True,
 ) -> tuple[Iterator[CommitRecord] | Iterator[RecordBlock], IngestReport]:
     """Parse canonical-format lines into records, single pass, input order.
 
@@ -460,6 +446,9 @@ def parse_log_stream(
     with an empty author email are treated as malformed: they are counted
     under "empty email" and excluded from downstream analysis.  A line that
     is not UTF-8 raises LogParseError in either mode.
+
+    Merges are records.  ``_merges=False``, for ``pipeline.ingest`` alone,
+    drops them in the ``select`` that drops skipped lines.
     """
     report = IngestReport(source=source)
 
@@ -468,7 +457,7 @@ def parse_log_stream(
         pending = iter(lines)
         first = 1
         while chunk := list(islice(pending, BLOCK_LINES)):
-            yield from _parse_block(chunk, first, tails, report, strict)
+            yield from _parse_block(chunk, first, tails, report, strict, _merges)
             first += len(chunk)
 
     return (_blocks() if blocks else chain.from_iterable(_blocks())), report

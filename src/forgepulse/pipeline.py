@@ -304,18 +304,16 @@ def ingest(
 ) -> tuple[Iterator[RecordBlock], IngestReport]:
     """Merge-free blocks of records of a repository, or else of a canonical
     log file, plus the parse report (complete once the blocks are
-    exhausted).  This is the program's only merge filter.  The log is opened
-    at the first block and closed when the blocks end, fail or are closed."""
+    exhausted).  This is the program's only merge filter: the parse drops
+    merges with the skipped lines, and records_parsed still counts them.
+    The log is opened at the first block and closed when the blocks end, fail or are closed."""
     lines = cached_repo_lines(Path(repo)) if repo is not None else _file_lines(log)
     source = str(repo if repo is not None else log)
-    blocks, report = parse_log_stream(lines, strict=strict, source=source, blocks=True)
+    blocks, report = parse_log_stream(lines, strict=strict, source=source, blocks=True, _merges=False)
 
     def merge_free() -> Iterator[RecordBlock]:
         with closing(lines):
-            for block in blocks:
-                block = block.without_merges()
-                if block:
-                    yield block
+            yield from blocks
 
     return merge_free(), report
 

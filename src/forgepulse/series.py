@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,7 +103,7 @@ def _fallback_unit(raw_email: str) -> tuple[str, OrgUnit]:
 
 class _ContributorIds(dict):
     """Raw author address -> contributor id, resolving each new address
-    once: its contributor key, and for a new key its unit."""
+    once: its contributor key, and for a new key its unit, once per domain."""
 
     def __init__(self, config: IdentityConfig):
         super().__init__()
@@ -110,6 +111,7 @@ class _ContributorIds(dict):
         self.key_ids: dict[str, int] = {}  # contributor key -> contributor id
         self.unit_ids: dict[str, int] = {}  # unit key -> unit id
         self.contributor_unit: list[int] = []  # contributor id -> unit id
+        self.domain_units: dict[str, OrgUnit] = {}  # domain -> unit of its first address
 
     def __missing__(self, raw: str) -> int:
         try:
@@ -119,8 +121,15 @@ class _ContributorIds(dict):
         contributor = self.key_ids.get(key)
         if contributor is None:
             contributor = self.key_ids[key] = len(self.key_ids)
-            unit_key = (resolve_org(key, self.config) if unit is None else unit).key
-            self.contributor_unit.append(self.unit_ids.setdefault(unit_key, len(self.unit_ids)))
+            if unit is None:
+                domain = key.rpartition("@")[2]
+                unit = self.domain_units.get(domain)
+                if unit is None:
+                    unit = self.domain_units[domain] = resolve_org(key, self.config)
+            # A provider address is its own one-person unit unless providers
+            # are grouped; every other unit depends on the domain alone.
+            one_person = unit.domain_class is DomainClass.PROVIDER and not self.config.group_providers
+            self.contributor_unit.append(self.unit_ids.setdefault(key if one_person else unit.key, len(self.unit_ids)))
         self[raw] = contributor
         return contributor
 
@@ -138,18 +147,20 @@ def build_monthly_series(
     commit counts equals the record count).  Order-insensitive, except that
     contributors and each month's units are listed in order of first commit.
 
-    Each distinct raw address is resolved once; per record only its month
-    index and contributor id are kept, and the counts come from those two
-    columns: ``np.bincount`` for commits, a sort of the (month, contributor)
-    keys for active contributors, and ``np.unique`` over (month, unit) keys,
-    where the first-commit order is needed, for each month's units.
+    Each distinct raw address is normalized once, and its unit resolved
+    once per domain (a provider address is its own one-person unit).  Per
+    record only its month index and contributor id are kept, and the counts
+    come from those two columns: ``np.bincount`` for commits, a sort of the
+    (month, contributor) keys for active contributors, and ``np.unique``
+    over (month, unit) keys, where the first-commit order is needed, for
+    each month's units.
     """
     ids = _ContributorIds(config)
     month_blocks: list[np.ndarray] = []
     contributors = array("q")
     for block in blocks:
         month_blocks.append(block.months)
-        contributors.extend(map(ids.__getitem__, block.emails))
+        contributors.extend(map(ids.__getitem__, map(attrgetter("email"), block.authors)))
 
     if not contributors:
         raise SeriesError("no records to aggregate (empty series)")

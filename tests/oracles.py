@@ -17,7 +17,9 @@ observed count at or above the median, and lower it one observed value at a
 time until the tail holds ``MIN_TAIL_POINTS`` points.
 
 The other helpers are independent references for checks: ``record_to_dict``
-(the fields a records.jsonl line holds), ``spearman_distinct_ranks`` (the
+(the fields a records.jsonl line holds), ``utc_block`` (the block UTC
+conversion of a list of stamps, which the tests compare with
+``_parse_timestamp``), ``spearman_distinct_ranks`` (the
 tie-free closed form of Spearman's rho), and ``ode_rhs`` and
 ``initial_value`` (the rate equation and the t = 0 value of each growth
 family).
@@ -38,8 +40,10 @@ from forgepulse.ingest import (
     REASON_HASH,
     REASON_PARENT_COUNT,
     REASON_TIMESTAMP,
+    _STAMP_WIDTH,
     IngestReport,
     _parse_timestamp,
+    _utc_codes,
     record_from_dict,
 )
 from forgepulse.metrics import MIN_TAIL_POINTS
@@ -87,6 +91,17 @@ def parse_log_stream_oracle(lines, strict=False, source="<stream>"):
             yield record
 
     return _records(), report
+
+
+def utc_block(stamps):
+    """``_utc_codes`` of a list of stamps: which were converted together,
+    their UTC month index and their UTC ISO text."""
+    n = len(stamps)
+    width = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
+    if (width > _STAMP_WIDTH).any():  # the fixed-width array would cut them short
+        stamps = [stamp if len(stamp) <= _STAMP_WIDTH else "" for stamp in stamps]
+    chars = np.array(stamps, dtype=f"<U{_STAMP_WIDTH}").view(np.uint32).reshape(n, _STAMP_WIDTH)
+    return _utc_codes(chars, width)
 
 
 def read_records_jsonl_oracle(lines):

@@ -21,14 +21,21 @@ from forgepulse import CommitRecord, LogParseError, RecordBlock, build_monthly_s
 from forgepulse import ingest as ingest_module
 from forgepulse.ingest import (
     _parse_timestamp,
-    _utc_block,
     parse_log_stream,
     read_records_jsonl,
 )
+from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
+from forgepulse.pipeline import ingest as pipeline_ingest
 from forgepulse.series import series_to_dict
 
 from conftest import series_of, sha_for
-from oracles import build_monthly_series_oracle, parse_log_stream_oracle, read_records_jsonl_oracle, record_to_dict
+from oracles import (
+    build_monthly_series_oracle,
+    parse_log_stream_oracle,
+    read_records_jsonl_oracle,
+    record_to_dict,
+    utc_block,
+)
 
 block_sizes = st.sampled_from([1, 2, 3, 5, ingest_module.BLOCK_LINES])
 # Lone surrogates stand for bytes that are not UTF-8, which end a read
@@ -75,7 +82,7 @@ STRICT_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2
 @given(st.lists(stamps, min_size=1, max_size=40))
 @settings(max_examples=400)
 def test_block_conversion_matches_the_scalar_one(batch):
-    ok, months, texts = _utc_block(batch)
+    ok, months, texts = utc_block(batch)
     for stamp, converted, month, text in zip(batch, ok.tolist(), months.tolist(), texts):
         expected = _parse_timestamp(stamp)
         if converted:
@@ -102,7 +109,7 @@ def test_block_conversion_matches_the_scalar_one(batch):
     ],
 )
 def test_block_conversion_edges(stamp, utc):
-    ok, months, texts = _utc_block([stamp])
+    ok, months, texts = utc_block([stamp])
     assert ok.tolist() == [True]
     assert texts == [utc]
     assert months.tolist() == [int(utc[:4]) * 12 + int(utc[5:7]) - 1]
@@ -115,7 +122,7 @@ def test_block_conversion_edges(stamp, utc):
      "2015-04-31T00:00:00Z", "2015-03-10T24:00:00Z", "2015-03-10T14:60:00Z", "2015-03-10T14:22:60Z"],
 )
 def test_stamps_outside_the_calendar_are_bad_timestamps(stamp):
-    assert _utc_block([stamp])[0].tolist() == [False]
+    assert utc_block([stamp])[0].tolist() == [False]
     assert _parse_timestamp(stamp) is None
 
 
@@ -209,6 +216,20 @@ def test_overflowing_stamps_are_bad_timestamps():
     assert (info.value.line_no, info.value.reason) == (1, "bad timestamp")
 
 
+@given(lines=st.lists(log_lines(), max_size=25), strict=st.booleans(), size=block_sizes)
+@settings(max_examples=200)
+def test_merge_free_blocks_match_the_line_parser_without_merges(lines, strict, size):
+    with mock.patch.object(ingest_module, "BLOCK_LINES", size):
+        blocks, report = parse_log_stream(lines, strict=strict, blocks=True, _merges=False)
+        blocks, error = _drain(blocks)
+    oracle_records, oracle_report = parse_log_stream_oracle(lines, strict=strict)
+    expected, expected_error = _drain(oracle_records)
+    assert _dicts(r for block in blocks for r in block) == _dicts(r for r in expected if not r.is_merge)
+    assert error == expected_error
+    assert report.to_dict() == oracle_report.to_dict()  # records_parsed counts the merges
+    assert all(len(block) > 0 for block in blocks)
+
+
 def test_a_line_that_is_not_utf8_ends_the_parse_in_either_mode():
     good = f"{sha_for(1)}\t2015-03-10T14:22:05+00:00\ta@x.com\tA\t1\n"
     lines = [good, "bad\n", good.replace("A", "\udcff"), good]
@@ -261,6 +282,65 @@ def test_lines_off_the_fixed_head_are_read_one_at_a_time(line, per_line, parsed)
     off_head, report = _parse_with_spy(lines)
     assert off_head == ([line] if per_line else [])
     assert report.records_parsed == 2 + parsed
+
+
+def _merge_line(tag, parents=2):
+    return _git_line(tag, email=f"Merger{tag}@Intel.com")[:-2] + f"{parents}\n"
+
+
+# One block of records, merges, blank and malformed lines; the first
+# malformed line, line 6, comes right after a merge.
+MIXED_BLOCK = [
+    _git_line(1),
+    _merge_line(2),
+    "\n",
+    _git_line(4, stamp="2015-03-10T14:22:05Z", email=" Dev@Gmail.com "),
+    _merge_line(5, parents=3),
+    _git_line(6)[:60] + "\n",
+    "\r\n",
+    _git_line(8)[:-2] + "-1\n",
+    _git_line(9, email=""),
+    _git_line(10, stamp="2015-02-30T14:22:05+05:30"),
+    _git_line(11)[1:],
+    _merge_line(12),
+    _git_line(13, stamp="2015-04-01T01:00:00+02:00", email="dev@gmail.com"),
+]
+
+
+@pytest.mark.parametrize("size", [ingest_module.BLOCK_LINES, 3])
+def test_a_mixed_block_on_the_pipeline_path_matches_the_oracle(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(ingest_module, "BLOCK_LINES", size)
+    selects = []
+    select = RecordBlock.select
+    monkeypatch.setattr(RecordBlock, "select", lambda block, keep: selects.append(len(block)) or select(block, keep))
+    log = tmp_path / "mixed.log"
+    log.write_text("".join(MIXED_BLOCK), encoding="utf-8")
+    outcome = run_pipeline(RunConfig(projects=(ProjectSource("mixed", log=log),), out_dir=tmp_path / "out"))
+    assert [result.error for result in outcome.results] == [None]
+    blocks = -(-len(MIXED_BLOCK) // size)
+    assert 0 < len(selects) <= blocks  # one select a block drops both the merges and the skipped lines
+
+    oracle_records, oracle_report = parse_log_stream_oracle(MIXED_BLOCK, source=str(log))
+    expected = [r for r in _drain(oracle_records)[0] if not r.is_merge]
+    assert [r.hash for r in expected] == [sha_for(1), sha_for(4), sha_for(13)]
+    project = tmp_path / "out" / "mixed"
+    assert json.loads((project / "ingest_report.json").read_text(encoding="utf-8")) == oracle_report.to_dict()
+    assert oracle_report.records_parsed == 6 and oracle_report.records_skipped == 5
+    assert (project / "records.jsonl").read_bytes() == "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in _dicts(expected)
+    ).encode("ascii")
+
+    selects.clear()
+    blocks, report = pipeline_ingest(None, log, strict=True)
+    records, error = _drain(r for block in blocks for r in block)
+    oracle_records, oracle_report = parse_log_stream_oracle(MIXED_BLOCK, strict=True, source=str(log))
+    expected, expected_error = _drain(oracle_records)
+    assert _dicts(records) == _dicts(r for r in expected if not r.is_merge)
+    assert [r.hash for r in records] == [sha_for(1), sha_for(4)]  # the records before line 6
+    assert error == expected_error == (6, "bad field count")
+    assert report.to_dict() == oracle_report.to_dict()
+    assert report.records_parsed == 4  # lines 1, 2, 4 and 5: merges count as parsed
+    assert len(selects) <= -(-6 // size)  # the blocks up to line 6
 
 
 def _git_stamp(stamp, offset):

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,9 @@ from forgepulse import (
     registrable_domain,
     resolve_org,
 )
+from forgepulse import series as series_module
+from forgepulse.identity import DEFAULT_PUBLIC_SUFFIXES
+from forgepulse.series import _ContributorIds, _fallback_unit
 
 
 def test_normalize_lowercases_and_trims():
@@ -181,3 +185,50 @@ def test_provider_list_changes_grouping_not_keys(raw, extra_provider):
     assert normalize_email(raw) == key_default
     unit = resolve_org(key_default, bigger)
     assert isinstance(unit, OrgUnit)
+
+
+# Domains of every class: provider subdomains and mixed case, suffixes that
+# are public only when a config adds them, and domains aliases map to.
+unit_domains = st.sampled_from([
+    "intel.com", "mail.intel.com", "Intel.COM", "gmail.com", "mail.gmail.com", "GMail.com", "qq.com",
+    "apache.org", "dev.apache.org", "x.co.uk", "a.x.co.uk", "co.uk", "localhost", "10.0.0.1",
+    "acme.io", "eu.acme.io", "old-intel.com", "example.dev",
+])
+addresses = st.one_of(
+    st.builds("{}{}@{}{}".format, st.sampled_from(["", " ", "\t"]), st.sampled_from(["a", "Dev", "x.y"]),
+              unit_domains, st.sampled_from(["", " ", "\n"])),
+    st.sampled_from(["no-at-sign", "a@b@c", "trailing@", "", "  ", " Two@@Ats "]),  # the Unknown fallback
+)
+identity_configs = st.builds(
+    IdentityConfig,
+    domain_aliases=st.dictionaries(
+        st.sampled_from(["old-intel.com", "example.dev", "eu.acme.io", "mail.intel.com"]),
+        st.sampled_from(["intel.com", "gmail.com", "mail.gmail.com", "apache.org", "acme.io"]),
+        max_size=3,
+    ),
+    public_suffixes=st.sampled_from([DEFAULT_PUBLIC_SUFFIXES, DEFAULT_PUBLIC_SUFFIXES | {"acme.io", "gmail.com"}]),
+    group_providers=st.booleans(),
+)
+
+
+@given(raws=st.lists(addresses, max_size=30), config=identity_configs)
+def test_units_resolved_once_per_domain_are_the_resolved_units(raws, config):
+    with mock.patch.object(series_module, "resolve_org", wraps=resolve_org) as resolve:
+        ids = _ContributorIds(config)
+        contributors = [ids[raw] for raw in raws]
+    keys, units, domains = [], [], set()
+    for raw in raws:
+        try:
+            key = normalize_email(raw)
+            unit = resolve_org(key, config)
+            domains.add(key.rpartition("@")[2])
+        except IdentityError:
+            key, unit = _fallback_unit(raw)
+        keys.append(key)
+        units.append(unit.key)
+    # Ids are assigned in order of first sight.
+    assert list(ids.key_ids) == list(dict.fromkeys(keys))
+    assert list(ids.unit_ids) == list(dict.fromkeys(units))
+    assert contributors == [list(ids.key_ids).index(key) for key in keys]
+    assert [ids.contributor_unit[c] for c in contributors] == [list(ids.unit_ids).index(unit) for unit in units]
+    assert resolve.call_count == len(domains)
