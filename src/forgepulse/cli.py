@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ForgepulseError
 from .identity import IdentityConfig, load_identity_config
-from .ingest import read_records_jsonl
+from .ingest import open_text, read_records_jsonl
 from .jsonio import atomic_writer, dumps_stable, write_json_atomic, write_text_atomic
 from .pipeline import (
     MERGE_POLICY,
@@ -32,8 +32,8 @@ from .series import build_monthly_series, load_series, series_to_dict
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    records, report = ingest(args.repo, args.log, args.strict)
     with nullcontext(sys.stdout) if args.out == "-" else atomic_writer(args.out) as sink:
+        records, report = ingest(args.repo, args.log, args.strict)
         written = sum(map(len, tee_records(records, sink)))
     payload = report.to_dict()
     payload["records_written"] = written
@@ -50,10 +50,8 @@ def _identity_from_args(args: argparse.Namespace) -> IdentityConfig:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     identity = _identity_from_args(args)
-    # A byte that is not UTF-8 reads as a lone surrogate, which the reader
-    # reports with its line number.
     if args.infile != "-":
-        opened = Path(args.infile).open(encoding="utf-8", errors="surrogateescape")
+        opened = open_text(args.infile)
     else:
         if isinstance(sys.stdin, io.TextIOWrapper):  # not a stand-in that holds text already
             sys.stdin.reconfigure(errors="surrogateescape")

@@ -32,7 +32,7 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -584,6 +584,13 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
         if error is not None:
             raise error
         first += len(chunk)
+
+
+def open_text(path: str | Path) -> TextIO:
+    """A log or records.jsonl file opened for reading.  A byte that is not
+    UTF-8 reads as a lone surrogate, which the parsers report with its line
+    number."""
+    return Path(path).open(encoding="utf-8", errors="surrogateescape")
 
 
 def ref_state(repo_path: str | Path) -> str:

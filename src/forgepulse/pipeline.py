@@ -23,7 +23,7 @@ import numpy as np
 from . import growth, metrics
 from .errors import ConfigError, ForgepulseError, MetricError
 from .identity import IdentityConfig, load_identity_config
-from .ingest import IngestReport, RecordBlock, acquire_repo_log, parse_log_stream, ref_state
+from .ingest import IngestReport, RecordBlock, acquire_repo_log, open_text, parse_log_stream, ref_state
 from .jsonio import atomic_writer, csv_text, remove_temp_files, write_json_atomic, write_text_atomic
 from .series import (
     EligibilityThresholds,
@@ -275,8 +275,7 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
     a repository's new entry deletes its superseded ones."""
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
-        yield from acquire_repo_log(repo)
-        return
+        return acquire_repo_log(repo)
     import hashlib  # only the cache needs it; it costs start-up time
 
     repo_digest = hashlib.sha1(str(Path(repo).resolve()).encode()).hexdigest()
@@ -289,14 +288,7 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
         for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
             if stale != cache_path:
                 stale.unlink(missing_ok=True)
-    yield from _file_lines(cache_path)
-
-
-def _file_lines(path: str | Path) -> Iterator[str]:
-    # A byte that is not UTF-8 reads as a lone surrogate, which the parsers
-    # report with its line number.
-    with Path(path).open(encoding="utf-8", errors="surrogateescape") as handle:
-        yield from handle
+    return open_text(cache_path)
 
 
 def ingest(
@@ -306,8 +298,9 @@ def ingest(
     log file, plus the parse report (complete once the blocks are
     exhausted).  This is the program's only merge filter: the parse drops
     merges with the skipped lines, and records_parsed still counts them.
-    The log is opened at the first block and closed when the blocks end, fail or are closed."""
-    lines = cached_repo_lines(Path(repo)) if repo is not None else _file_lines(log)
+    The log is opened here, and closed when the blocks end or fail, or when
+    they are closed after the first."""
+    lines = cached_repo_lines(Path(repo)) if repo is not None else open_text(log)
     source = str(repo if repo is not None else log)
     blocks, report = parse_log_stream(lines, strict=strict, source=source, blocks=True, _merges=False)
 
@@ -386,8 +379,8 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         project_dir = config.out_dir / source.name
         project_dir.mkdir(parents=True, exist_ok=True)
 
-        records, report = ingest(source.repo, source.log, config.strict)
         with atomic_writer(project_dir / "records.jsonl") as sink:
+            records, report = ingest(source.repo, source.log, config.strict)
             series = build_monthly_series(tee_records(records, sink), config.identity)
         write_json_atomic(project_dir / "ingest_report.json", report.to_dict())
         write_json_atomic(project_dir / "series.json", series_to_dict(series))

@@ -4,6 +4,10 @@ Months are UTC calendar months.  A contributor or organization is "active"
 in a month when it has at least one commit in that month.  Interior months
 without activity are materialized as zero points so the time axis is true;
 leading/trailing inactivity is not padded.
+
+Contributors are listed in order of first commit, and each month's units
+in order of their first commit in the whole input.  No artifact depends on
+these orders: every consumer sorts, adds integers or sums exactly.
 """
 
 from __future__ import annotations
@@ -145,15 +149,16 @@ def build_monthly_series(
     one-person unit keyed by the trimmed, lowercased raw string, so every
     record lands in exactly one month bucket (conservation: sum of monthly
     commit counts equals the record count).  Order-insensitive, except that
-    contributors and each month's units are listed in order of first commit.
+    contributors are listed in order of first commit, and each month's units
+    in unit-id order, which is the order of each unit's first commit in the
+    whole input.  No artifact depends on either order.
 
     Each distinct raw address is normalized once, and its unit resolved
     once per domain (a provider address is its own one-person unit).  Per
     record only its month index and contributor id are kept, and the counts
-    come from those two columns: ``np.bincount`` for commits, a sort of the
-    (month, contributor) keys for active contributors, and ``np.unique``
-    over (month, unit) keys, where the first-commit order is needed, for
-    each month's units.
+    come from those two columns: ``np.bincount`` for commits, and one
+    ``np.unique`` each over the (month, contributor) keys for active
+    contributors and over the (month, unit) keys for each month's units.
     """
     ids = _ContributorIds(config)
     month_blocks: list[np.ndarray] = []
@@ -173,22 +178,17 @@ def build_monthly_series(
     contributor = np.frombuffer(contributors, dtype=np.int64)
     span = int(month.max()) + 1
     commits = np.bincount(month, minlength=span)
-    # Distinct (month, contributor) keys by a sort and an adjacent-difference
-    # mask: on numpy >= 2.3 a plain np.unique hashes, then sorts, several times slower.
-    keys = np.sort(month * len(key_ids) + contributor)
-    distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    # return_counts makes np.unique sort; without it numpy 2.4 hashes first,
+    # 29.7 ms against 3.0 ms on the (month, contributor) keys of 200k commits.
+    distinct = np.unique(month * len(key_ids) + contributor, return_counts=True)[0]
     active = np.bincount(distinct // len(key_ids), minlength=span)
-
-    # (month, unit) pairs, each month's units in order of first commit.
-    pairs, first_seen, counts = np.unique(
-        month * len(unit_ids) + np.asarray(ids.contributor_unit, dtype=np.int64)[contributor],
-        return_index=True, return_counts=True,
+    pairs, counts = np.unique(
+        month * len(unit_ids) + np.asarray(ids.contributor_unit, dtype=np.int64)[contributor], return_counts=True
     )
     pair_month, pair_unit = np.divmod(pairs, len(unit_ids))
-    order = np.lexsort((first_seen, pair_month))
     unit_keys = list(unit_ids)
     month_orgs: list[dict[str, int]] = [{} for _ in range(span)]
-    for m, u, c in zip(pair_month[order].tolist(), pair_unit[order].tolist(), counts[order].tolist()):
+    for m, u, c in zip(pair_month.tolist(), pair_unit.tolist(), counts.tolist()):
         month_orgs[m][unit_keys[u]] = c
 
     points = tuple(

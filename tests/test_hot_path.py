@@ -14,18 +14,22 @@ as in tests/test_fit_golden.py.
 import hashlib
 import io
 import json
+import random
+import tracemalloc
 from contextlib import redirect_stderr
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forgepulse import CommitRecord, IdentityConfig, RecordBlock
 from forgepulse.cli import main
-from forgepulse.pipeline import ProjectSource, RunConfig, run_pipeline
-from forgepulse.series import series_to_dict
+from forgepulse.jsonio import dumps_stable
+from forgepulse.pipeline import ProjectSource, RunConfig, compute_metrics, fit_report, ingest, run_pipeline, summarize
+from forgepulse.series import MonthlySeries, build_monthly_series, check_eligibility, series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for
 from oracles import build_monthly_series_oracle, record_to_dict
@@ -135,9 +139,78 @@ def test_series_matches_the_dict_and_set_oracle(batch, group_providers, aliases)
     built = series_of(batch, config)
     expected = build_monthly_series_oracle(batch, config)
     assert series_to_dict(built) == series_to_dict(expected)
-    # Orders that float sums downstream (diversity, tail) follow.
     assert list(built.contributor_commits.items()) == list(expected.contributor_commits.items())
+    # Each month's units come in order of their first commit in the batch.
+    first_sight: dict[str, int] = {}
+    for record in batch:
+        unit = next(iter(build_monthly_series_oracle([record], config).points[0]["org_commits"]))
+        first_sight.setdefault(unit, len(first_sight))
     assert [list(p["org_commits"].items()) for p in built.points] == [
-        list(p["org_commits"].items()) for p in expected.points
+        sorted(p["org_commits"].items(), key=lambda item: first_sight[item[0]]) for p in expected.points
     ]
 
+
+def artifact_texts(series: MonthlySeries) -> dict[str, str]:
+    """The text of each file ``run_project`` writes from ``series`` with the
+    default run config, plus metrics.json for the last 12 months."""
+    fit, sidecar = fit_report(series, 3, "both", biphase=False)
+    metrics = compute_metrics(series, "all")
+    summary = {**summarize(series, metrics, fit, project="p"), "eligibility": check_eligibility(series)}
+    payloads = {"series.json": series_to_dict(series), "metrics.json": metrics,
+                "metrics-last12.json": compute_metrics(series, 12), "fit.json": fit, "summary.json": summary}
+    return {name: dumps_stable(payload) for name, payload in payloads.items()} | {"fit.csv": sidecar}
+
+
+def shuffled(series: MonthlySeries, rng) -> MonthlySeries:
+    """``series`` with each month's units and the contributors in another order."""
+    def shuffle(counts: dict) -> dict:
+        items = list(counts.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    return MonthlySeries(
+        points=tuple({**point, "org_commits": shuffle(point["org_commits"])} for point in series.points),
+        origin=series.origin,
+        contributor_commits=shuffle(series.contributor_commits),
+    )
+
+
+def test_fixture_artifacts_do_not_depend_on_order():
+    series = build_monthly_series(ingest(None, DATA_DIR / "fixture_500.log")[0])
+    expected = artifact_texts(series)
+    for seed in range(3):
+        assert artifact_texts(shuffled(series, random.Random(seed))) == expected
+
+
+@given(batch=st.lists(records, min_size=1, max_size=200), rng=st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_artifacts_do_not_depend_on_order(batch, rng):
+    series = series_of(batch)
+    assert artifact_texts(shuffled(series, rng)) == artifact_texts(series)
+
+
+def test_series_build_peak_memory_per_record(tmp_path):
+    """The traced peak of ``build_monthly_series`` over a fixed log of 48k
+    records, 1,592 contributors and 210 units: 81.4 bytes per record while
+    each month's units were put in first-commit order (an argsort-based
+    ``np.unique`` and a ``np.lexsort``), 60.5 since.  The bound is their
+    midpoint, so a return to an argsort or an extra per-record copy fails."""
+    rng = np.random.default_rng(5)
+    months = np.sort(rng.integers(0, 240, 48_000)).tolist()
+    authors = np.minimum(rng.pareto(1.2, 48_000) * 40, 4999).astype(int).tolist()
+    domains = [f"corp{k}.com" for k in range(200)] + ["gmail.com", "apache.org"]
+    author_domains = rng.integers(0, len(domains), 5000).tolist()
+    log = tmp_path / "generated.log"
+    log.write_text("".join(
+        f"{i:040x}\t{2000 + m // 12}-{m % 12 + 1:02d}-15T12:00:00+00:00\tdev{a}@{domains[author_domains[a]]}\tDev\t1\n"
+        for i, (m, a) in enumerate(zip(months, authors))
+    ))
+    blocks = list(ingest(None, log)[0])
+    build_monthly_series(blocks)  # the first call also fills caches
+    tracemalloc.start()
+    try:
+        build_monthly_series(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(months) < (81.4 + 60.5) / 2

@@ -17,7 +17,8 @@ from forgepulse import (
     parse_log_stream,
 )
 from forgepulse import ingest as ingest_module
-from forgepulse.ingest import read_records_jsonl, record_from_dict
+from forgepulse import pipeline
+from forgepulse.ingest import open_text, read_records_jsonl, record_from_dict
 from forgepulse.pipeline import ingest
 
 from conftest import make_line, record_line, sha_for
@@ -231,6 +232,38 @@ def test_acquire_keeps_merges_and_ingest_drops_them(repo_builder):
     records = [record for block in blocks for record in block]
     assert len(records) == 3 and all(not r.is_merge for r in records)
     assert report.records_parsed == 4
+
+
+def test_ingest_closes_the_log(tmp_path, monkeypatch):
+    """The log opened by ``ingest`` is closed when its blocks end, when a
+    strict parse fails, and when the blocks are closed partway through."""
+    opened = []
+
+    def recording_open(path):
+        opened.append(open_text(path))
+        return opened[-1]
+
+    monkeypatch.setattr(pipeline, "open_text", recording_open)
+    log = tmp_path / "two-blocks.log"
+    lines = [make_line(tag) for tag in range(ingest_module.BLOCK_LINES + 1)]
+    log.write_text("\n".join(lines + ["not a record"]) + "\n")
+
+    blocks, report = ingest(None, log)
+    assert not opened[-1].closed
+    assert sum(map(len, blocks)) == len(lines) and report.records_skipped == 1
+    assert opened[-1].closed
+
+    blocks, _ = ingest(None, log, strict=True)
+    with pytest.raises(LogParseError):
+        list(blocks)
+    assert opened[-1].closed
+
+    blocks, _ = ingest(None, log)
+    assert len(next(blocks)) == ingest_module.BLOCK_LINES
+    assert not opened[-1].closed
+    blocks.close()
+    assert opened[-1].closed
+    assert len(opened) == 3
 
 
 def test_git_output_is_read_at_fixed_offsets(repo_builder):
