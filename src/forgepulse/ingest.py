@@ -27,10 +27,10 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, getitem, itemgetter
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -51,8 +51,8 @@ GIT_LOG_FORMAT = "%H%x09%aI%x09%ae%x09%an%x09%P"
 # Lines per block: enough that the per-block array work costs little per
 # line, few enough that a block's transient columns stay near 2 MB.
 BLOCK_LINES = 2048
-# Distinct author fields a memo holds (about 500 bytes each) before it
-# starts over, which bounds its size.
+# Distinct author fields an AuthorTable holds (about 500 bytes each) before a
+# stream starts a new one at a block's start, so it holds < _MEMO_SIZE + BLOCK_LINES.
 _MEMO_SIZE = 1 << 14
 
 
@@ -74,76 +74,70 @@ class CommitRecord(NamedTuple):
 # What the fields after a log line's stamp make: a record, a merge or no
 # record.  A block parse reads this one column to choose the lines it keeps.
 RECORD, MERGE, SKIP = 0, 1, 2
+# records.jsonl text after a record's hash, by kind.
+_ENDS = ('", "is_merge": false}\n', '", "is_merge": true}\n', "")
 
 
-class Author(NamedTuple):
-    """The fields a commit shares with the author's other commits, with
-    the records.jsonl text around its stamp and hash."""
-
-    email: str
-    name: str
-    kind: int  # RECORD, or MERGE for a merge commit
-    head: str  # '{"author_email": ..., "author_name": ..., "authored_at": "'
-    end: str  # '", "is_merge": false}' and the newline
+def _head(email: str, name: str) -> str:
+    """The records.jsonl text of an author before the stamp."""
+    return (f'{{"author_email": {encode_basestring_ascii(email)}, '
+            f'"author_name": {encode_basestring_ascii(name)}, "authored_at": "')
 
 
-class _Skip(NamedTuple):
-    """Why a line's fields after the stamp make no record."""
+class AuthorTable(dict):
+    """Distinct author fields -> int id, each made once by ``make(key)``,
+    which gives (kind, email, name): kind RECORD, MERGE for a merge commit,
+    or SKIP when the fields make no record, with the reason as ``email``.
 
-    reason: str
-    kind: int = SKIP
+    Columns indexed by id (their arrays may run past the last id) hold the
+    uint8 ``kinds``, the ``emails`` and ``names``, and the records.jsonl
+    text around a record's stamp and hash: ``heads`` (see ``_head``) and
+    ``ends``.  A stream starts a new table once one holds ``_MEMO_SIZE``
+    keys, so a long log cannot grow it without bound; a block keeps the
+    table its ids index."""
 
-
-def _author(key: tuple[str, str, bool]) -> Author:
-    """The Author of (email, name, is_merge)."""
-    email, name, is_merge = key
-    return Author(
-        email,
-        name,
-        MERGE if is_merge else RECORD,
-        f'{{"author_email": {encode_basestring_ascii(email)}, '
-        f'"author_name": {encode_basestring_ascii(name)}, "authored_at": "',
-        '", "is_merge": true}\n' if is_merge else '", "is_merge": false}\n',
-    )
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``.  It starts over
-    once it holds ``_MEMO_SIZE`` keys, so a long log cannot grow it without
-    bound."""
+    _COLUMNS = {"kinds": np.uint8, "emails": object, "names": object, "heads": object, "ends": object}
 
     def __init__(self, make: Callable):
         super().__init__()
         self.make = make
+        for name, dtype in self._COLUMNS.items():
+            setattr(self, name, np.zeros(64, dtype=dtype))
 
-    def __missing__(self, key):
-        if len(self) >= _MEMO_SIZE:
-            self.clear()
-        value = self[key] = self.make(key)
-        return value
+    def __missing__(self, key) -> int:
+        kind, email, name = self.make(key)
+        i = self[key] = len(self)
+        if i == len(self.kinds):
+            for column in self._COLUMNS:
+                setattr(self, column, np.concatenate([getattr(self, column)] * 2))
+        self.kinds[i], self.emails[i], self.names[i] = kind, email, name
+        if kind != SKIP:
+            self.heads[i], self.ends[i] = _head(email, name), _ENDS[kind]
+        return i
 
 
-_HEADS = attrgetter("head")
-_ENDS = attrgetter("end")
-_KINDS = attrgetter("kind")
 _HASH_KEY = '", "hash": "'
 
 
 class RecordBlock:
-    """Consecutive commits as parallel columns.
+    """Consecutive commits as parallel array columns.
 
-    ``stamps`` holds each commit's UTC time as ISO 8601 text, ``months`` its
-    UTC month index (year * 12 + month - 1).  Iterating a block gives its
-    ``CommitRecord``s.  ``hex_hashes`` says that every hash was checked to be
-    40 hex digits, so it goes into JSON without escaping.
+    ``author_ids`` (int32) index the columns of ``table``, an AuthorTable,
+    which hold each commit's email, name, merge kind and records.jsonl text
+    around its stamp.  ``stamps`` holds each commit's UTC time as ISO 8601
+    text, ``months`` its UTC month index (year * 12 + month - 1).
+    Iterating a block gives its ``CommitRecord``s.  ``hex_hashes`` says that
+    every hash was checked to be 40 hex digits, so it goes into JSON without
+    escaping.
     """
 
-    __slots__ = ("hashes", "authors", "stamps", "months", "hex_hashes")
+    __slots__ = ("hashes", "author_ids", "table", "stamps", "months", "hex_hashes")
 
-    def __init__(self, hashes: list[str], authors: list[Author], stamps: list[str],
+    def __init__(self, hashes: np.ndarray, author_ids: np.ndarray, table: AuthorTable, stamps: np.ndarray,
                  months: np.ndarray, hex_hashes: bool = False):
         self.hashes = hashes
-        self.authors = authors
+        self.author_ids = author_ids
+        self.table = table
         self.stamps = stamps
         self.months = months
         self.hex_hashes = hex_hashes
@@ -151,45 +145,43 @@ class RecordBlock:
     @classmethod
     def from_records(cls, records: Iterable[CommitRecord]) -> RecordBlock:
         records = list(records)
-        authors = _Memo(_author)
+        table = AuthorTable(lambda key: (MERGE if key[2] else RECORD, key[0], key[1]))
         return cls(
-            [r.hash for r in records],
-            [authors[r.author_email, r.author_name, r.is_merge] for r in records],
-            [r.authored_at.isoformat() for r in records],
+            np.array([r.hash for r in records], dtype=object),
+            np.array([table[r.author_email, r.author_name, r.is_merge] for r in records], dtype=np.int32),
+            table,
+            np.array([r.authored_at.isoformat() for r in records], dtype=str),
             np.array([r.authored_at.year * 12 + r.authored_at.month - 1 for r in records], dtype=np.int32),
         )
 
     def __len__(self) -> int:
-        return len(self.hashes)
+        return len(self.author_ids)
 
     def __iter__(self) -> Iterator[CommitRecord]:
-        for sha, author, stamp in zip(self.hashes, self.authors, self.stamps):
-            yield CommitRecord(sha, author.email, author.name, datetime.fromisoformat(stamp), author.kind == MERGE)
+        table, ids = self.table, self.author_ids
+        for sha, email, name, stamp, kind in zip(self.hashes.tolist(), table.emails[ids].tolist(),
+                                                 table.names[ids].tolist(), self.stamps.tolist(),
+                                                 table.kinds[ids].tolist()):
+            yield CommitRecord(sha, email, name, datetime.fromisoformat(stamp), kind == MERGE)
 
     def select(self, keep) -> RecordBlock:
         """The commits whose ``keep`` entry is true."""
         keep = np.asarray(keep, dtype=bool)
-        flags = keep.tolist()
-        return RecordBlock(
-            list(compress(self.hashes, flags)),
-            list(compress(self.authors, flags)),
-            list(compress(self.stamps, flags)),
-            self.months[keep],
-            self.hex_hashes,
-        )
+        return RecordBlock(self.hashes[keep], self.author_ids[keep], self.table, self.stamps[keep],
+                           self.months[keep], self.hex_hashes)
 
     def jsonl(self) -> str:
         """The block as records.jsonl lines: for each record, its fields
         (``authored_at`` as ISO 8601 text) as ``json.dumps(..., sort_keys=True)``
         writes them, and a newline."""
-        hashes = self.hashes
+        hashes = self.hashes.tolist()
         if not self.hex_hashes:
             hashes = [encode_basestring_ascii(sha)[1:-1] for sha in hashes]
         parts = [_HASH_KEY] * (5 * len(hashes))
-        parts[0::5] = map(_HEADS, self.authors)
-        parts[1::5] = self.stamps
+        parts[0::5] = self.table.heads[self.author_ids].tolist()
+        parts[1::5] = self.stamps.tolist()
         parts[3::5] = hashes
-        parts[4::5] = map(_ENDS, self.authors)
+        parts[4::5] = self.table.ends[self.author_ids].tolist()
         return "".join(parts)
 
 
@@ -237,7 +229,7 @@ _TWO_DIGITS = np.array([[48 + v // 10, 48 + v % 10] for v in range(100)], dtype=
 _MONTH_ZERO = np.datetime64("0000-01", "M")  # month index 0
 
 
-def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert the stamps of canonical shape to UTC together, given as their
     code points, one row each, cut to ``_STAMP_WIDTH`` columns, and their
     widths.  A row's columns past its width are ignored, and a stamp wider
@@ -245,10 +237,11 @@ def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nda
     array; it is rewritten.
 
     Returns which stamps were converted, their UTC month index and their
-    UTC ISO text, the form ``_parse_timestamp(...).isoformat()`` gives.  A
-    stamp is converted only when every field is ASCII digits and in range
-    (the day within its month, the offset under 24 hours) and its UTC
-    instant falls in years 1..9999; the entries of the others are filler."""
+    UTC ISO text as a str array viewing ``chars``, the form
+    ``_parse_timestamp(...).isoformat()`` gives.  A stamp is converted only
+    when every field is ASCII digits and in range (the day within its month,
+    the offset under 24 hours) and its UTC instant falls in years 1..9999;
+    the entries of the others are filler."""
     digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
@@ -285,8 +278,7 @@ def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nda
         ok[moved] &= (utc_months >= 12) & (utc_months < 10000 * 12)  # years 1..9999
         months[moved] = utc_months
         text[moved, :10] = np.datetime_as_string(date).astype("<U10").view(np.uint32).reshape(-1, 10)
-    texts = text.view(f"<U{_STAMP_WIDTH}").ravel().tolist()
-    return ok, months, texts
+    return ok, months, text.view(f"<U{_STAMP_WIDTH}").ravel()
 
 
 def _is_hex(codes: np.ndarray) -> np.ndarray:
@@ -309,22 +301,22 @@ def _utf8_prefix(lines: list[str]) -> int:
     return len(lines)
 
 
-def _tail_author(tail: str) -> Author | _Skip:
-    """The Author of a line's fields after the stamp, or why they make no
-    record."""
+def _tail_author(tail: str) -> tuple[int, str, str | None]:
+    """The AuthorTable entry of a line's fields after the stamp: (kind,
+    email, name), or (SKIP, reason, None) when they make no record."""
     fields = tail.rstrip("\r\n").split("\t")
     if len(fields) != 3:
-        return _Skip(REASON_FIELD_COUNT)
+        return SKIP, REASON_FIELD_COUNT, None
     email, name, parent_text = fields
     try:
         parent_count = int(parent_text)
     except ValueError:
-        return _Skip(REASON_PARENT_COUNT)
+        return SKIP, REASON_PARENT_COUNT, None
     if parent_count < 0:
-        return _Skip(REASON_PARENT_COUNT)
+        return SKIP, REASON_PARENT_COUNT, None
     if not email.strip():
-        return _Skip(REASON_EMPTY_EMAIL)
-    return _author((email, name, parent_count >= 2))
+        return SKIP, REASON_EMPTY_EMAIL, None
+    return MERGE if parent_count >= 2 else RECORD, email, name
 
 
 _NO_FIELDS = ("", "", "")
@@ -343,15 +335,16 @@ def _split_lines(lines: list[str]) -> tuple[list[str], list[datetime | None]]:
 
 
 def _parse_block(
-    chunk: list[str], first: int, tails: _Memo, report: IngestReport, strict: bool, merges: bool
+    chunk: list[str], first: int, table: AuthorTable, report: IngestReport, strict: bool, merges: bool
 ) -> Iterator[RecordBlock]:
     """Parse the lines of ``chunk``, the first of which is line ``first``,
     keeping merges only when ``merges`` is set.
 
     The lines' heads are checked as one matrix; a line whose head is off
     git's layout goes to ``_split_lines``.  Each distinct tail is read once,
-    through ``tails``; the ``kind`` column of what it gives chooses the
-    lines the block keeps, in one ``select``.
+    as an id into ``table``; the kinds of the block's ids choose the lines
+    it keeps, in one ``select``, so hash and stamp text is made only for
+    those, when the block is written or iterated.
 
     A line with faults takes the reason of the first of: field count, hash,
     timestamp, then parent count or empty email.  Before a LogParseError
@@ -374,7 +367,7 @@ def _parse_block(
     if not hex_digits.all():  # numpy reduces 40-column rows slowly, so most blocks skip it
         on &= hex_digits.all(axis=1)
 
-    hashes = list(map(getitem, lines, repeat(slice(40), n)))
+    hashes = codes[:, :40].astype(np.uint32).view("<U40").ravel()  # a kept line's hash is in the matrix
     rest = list(map(getitem, lines, repeat(slice(_HEAD, None), n)))
     for i in np.flatnonzero(zulu & on).tolist():
         rest[i] = lines[i][_ZULU_HEAD:]
@@ -384,25 +377,27 @@ def _parse_block(
         # A hash field is 40 hex digits just when the head starts with them and a tab.
         hex_ok[off] = hex_digits[off].all(axis=1) & (codes[off, 40] == _TAB)
         rows = off.tolist()
+        texts = texts.astype("<U32")  # room for a fraction of a second
         for i, tail, stamp in zip(rows, *_split_lines([lines[i] for i in rows])):
             rest[i], stamp_ok[i] = tail, stamp is not None
             if stamp is not None:
                 months[i], texts[i] = stamp.year * 12 + stamp.month - 1, stamp.isoformat()
-    authors = list(map(tails.__getitem__, rest))
-    kinds = np.fromiter(map(_KINDS, authors), dtype=np.uint8, count=n)
+    ids = np.fromiter(map(table.__getitem__, rest), dtype=np.int32, count=n)
+    kinds = table.kinds[ids]
     kinds[~(hex_ok & stamp_ok)] = SKIP
 
     error = None
     for i in np.flatnonzero(kinds == SKIP).tolist():
-        author = authors[i]
-        if author == _Skip(REASON_FIELD_COUNT):
+        author = ids[i]
+        fault = table.emails[author] if table.kinds[author] == SKIP else None
+        if fault == REASON_FIELD_COUNT:
             reason = REASON_FIELD_COUNT if lines[i].rstrip("\r\n") else None  # else blank: not a record
         elif not hex_ok[i]:
             reason = REASON_HASH
         elif not stamp_ok[i]:
             reason = REASON_TIMESTAMP
         else:
-            reason = author.reason
+            reason = fault
         if reason is None:
             continue
         if strict:
@@ -415,7 +410,7 @@ def _parse_block(
 
     report.records_parsed += n - int(np.count_nonzero(kinds == SKIP))
     keep = kinds != SKIP if merges else kinds == RECORD
-    block = RecordBlock(hashes, authors, texts, months, hex_hashes=True)
+    block = RecordBlock(hashes, ids, table, texts, months, hex_hashes=True)
     if not keep.all():
         block = block.select(keep)
     if block:
@@ -449,15 +444,21 @@ def parse_log_stream(
 
     Merges are records.  ``_merges=False``, for ``pipeline.ingest`` alone,
     drops them in the ``select`` that drops skipped lines.
+
+    Each distinct text after a line's stamp is read once per AuthorTable, and
+    a block holds int32 ids into its table; the stream starts a new table
+    once one holds ``_MEMO_SIZE`` keys.
     """
     report = IngestReport(source=source)
 
     def _blocks() -> Iterator[RecordBlock]:
-        tails = _Memo(_tail_author)
+        table = AuthorTable(_tail_author)
         pending = iter(lines)
         first = 1
         while chunk := list(islice(pending, BLOCK_LINES)):
-            yield from _parse_block(chunk, first, tails, report, strict, _merges)
+            if len(table) >= _MEMO_SIZE:
+                table = AuthorTable(_tail_author)
+            yield from _parse_block(chunk, first, table, report, strict, _merges)
             first += len(chunk)
 
     return (_blocks() if blocks else chain.from_iterable(_blocks())), report
@@ -503,28 +504,27 @@ def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
 # second), a 40-hex hash and a false merge flag (merges are dropped):
 #     <head><stamp>", "hash": "<hash>", "is_merge": false}\n
 # The template of the tail has NUL in the columns that vary.
-_TAIL = "\0" * _STAMP_WIDTH + _HASH_KEY + "\0" * 40 + _author(("", "", False)).end
+_TAIL = "\0" * _STAMP_WIDTH + _HASH_KEY + "\0" * 40 + _ENDS[RECORD]
 _TAIL_CODES = np.frombuffer(_TAIL.encode("ascii"), dtype=np.uint8)
 _VARIES = _TAIL_CODES == 0
 _HASH_AT = _STAMP_WIDTH + len(_HASH_KEY) - len(_TAIL)  # the hash's first column, from the line's end
 
 
-def _head_author(head: str) -> Author | None:
-    """The Author whose records.jsonl head ``_author`` writes as ``head``
-    for a commit that is not a merge, or None."""
+def _head_author(head: str) -> tuple[int, str | None, str | None]:
+    """The AuthorTable entry of a records.jsonl head: (RECORD, email, name)
+    when ``_head`` writes it as ``head``, else (SKIP, None, None)."""
     try:
         email, end = scanstring(head, 18)  # after '{"author_email": "'
         name, _ = scanstring(head, end + 18)  # after ', "author_name": "'
     except ValueError:  # JSONDecodeError: not a JSON string
-        return None
-    author = _author((email, name, False))
-    return author if author.head == head else None
+        return SKIP, None, None
+    return (RECORD, email, name) if _head(email, name) == head else (SKIP, None, None)
 
 
-def _written_block(lines: list[str], heads: _Memo) -> RecordBlock | None:
+def _written_block(lines: list[str], heads: AuthorTable) -> RecordBlock | None:
     """The records of ``lines`` when every line has the layout ``ingest``
     writes, else None.  Each line's tail is checked against ``_TAIL`` column
-    by column, all lines at once, and each distinct head once, through
+    by column, all lines at once, and each distinct head once, as an id into
     ``heads``."""
     n = len(lines)
     tails = "".join(map(getitem, lines, repeat(slice(-len(_TAIL), None), n)))
@@ -533,14 +533,15 @@ def _written_block(lines: list[str], heads: _Memo) -> RecordBlock | None:
     codes = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(n, len(_TAIL))
     if not (((codes == _TAIL_CODES) | _VARIES).all() and _is_hex(codes[:, _HASH_AT:_HASH_AT + 40]).all()):
         return None
-    authors = list(map(heads.__getitem__, map(getitem, lines, repeat(slice(None, -len(_TAIL)), n))))
-    if not all(authors):
+    ids = np.fromiter(map(heads.__getitem__, map(getitem, lines, repeat(slice(None, -len(_TAIL)), n))),
+                      dtype=np.int32, count=n)
+    if (heads.kinds[ids] == SKIP).any():
         return None
     ok, months, texts = _utc_codes(codes[:, :_STAMP_WIDTH].astype(np.uint32), np.full(n, _STAMP_WIDTH))
     if not ok.all():
         return None
-    hashes = list(map(getitem, lines, repeat(slice(_HASH_AT, _HASH_AT + 40), n)))
-    return RecordBlock(hashes, authors, texts, months, hex_hashes=True)
+    hashes = codes[:, _HASH_AT:_HASH_AT + 40].astype(np.uint32).view("<U40").ravel()
+    return RecordBlock(hashes, ids, heads, texts, months, hex_hashes=True)
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
@@ -549,7 +550,9 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
 
     A block whose every line has the one layout ``ingest`` writes (see
     ``_TAIL``) is read by checking each line's tail against a template,
-    all lines at once, and decoding each distinct head once.  Any other
+    all lines at once, and decoding each distinct head once, as an id into
+    an AuthorTable (a new one once it holds ``_MEMO_SIZE`` keys); its hash
+    and stamp text is made only when the block is written or iterated.  Any other
     block, say with a merge or a fraction of a second, which ``ingest``
     never writes, is read a line at a time with
     ``record_from_dict(json.loads(line.strip()))``: the same records and
@@ -559,10 +562,12 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
     UTF-8, raises LogParseError with its 1-based line number, after the
     records of the lines before it.
     """
-    heads = _Memo(_head_author)
+    heads = AuthorTable(_head_author)
     pending = iter(lines)
     first = 1
     while chunk := list(islice(pending, BLOCK_LINES)):
+        if len(heads) >= _MEMO_SIZE:
+            heads = AuthorTable(_head_author)
         utf8 = _utf8_prefix(chunk)
         error = LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
         block = _written_block(chunk[:utf8], heads)

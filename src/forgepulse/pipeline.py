@@ -299,16 +299,19 @@ def ingest(
     exhausted).  This is the program's only merge filter: the parse drops
     merges with the skipped lines, and records_parsed still counts them.
     The log is opened here, and closed when the blocks end or fail, or when
-    they are closed after the first."""
+    they are closed or dropped, also before the first."""
     lines = cached_repo_lines(Path(repo)) if repo is not None else open_text(log)
     source = str(repo if repo is not None else log)
-    blocks, report = parse_log_stream(lines, strict=strict, source=source, blocks=True, _merges=False)
+    parsed, report = parse_log_stream(lines, strict=strict, source=source, blocks=True, _merges=False)
 
     def merge_free() -> Iterator[RecordBlock]:
         with closing(lines):
-            yield from blocks
+            yield
+            yield from parsed
 
-    return merge_free(), report
+    blocks = merge_free()
+    next(blocks)  # into the ``with``, so that closing or dropping the blocks closes the log
+    return blocks, report
 
 
 def tee_records(blocks: Iterable[RecordBlock], sink) -> Iterator[RecordBlock]:

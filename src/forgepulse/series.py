@@ -13,9 +13,7 @@ these orders: every consumer sorts, adds integers or sums exactly.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -153,29 +151,42 @@ def build_monthly_series(
     in unit-id order, which is the order of each unit's first commit in the
     whole input.  No artifact depends on either order.
 
-    Each distinct raw address is normalized once, and its unit resolved
-    once per domain (a provider address is its own one-person unit).  Per
+    Each author id of a block's table is resolved once, through its raw
+    address, which is normalized once, and its unit resolved once per
+    domain (a provider address is its own one-person unit); a block's
+    contributor column is then one gather over its ``author_ids``.  Per
     record only its month index and contributor id are kept, and the counts
     come from those two columns: ``np.bincount`` for commits, and one
     ``np.unique`` each over the (month, contributor) keys for active
     contributors and over the (month, unit) keys for each month's units.
     """
     ids = _ContributorIds(config)
-    month_blocks: list[np.ndarray] = []
-    contributors = array("q")
+    month_blocks, contributor_blocks = [], []
+    table = contributor_of = None  # the contributor id of each author id of the table, or -1
     for block in blocks:
+        if block.table is not table:
+            table, contributor_of = block.table, np.empty(0, dtype=np.int32)
+        if len(contributor_of) < len(table):
+            contributor_of = np.concatenate([contributor_of, np.full(len(table), -1, dtype=np.int32)])
+        column = contributor_of[block.author_ids]
+        new = block.author_ids[column < 0]
+        if new.size:  # resolved in order of first commit, which orders the contributors
+            new, first_seen = np.unique(new, return_index=True)
+            for author in new[np.argsort(first_seen)].tolist():
+                contributor_of[author] = ids[table.emails[author]]
+            column = contributor_of[block.author_ids]
         month_blocks.append(block.months)
-        contributors.extend(map(ids.__getitem__, map(attrgetter("email"), block.authors)))
+        contributor_blocks.append(column)
 
-    if not contributors:
+    if not sum(map(len, month_blocks)):
         raise SeriesError("no records to aggregate (empty series)")
 
     key_ids, unit_ids = ids.key_ids, ids.unit_ids
     month = np.concatenate(month_blocks)
-    del month_blocks
+    contributor = np.concatenate(contributor_blocks)
+    del month_blocks, contributor_blocks
     first = int(month.min())
     month = np.subtract(month, first, dtype=np.int64)
-    contributor = np.frombuffer(contributors, dtype=np.int64)
     span = int(month.max()) + 1
     commits = np.bincount(month, minlength=span)
     # return_counts makes np.unique sort; without it numpy 2.4 hashes first,
