@@ -76,6 +76,8 @@ def model_value(t, params: GrowthParams):
 
 # Levenberg-Marquardt settings.  Functions read these when they run.
 MAX_ITERATIONS = 200
+# A search row stops once its y* passes this multiple of its segment's peak.
+RUNAWAY_CEILING = 100.0
 TOLERANCE = 1e-9  # relative SSE improvement
 DAMPING_INIT = 1e-3
 DAMPING_FACTOR = 10.0
@@ -175,8 +177,10 @@ class _Workspace:
 
     _VALUES, _CURVE, _DECAY, _GATHERED, _RESID = range(5)
 
-    def __init__(self, segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, slots: int):
+    def __init__(self, segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, slots: int,
+                 ceilings: np.ndarray | None = None):
         self.segments, self.starts, self.model, self.slots = segments, starts, model, slots
+        self.ceilings = np.full(len(segments), math.inf) if ceilings is None else ceilings
         self.lengths = np.array([len(seg) for seg in segments])
         self.width, self.count = _padded(self.lengths.max()), 0
         self.t = np.arange(self.width, dtype=float)
@@ -296,7 +300,8 @@ class _Workspace:
         np.copyto(sse, cand_sse, where=accepted)
         damping[...] = np.where(accepted, np.maximum(damping / DAMPING_FACTOR, 1e-15), damping * DAMPING_FACTOR)
         trials[...] = np.where(accepted, 0, trials + 1)
-        done = np.where(accepted, small | (iterations == MAX_ITERATIONS), trials == 60)
+        runaway = theta[:, 0] > self.ceilings[self.ids[:count]]
+        done = np.where(accepted, small | (iterations == MAX_ITERATIONS) | runaway, trials == 60)
         moved = accepted & ~done
         iterations += moved
         if moved.any():  # their Jacobian comes from the curve the trial computed
@@ -306,7 +311,7 @@ class _Workspace:
 
 
 def _solve(
-    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel
+    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, ceilings: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
 
@@ -320,10 +325,13 @@ def _solve(
     iteration.  A row finishes, converged, when a step improves its SSE by less than
     the relative ``TOLERANCE`` or when 60 trials in a row fail (no damping level
     lowers the SSE: a local minimum), and unconverged when its ``MAX_ITERATIONS``-th
-    iteration takes a step.
+    iteration takes a step or when a step takes its log y* above ``ceilings[i]``
+    (if given).  So a row unconverged before its ``MAX_ITERATIONS``-th iteration is
+    one its ceiling stopped, and its SSE is at or above the one it would reach
+    without the ceiling: each step it skipped could only have lowered it.
     """
     count = len(segments)
-    work = _Workspace(segments, starts, model, min(SEARCH_SLOTS, count))
+    work = _Workspace(segments, starts, model, min(SEARCH_SLOTS, count), ceilings)
     queue = np.argsort(-work.lengths, kind="stable")
     theta, sse = np.log(starts), np.empty(count)
     iterations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
@@ -366,24 +374,33 @@ def _checked(values) -> np.ndarray:
     return data
 
 
-def _fit_segments(segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...]) -> list[GrowthFit]:
+def _fit_segments(
+    segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...], ceilings: Sequence[float] | None = None
+) -> tuple[list[GrowthFit], list[bool]]:
     """Fit each checked segment at t = 0, 1, ...; every segment's fit comes
     from one batched solve.
 
     A segment runs one row per ``RATE_START_FACTORS`` start and reports its
     lowest-SSE row, the first start on ties.  ``notes`` lead every fit's notes.
+    A row of segment i stops once its y* passes ``ceilings[i]`` (if given)
+    times the segment's peak; the second list says which segments had a row
+    stopped so, and their fits may not be the ones ``fit_growth`` reports.
     """
     per_segment = len(RATE_START_FACTORS)
-    rising = [segment for segment in segments if np.ptp(segment) > 0]
-    starts = []
-    for segment in rising:
+    rising = [(segment, ceiling) for segment, ceiling in zip(segments, ceilings or [math.inf] * len(segments))
+              if np.ptp(segment) > 0]
+    starts, log_ceilings = [], []
+    for segment, ceiling in rising:
         base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
         starts += [(base[0], base[1] * factor, base[2]) for factor in RATE_START_FACTORS]
+        log_ceilings += [math.log(ceiling * float(np.max(segment)))] * per_segment
     if rising:
         thetas, sses, iteration_counts, convergence = _solve(
-            [segment for segment in rising for _ in range(per_segment)], np.array(starts), model
+            [segment for segment, _ in rising for _ in range(per_segment)], np.array(starts), model,
+            np.array(log_ceilings),
         )
-    fits, row = [], 0
+        stopped_rows = ~convergence & (iteration_counts < MAX_ITERATIONS)  # as _solve says
+    fits, stopped, row = [], [], 0
     for segment in segments:
         t = np.arange(len(segment), dtype=float)
         segment_notes = list(notes)
@@ -395,7 +412,9 @@ def _fit_segments(segments: list[np.ndarray], model: GrowthModel, notes: tuple[s
             residuals = segment - model_value(t, params)
             sse, r_squared, iterations, converged = float(residuals @ residuals), 0.0, 0, False
             segment_notes.append("rate unidentifiable: constant series")
+            stopped.append(False)
         else:
+            stopped.append(bool(stopped_rows[row:row + per_segment].any()))
             best = row + int(np.argmin(sses[row:row + per_segment]))  # the first start on ties
             row += per_segment
             y_star, alpha, shape = np.exp(thetas[best])
@@ -407,7 +426,7 @@ def _fit_segments(segments: list[np.ndarray], model: GrowthModel, notes: tuple[s
             if not converged:
                 segment_notes.append("did not converge within iteration limit; best parameters so far")
         fits.append(GrowthFit(params, sse, r_squared, iterations, converged, notes=tuple(segment_notes)))
-    return fits
+    return fits, stopped
 
 
 def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None) -> GrowthFit:
@@ -430,7 +449,7 @@ def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey |
             notes = (f"decline detected; fit truncated at peak month index {peak}",)
         else:
             notes = ("decline detected; truncation skipped (peak too early)",)
-    [fit] = _fit_segments([data], model, notes)
+    [fit], _ = _fit_segments([data], model, notes)
     return replace(fit, t_offset=t_offset, truncated_at=truncated_at)
 
 
@@ -478,10 +497,15 @@ def detect_biphase(
 
     Every segment of every split and the whole series, for the single-fit
     BIC, are fit by one ``_fit_segments`` call, without the decline
-    truncation.  A segment's fit is bit for bit what ``fit_growth`` reports
-    for it with the decline test off, so the ranked SSE is the reported SSE;
-    ties go to the lowest index.  A segment that ``fit_growth`` would reject,
-    or whose best SSE is NaN, leaves its splits unranked.
+    truncation; a split segment's rows stop once y* passes ``RUNAWAY_CEILING``
+    times its peak.  A ranked SSE is then what ``fit_growth`` reports for the
+    segment with the decline test off when no row stopped, and at or above it
+    otherwise; ties go to the lowest index.  The winner's segments with a
+    stopped row are fit again without the ceiling, so the reported fits are
+    ``fit_growth``'s; the winner differs from the exhaustive search's only when
+    that search's winner had a segment whose best start stopped.  A segment
+    that ``fit_growth`` would reject, or whose best SSE is NaN, leaves its
+    splits unranked.
     """
     data = np.asarray(values, dtype=float)
     n = len(data)
@@ -495,13 +519,18 @@ def detect_biphase(
             segments[start, stop] = _checked(data[start:stop])
         except GrowthFitError:
             pass
-    fits = dict(zip(segments, _fit_segments(list(segments.values()), model, ())))
+    ceilings = [math.inf if bounds == (0, n) else RUNAWAY_CEILING for bounds in segments]
+    fitted, stopped = _fit_segments(list(segments.values()), model, (), ceilings)
+    fits, stopped = dict(zip(segments, fitted)), dict(zip(segments, stopped))
     sse = {bounds: fit.sse for bounds, fit in fits.items() if not math.isnan(fit.sse)}
     ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):
         return None
     breakpoint_index = splits[best]
+    refit = [bounds for bounds in ((0, breakpoint_index), (breakpoint_index, n)) if stopped[bounds]]
+    if refit:
+        fits.update(zip(refit, _fit_segments([segments[bounds] for bounds in refit], model, ())[0]))
     breakpoint = None if t_offset is None else t_offset.shift(breakpoint_index)
     first = replace(fits[0, breakpoint_index], t_offset=t_offset)
     second = replace(fits[breakpoint_index, n], t_offset=breakpoint)

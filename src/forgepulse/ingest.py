@@ -599,8 +599,9 @@ def open_text(path: str | Path) -> TextIO:
 
 
 def ref_state(repo_path: str | Path) -> str:
-    """Digest of HEAD and every ref, which changes whenever the history that
-    ``acquire_repo_log`` streams can.  Raises RepoAcquisitionError on failure."""
+    """Digest of the refs that ``acquire_repo_log`` walks, which changes
+    whenever the history it streams can: a stash or a note leaves it as it
+    is.  Raises RepoAcquisitionError on failure."""
     import hashlib  # only the log cache needs these; they cost start-up time
     import subprocess
 
@@ -612,15 +613,22 @@ def ref_state(repo_path: str | Path) -> str:
     if proc.returncode > 1:  # 1 only says that there is no ref yet
         stderr_text = proc.stderr.decode("utf-8", errors="replace").strip()
         raise RepoAcquisitionError(stderr_text or f"git exited with {proc.returncode}")
-    return hashlib.sha1(proc.stdout).hexdigest()
+    walked = [line for line in proc.stdout.splitlines(keepends=True)  # b"<hash> <ref>\n"
+              if not line.split(b" ", 1)[1].startswith((b"refs/stash\n", b"refs/notes/"))]
+    return hashlib.sha1(b"".join(walked)).hexdigest()
 
 
 def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
-    """Stream the canonical dump for all commits reachable from any ref.
+    """Stream the canonical dump for all commits reachable from HEAD or any
+    ref but git's own bookkeeping, the stash (``refs/stash``) and notes
+    (``refs/notes/*``), whose commits are not the project's history.
 
-    Wraps ``git log --all``; the parent-hash list git emits is replaced by a
-    parent count while streaming, so merges stay recognisable.  Raises
-    RepoAcquisitionError with git's diagnostic text on any failure.
+    Wraps ``git log --exclude=refs/stash --exclude='refs/notes/*' --all``.
+    ``refs/original/*`` (the history ``git filter-branch`` rewrote) and
+    ``refs/replace/*`` are walked like any other ref.  The parent-hash list
+    git emits is replaced by a parent count while streaming, so merges stay
+    recognisable.  Raises RepoAcquisitionError with git's diagnostic text on
+    any failure.
     """
     import subprocess  # only --repo needs it; it costs start-up time
 
@@ -632,7 +640,8 @@ def acquire_repo_log(repo_path: str | Path) -> Iterator[str]:
     with tempfile.TemporaryFile() as stderr_file:
         try:
             proc = subprocess.Popen(
-                ["git", "-C", str(repo_path), "log", "--all", f"--pretty=format:{GIT_LOG_FORMAT}"],
+                ["git", "-C", str(repo_path), "log", "--exclude=refs/stash", "--exclude=refs/notes/*", "--all",
+                 f"--pretty=format:{GIT_LOG_FORMAT}"],
                 stdout=subprocess.PIPE,
                 stderr=stderr_file,
                 text=True,

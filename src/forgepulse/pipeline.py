@@ -13,6 +13,8 @@ import json
 import math
 import os
 import re
+import shutil
+import tempfile
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -271,24 +273,39 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def cached_repo_lines(repo: Path) -> Iterator[str]:
     """Acquire a repository log, honoring the FORGEPULSE_CACHE directory,
-    whose entries are keyed on the repository's path and ref state.  Writing
-    a repository's new entry deletes its superseded ones."""
+    whose entries are keyed on the repository's path and ref state.  The
+    state is read again once git has exited, and the acquired log becomes
+    an entry only when no ref moved meanwhile; otherwise this run reads it
+    and no entry is kept.  Writing a repository's new entry deletes its
+    superseded ones."""
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return acquire_repo_log(repo)
     import hashlib  # only the cache needs it; it costs start-up time
 
     repo_digest = hashlib.sha1(str(Path(repo).resolve()).encode()).hexdigest()
-    cache_path = Path(cache_dir) / f"{repo_digest}-{ref_state(repo)}.log"
-    if not cache_path.exists():
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        with atomic_writer(cache_path) as handle:
-            handle.reconfigure(errors="surrogateescape")  # git's bytes, as git wrote them
-            handle.writelines(acquire_repo_log(repo))
-        for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
-            if stale != cache_path:
-                stale.unlink(missing_ok=True)
-    return open_text(cache_path)
+    state = ref_state(repo)
+    cache_path = Path(cache_dir) / f"{repo_digest}-{state}.log"
+    if cache_path.exists():
+        return open_text(cache_path)
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    # git's bytes, as git wrote them, in a file no other run looks for
+    acquired = tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape", dir=cache_dir)
+    try:
+        acquired.writelines(acquire_repo_log(repo))
+        acquired.seek(0)
+        if ref_state(repo) == state:
+            with atomic_writer(cache_path) as handle:
+                handle.reconfigure(errors="surrogateescape")
+                shutil.copyfileobj(acquired, handle)
+            acquired.seek(0)
+            for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
+                if stale != cache_path:
+                    stale.unlink(missing_ok=True)
+    except BaseException:
+        acquired.close()
+        raise
+    return acquired
 
 
 def ingest(

@@ -3,10 +3,14 @@
 ``exhaustive_biphase`` is the loop that used to be ``detect_biphase``: one
 ``fit_growth`` pair per breakpoint, lowest combined SSE first found.  The
 batched search must return the same result, bit for bit: a segment's best
-row in the batch is the fit ``fit_growth`` reports for it.
+row in the batch is the fit ``fit_growth`` reports for it.  The one
+exception, a segment of the exhaustive winner whose best start the runaway
+ceiling stopped, is bounded by the tests at the end of this file.
 """
 
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +29,8 @@ from forgepulse import (
 )
 from forgepulse import growth
 from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve, _warm_start
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def untruncated_fit(values, model, t_offset=None):
@@ -216,3 +222,120 @@ def test_batched_search_honours_fit_options(constants, monkeypatch):
     result = detect_biphase(values, GrowthModel.GOMPERTZ)
     expected = exhaustive_biphase(values, GrowthModel.GOMPERTZ)
     assert result == expected
+
+
+# The runaway ceiling.  A split segment's row stops once its y* passes
+# RUNAWAY_CEILING times the segment's peak; with the constant at inf no row
+# stops, and the search is the exhaustive one.
+
+def uncapped():
+    return mock.patch.object(growth, "RUNAWAY_CEILING", math.inf)
+
+
+def had_a_stopped_row(segment, model):
+    # Rows solve as they would in any batch, so this is what the search saw.
+    return growth._fit_segments([segment], model, (), [growth.RUNAWAY_CEILING])[1][0]
+
+
+@st.composite
+def noisy_two_episodes(draw):
+    n = draw(st.integers(24, 60))
+    k = draw(st.integers(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS))
+    first, second = (
+        logistic(length, draw(st.floats(10.0, 200.0)), draw(st.floats(0.05, 0.6)), draw(st.floats(2.0, 40.0)))
+        for length in (k, n - k)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.concatenate([first, first[-1] + second]) * (1.0 + 0.05 * rng.standard_normal(n))
+
+
+@given(model=st.sampled_from(list(GrowthModel)), values=noisy_two_episodes())
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_capped_search_reports_exact_fits_and_no_lower_sse(model, values):
+    shipped = detect_biphase(values, model)
+    with uncapped():
+        expected = detect_biphase(values, model)
+    assert (shipped is None) == (expected is None)
+    if shipped is None:
+        return
+    k = shipped["breakpoint_index"]
+    assert shipped["first"] == untruncated_fit(values[:k], model).to_dict()
+    assert shipped["second"] == untruncated_fit(values[k:], model).to_dict()
+    assert shipped["combined_sse"] >= expected["combined_sse"]
+    k = expected["breakpoint_index"]
+    if not any(had_a_stopped_row(segment, model) for segment in (values[:k], values[k:])):
+        assert shipped == expected
+
+
+def exponential(rate, seed):
+    # Still rising exponentially after 72 months: the ceiling is not identified.
+    rng = np.random.default_rng(seed)
+    return 5.0 * np.exp(rate * np.arange(72)) * (1.0 + 0.03 * rng.standard_normal(72))
+
+
+def shipped_series(name):
+    return np.asarray(json.loads((DATA_DIR / f"{name}.json").read_text())["values"], dtype=float)
+
+
+SINGLE_FIT_SERIES = {
+    **{f"exponential-{rate}": exponential(rate, seed) for seed, rate in enumerate((0.03, 0.05, 0.08))},
+    **{name: shipped_series(name) for name in ("gompertz_noisy", "logistic_noisy", "biphase_noisy")},
+}
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(SINGLE_FIT_SERIES))
+def test_the_ceiling_reaches_no_single_fit(name, model):
+    # With the ceiling at the peak every row is past it, yet fit_growth and
+    # the search's whole-series fit, for the single-fit BIC, stay as they are.
+    values = SINGLE_FIT_SERIES[name]
+    with uncapped():
+        expected = fit_growth(values, model).to_dict()
+        whole = untruncated_fit(values, model).to_dict()
+    calls = []
+
+    def recorded(segments, *args):
+        fits = fit_segments(segments, *args)
+        calls.append(dict(zip(map(len, segments), fits[0])))  # the whole series is the one of length n
+        return fits
+
+    fit_segments = growth._fit_segments
+    with mock.patch.object(growth, "RUNAWAY_CEILING", 1.0), mock.patch.object(growth, "_fit_segments", recorded):
+        assert fit_growth(values, model).to_dict() == expected
+        detect_biphase(values, model)
+    assert calls[1][len(values)].to_dict() == whole  # calls[0] is fit_growth's
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+def test_the_winner_is_refit_only_when_the_ceiling_stopped_one_of_its_rows(model):
+    # The winner's second segment has a start whose y* runs away, so its two
+    # segments are solved again, in one more call.
+    with mock.patch.object(growth, "_solve", wraps=growth._solve) as solve:
+        result = detect_biphase(SERIES["leading-zeros"], model)
+    assert result is not None and solve.call_count == 2
+    assert len(solve.call_args_list[1].args[0]) <= 2 * len(growth.RATE_START_FACTORS)
+
+
+def row_trials(values, model, monkeypatch):
+    """Live rows summed over the search's trial steps."""
+    trials = []
+    step = growth._Workspace.step
+
+    def counted(work):
+        trials.append(work.count)
+        return step(work)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(growth._Workspace, "step", counted)
+        detect_biphase(values, model)
+    return sum(trials)
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+def test_the_ceiling_cuts_the_searchs_row_trials(model, monkeypatch):
+    values = shipped_series("biphase_noisy")
+    capped = row_trials(values, model, monkeypatch)
+    with uncapped():
+        exhaustive = row_trials(values, model, monkeypatch)
+    assert capped <= 0.85 * exhaustive

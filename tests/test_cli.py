@@ -407,3 +407,40 @@ def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):
     assert sum(p["commits"] for p in json.loads((out / "series.json").read_text())["points"]) == 44
     for name in ("records.jsonl", "series.json", "metrics.json"):
         assert (tmp_path / "run" / "mixed" / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_a_commit_landing_while_git_runs_leaves_no_cache_entry(tmp_path, capsys, repo_builder, monkeypatch):
+    repo = repo_builder()
+    repo.commit(date="2015-03-01T12:00:00+00:00")
+    first = repo.root.joinpath(".git", "refs", "heads", "main").read_text().strip()
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("FORGEPULSE_CACHE", str(cache_dir))
+    out = tmp_path / "records.jsonl"
+    acquire, acquired = pipeline.acquire_repo_log, []
+
+    def ingested():
+        assert run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))[0] == 0
+        return sorted(json.loads(line)["authored_at"] for line in out.read_text().splitlines())
+
+    def racing(path):
+        # The ref state was read before git started: this commit is not in it.
+        repo.commit(date="2015-04-01T12:00:00+00:00")
+        acquired.append(path)
+        yield from acquire(path)
+
+    monkeypatch.setattr(pipeline, "acquire_repo_log", racing)
+    assert ingested() == ["2015-03-01T12:00:00+00:00", "2015-04-01T12:00:00+00:00"]  # the lines git gave
+    assert not list(cache_dir.glob("*.log"))
+
+    # Back at the first state, the next run acquires again and sees one commit;
+    # an entry kept from the race would have served two.
+    def counted(path):
+        acquired.append(path)
+        yield from acquire(path)
+
+    monkeypatch.setattr(pipeline, "acquire_repo_log", counted)
+    repo._run("update-ref", "refs/heads/main", first)
+    assert ingested() == ["2015-03-01T12:00:00+00:00"]
+    assert len(acquired) == 2 and len(list(cache_dir.glob("*.log"))) == 1
+    assert ingested() == ["2015-03-01T12:00:00+00:00"]
+    assert len(acquired) == 2  # served from the entry

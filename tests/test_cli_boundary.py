@@ -419,3 +419,24 @@ def test_repository_bytes_that_are_not_utf8_end_like_a_log_file(tmp_path, repo_b
     assert b"Bob \xff\t" in cached.read_bytes()
     proc = _cli("ingest", "--log", str(cached), "--out", str(tmp_path / "r.jsonl"))
     assert (proc.returncode, proc.stderr) == (1, "error: line 1: not UTF-8\n")
+
+
+def test_a_stash_and_notes_are_not_the_projects_history(tmp_path, repo_builder, monkeypatch):
+    # git log --all would also walk refs/stash and refs/notes/*, and count the
+    # stash's and the note's commits as the configured user's commits.
+    monkeypatch.delenv("FORGEPULSE_CACHE", raising=False)
+    repo = repo_builder()
+    repo.commit(email="alice@intel.com", name="Alice", date="2015-01-31T12:00:00+00:00")
+    repo.commit(email="bob@gmail.com", name="Bob", date="2015-02-10T12:00:00+00:00")
+    (repo.root / "file.txt").write_text("work in progress\n", encoding="utf-8")
+    (repo.root / "untracked.txt").write_text("untracked\n", encoding="utf-8")
+    repo._run("stash", "push", "-u", "-q")
+    repo._run("notes", "add", "-m", "a note", "HEAD")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"projects": [{"name": "p", "repo": str(repo.root)}], "out_dir": str(tmp_path / "out")}))
+    with redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(config)]) == 0
+        assert main(["ingest", "--repo", str(repo.root), "--out", str(tmp_path / "records.jsonl")]) == 0
+    for records in (tmp_path / "records.jsonl", tmp_path / "out" / "p" / "records.jsonl"):
+        emails = [json.loads(line)["author_email"] for line in records.read_text().splitlines()]
+        assert sorted(emails) == ["alice@intel.com", "bob@gmail.com"], records

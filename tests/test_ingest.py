@@ -342,3 +342,16 @@ def test_acquire_failure_carries_git_stderr(tmp_path, monkeypatch):
     fake_git(tmp_path, monkeypatch, "sys.stderr.write('fatal: bad object HEAD\\n')\nsys.exit(1)")
     with pytest.raises(RepoAcquisitionError, match="^fatal: bad object HEAD$"):
         list(acquire_repo_log(tmp_path))
+
+
+def test_a_stash_or_a_note_leaves_the_ref_state_as_it_is(repo_builder):
+    repo = repo_builder()
+    repo.commit()
+    before = ingest_module.ref_state(repo.root)
+    (repo.root / "file.txt").write_text("work in progress\n", encoding="utf-8")
+    (repo.root / "untracked.txt").write_text("untracked\n", encoding="utf-8")
+    repo._run("stash", "push", "-u", "-q")
+    repo._run("notes", "add", "-m", "a note", "HEAD")
+    assert ingest_module.ref_state(repo.root) == before
+    repo.commit()
+    assert ingest_module.ref_state(repo.root) != before
