@@ -13,8 +13,6 @@ import json
 import math
 import os
 import re
-import shutil
-import tempfile
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -274,10 +272,9 @@ def load_run_config(path: str | Path) -> RunConfig:
 def cached_repo_lines(repo: Path) -> Iterator[str]:
     """Acquire a repository log, honoring the FORGEPULSE_CACHE directory,
     whose entries are keyed on the repository's path and ref state.  The
-    state is read again once git has exited, and the acquired log becomes
-    an entry only when no ref moved meanwhile; otherwise this run reads it
-    and no entry is kept.  Writing a repository's new entry deletes its
-    superseded ones."""
+    state is read again once git has exited: when a ref moved meanwhile,
+    this run reads the log it wrote and the entry is removed.  Keeping a
+    repository's new entry deletes its superseded ones."""
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return acquire_repo_log(repo)
@@ -289,23 +286,17 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
     if cache_path.exists():
         return open_text(cache_path)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    # git's bytes, as git wrote them, in a file no other run looks for
-    acquired = tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape", dir=cache_dir)
-    try:
-        acquired.writelines(acquire_repo_log(repo))
-        acquired.seek(0)
-        if ref_state(repo) == state:
-            with atomic_writer(cache_path) as handle:
-                handle.reconfigure(errors="surrogateescape")
-                shutil.copyfileobj(acquired, handle)
-            acquired.seek(0)
-            for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
-                if stale != cache_path:
-                    stale.unlink(missing_ok=True)
-    except BaseException:
-        acquired.close()
-        raise
-    return acquired
+    with atomic_writer(cache_path) as handle:
+        handle.reconfigure(errors="surrogateescape")  # git's bytes, as git wrote them
+        handle.writelines(acquire_repo_log(repo))
+    if ref_state(repo) != state:  # a ref moved while git ran: read the log, keep no entry
+        acquired = open_text(cache_path)
+        cache_path.unlink(missing_ok=True)  # the open handle still reads it
+        return acquired
+    for stale in Path(cache_dir).glob(f"{repo_digest}-*.log"):
+        if stale != cache_path:
+            stale.unlink(missing_ok=True)
+    return open_text(cache_path)
 
 
 def ingest(

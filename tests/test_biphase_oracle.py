@@ -8,6 +8,7 @@ exception, a segment of the exhaustive winner whose best start the runaway
 ceiling stopped, is bounded by the tests at the end of this file.
 """
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -339,3 +340,41 @@ def test_the_ceiling_cuts_the_searchs_row_trials(model, monkeypatch):
     with uncapped():
         exhaustive = row_trials(values, model, monkeypatch)
     assert capped <= 0.85 * exhaustive
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["leading-zeros", "biphase_noisy"])
+def test_a_segment_is_flagged_exactly_when_the_ceiling_ended_one_of_its_rows(name, model):
+    # _fit_segments counts a row that _solve reports unconverged before its
+    # MAX_ITERATIONS-th iteration as one the ceiling stopped.  So a flagged
+    # segment has a row that ended above its ceiling, short of the uncapped
+    # row's SSE, and an unflagged segment's rows are the uncapped rows.
+    values = SERIES[name] if name in SERIES else shipped_series(name)
+    n = len(values)
+    segments = []
+    for k in range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1):
+        for segment in (values[:k], values[k:]):
+            with contextlib.suppress(GrowthFitError):  # as detect_biphase skips it
+                if np.ptp(segment) > 0:  # a constant segment has no rows
+                    segments.append(growth._checked(segment))
+    solved = []
+
+    def recorded(*args):
+        solved.append(_solve(*args))
+        return solved[-1]
+
+    with mock.patch.object(growth, "_solve", recorded):
+        _, stopped = growth._fit_segments(segments, model, (), [growth.RUNAWAY_CEILING] * len(segments))
+        growth._fit_segments(segments, model, ())
+    (theta, sse, iterations, converged), exhaustive = solved
+    per_segment = len(growth.RATE_START_FACTORS)
+    log_ceilings = np.repeat([math.log(growth.RUNAWAY_CEILING * segment.max()) for segment in segments], per_segment)
+    same = np.array([
+        theta[row].tobytes() == exhaustive[0][row].tobytes() and sse[row] == exhaustive[1][row]
+        and iterations[row] == exhaustive[2][row] and converged[row] == exhaustive[3][row]
+        for row in range(len(sse))
+    ])
+    ended = ~same & (theta[:, 0] > log_ceilings) & (sse >= exhaustive[1]) & (iterations < growth.MAX_ITERATIONS)
+    assert np.all(same | ended)
+    assert stopped == [bool(ended[i * per_segment:(i + 1) * per_segment].any()) for i in range(len(segments))]
+    assert any(stopped) and not all(stopped)
