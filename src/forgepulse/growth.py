@@ -310,14 +310,79 @@ class _Workspace:
         return done, small | ~accepted
 
 
+class _SplitBound:
+    """Which split segments ``_solve`` may stop solving, kept up to date row by row.
+
+    Rows of segment ``row_segment[i]`` are one segment's starts; ``partner[s]`` is
+    the other segment of s's split, or -1.  A row's SSE only falls, so the lowest
+    SSE seen among a segment's rows (at load, and final once finished) bounds the
+    segment's fit from above, and ``best``, the lowest sum of two such bounds over
+    the splits whose rows have all loaded, bounds the lowest ranked split.  A NaN
+    row, which loading shows, leaves its split unranked and its sum out of
+    ``best``.  Once all of a segment's rows finish, its SSE is exact; if it is above
+    ``best``, so is every sum it is part of, its split cannot win, and its
+    partner need not be solved.
+    """
+
+    def __init__(self, row_segment: np.ndarray, partner: np.ndarray):
+        self.row_segment, self.rows, self.partner = row_segment, row_segment.tolist(), partner.tolist()
+        self.unloaded = np.bincount(row_segment, minlength=len(partner)).tolist()
+        self.unfinished = list(self.unloaded)
+        self.upper = [math.inf] * len(partner)
+        self.best = self.checked = math.inf  # ``checked``: ``best`` when ``solved`` was last compared with it
+        self.solved: set[int] = set()  # finished segments whose partner has rows left
+        self.dropped = np.zeros(len(partner), dtype=bool)
+
+    def _seen(self, segment: int, sse: float) -> None:
+        if sse < self.upper[segment] or sse != sse:  # a NaN stays
+            self.upper[segment] = sse
+        other = self.partner[segment]
+        if other >= 0 and not self.unloaded[segment] and not self.unloaded[other]:
+            total = self.upper[segment] + self.upper[other]
+            if total < self.best:  # False for NaN
+                self.best = total
+
+    def loaded(self, rows: np.ndarray, sses: np.ndarray) -> None:
+        for row, sse in zip(rows.tolist(), sses.tolist()):
+            segment = self.rows[row]
+            self.unloaded[segment] -= 1
+            self._seen(segment, sse)
+
+    def finished(self, rows: np.ndarray, sses: np.ndarray) -> np.ndarray | None:
+        """Record finished rows; the mask of segments dropped so far, or None
+        when these rows drop none."""
+        solved = []
+        for row, sse in zip(rows.tolist(), sses.tolist()):
+            segment = self.rows[row]
+            self.unfinished[segment] -= 1
+            self._seen(segment, sse)
+            other = self.partner[segment]
+            if other >= 0 and not self.unfinished[segment]:
+                if self.unfinished[other]:
+                    solved.append(segment)
+                else:
+                    self.solved.discard(other)
+        self.solved.update(solved)
+        if self.best < self.checked:
+            self.checked, solved = self.best, self.solved
+        beaten = [segment for segment in solved if self.upper[segment] > self.best]
+        if not beaten:
+            return None
+        self.solved.difference_update(beaten)
+        self.dropped[[self.partner[segment] for segment in beaten]] = True
+        return self.dropped
+
+
 def _solve(
-    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel, ceilings: np.ndarray | None = None
+    segments: list[np.ndarray], starts: np.ndarray | _RateStarts, model: GrowthModel,
+    ceilings: np.ndarray | None = None, pairing: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
 
     Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]`` and returns its
-    log-parameters, SSE, iteration count and convergence.  Each row keeps its own
-    damping and counts (Moré 1978) and, padded to a multiple of ``_PAD``, rounds as
+    log-parameters, SSE, iteration count and convergence.  ``starts`` is indexed
+    with the pairs of each load, so it may compute them only then.  Each row keeps
+    its own damping and counts (Moré 1978) and, padded to a multiple of ``_PAD``, rounds as
     it would alone, so a pair's result does not depend on the other pairs.  Pairs
     enter longest first, so the padded width only shrinks.  A turn of the loop is one
     trial for every live row: a row whose trial lowers its SSE takes the step and
@@ -329,22 +394,34 @@ def _solve(
     (if given).  So a row unconverged before its ``MAX_ITERATIONS``-th iteration is
     one its ceiling stopped, and its SSE is at or above the one it would reach
     without the ceiling: each step it skipped could only have lowered it.
+
+    ``pairing``, (each pair's segment, each segment's split partner or -1), lets
+    the solve drop the rows of a segment whose split cannot have the lowest
+    summed SSE, as ``_SplitBound`` says; a dropped row has iteration count 0 and
+    NaN log-parameters and SSE.  Every other row's result is the same as without it.
     """
     count = len(segments)
     work = _Workspace(segments, starts, model, min(SEARCH_SLOTS, count), ceilings)
     queue = np.argsort(-work.lengths, kind="stable")
-    theta, sse = np.log(starts), np.empty(count)
+    theta, sse = np.full((count, 3), np.nan), np.full(count, np.nan)
     iterations, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+    bound = None if pairing is None else _SplitBound(*pairing)
     while len(queue) or work.count:
         if work.count < work.slots and len(queue):
             pairs, queue = np.split(queue, [work.slots - work.count])
             work.load(pairs)
+            if bound is not None:
+                bound.loaded(pairs, work.sse[work.count - len(pairs):work.count])
         done, finished_converged = work.step()
         if done.any():
             slots = np.flatnonzero(done)
             ids = work.ids[slots]
             theta[ids], sse[ids], iterations[ids] = work.theta[slots], work.sse[slots], work.iterations[slots]
             converged[ids] = finished_converged[slots]
+            dropped = None if bound is None else bound.finished(ids, sse[ids])
+            if dropped is not None:
+                done |= dropped[bound.row_segment[work.ids[:work.count]]]
+                queue = queue[~dropped[bound.row_segment[queue]]]
             work.drop(done)
     return theta, sse, iterations, converged
 
@@ -374,9 +451,31 @@ def _checked(values) -> np.ndarray:
     return data
 
 
+class _RateStarts:
+    """The solver's ``starts`` for ``_fit_segments``: row i starts segment
+    i // len(RATE_START_FACTORS) from its warm start, with the rate scaled by
+    factor i % len(RATE_START_FACTORS).  A segment's warm start is computed when
+    its first row loads, so a segment the solve drops before that costs none."""
+
+    def __init__(self, segments: list[np.ndarray], model: GrowthModel):
+        self.segments, self.model, self.bases = segments, model, {}
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        segments, factors = np.divmod(rows, len(RATE_START_FACTORS))
+        segments = segments.tolist()
+        for segment in segments:
+            if segment not in self.bases:
+                values = self.segments[segment]
+                self.bases[segment] = _warm_start(np.arange(len(values), dtype=float), values, self.model)
+        starts = np.array([self.bases[segment] for segment in segments])
+        starts[:, 1] *= np.array(RATE_START_FACTORS)[factors]
+        return starts
+
+
 def _fit_segments(
-    segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...], ceilings: Sequence[float] | None = None
-) -> tuple[list[GrowthFit], list[bool]]:
+    segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...], ceilings: Sequence[float] | None = None,
+    partners: Sequence[int | None] | None = None,
+) -> tuple[list[GrowthFit | None], list[bool]]:
     """Fit each checked segment at t = 0, 1, ...; every segment's fit comes
     from one batched solve.
 
@@ -385,38 +484,46 @@ def _fit_segments(
     A row of segment i stops once its y* passes ``ceilings[i]`` (if given)
     times the segment's peak; the second list says which segments had a row
     stopped so, and their fits may not be the ones ``fit_growth`` reports.
+    ``partners[i]`` (if given) is the index of the other segment of i's split,
+    or None; the solve then drops splits that cannot have the lowest summed
+    SSE, and a segment it did not finish has None for its fit.
     """
     per_segment = len(RATE_START_FACTORS)
-    rising = [(segment, ceiling) for segment, ceiling in zip(segments, ceilings or [math.inf] * len(segments))
-              if np.ptp(segment) > 0]
-    starts, log_ceilings = [], []
-    for segment, ceiling in rising:
-        base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
-        starts += [(base[0], base[1] * factor, base[2]) for factor in RATE_START_FACTORS]
-        log_ceilings += [math.log(ceiling * float(np.max(segment)))] * per_segment
-    if rising:
+    ceilings = ceilings or [math.inf] * len(segments)
+    peaks = [float(np.max(segment)) for segment in segments]
+    place = {i: j for j, i in enumerate(i for i, segment in enumerate(segments) if np.ptp(segment) > 0)}  # rising
+    if place:
+        solved = [segments[i] for i in place]
+        log_ceilings = np.repeat([math.log(ceilings[i] * peaks[i]) for i in place], per_segment)
+        pairing = None if partners is None else (
+            np.repeat(np.arange(len(place)), per_segment),
+            np.array([place.get(partners[i], -1) for i in place]),  # a constant segment is no partner
+        )
         thetas, sses, iteration_counts, convergence = _solve(
-            [segment for segment, _ in rising for _ in range(per_segment)], np.array(starts), model,
-            np.array(log_ceilings),
+            [segment for segment in solved for _ in range(per_segment)], _RateStarts(solved, model), model,
+            log_ceilings, pairing,
         )
         stopped_rows = ~convergence & (iteration_counts < MAX_ITERATIONS)  # as _solve says
-    fits, stopped, row = [], [], 0
-    for segment in segments:
-        t = np.arange(len(segment), dtype=float)
+    fits, stopped = [], []
+    for i, segment in enumerate(segments):
         segment_notes = list(notes)
-        if float(np.max(segment)) < LOW_CONFIDENCE_PEAK:
+        if peaks[i] < LOW_CONFIDENCE_PEAK:
             segment_notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
-        if np.ptp(segment) == 0:
+        if i not in place:
             # Flat positive series: the level is known but no rate is recoverable.
             params = GrowthParams(model=model, y_star=float(segment[0]), alpha=1e-6, shape=1e-9)
-            residuals = segment - model_value(t, params)
+            residuals = segment - model_value(np.arange(len(segment), dtype=float), params)
             sse, r_squared, iterations, converged = float(residuals @ residuals), 0.0, 0, False
             segment_notes.append("rate unidentifiable: constant series")
             stopped.append(False)
         else:
-            stopped.append(bool(stopped_rows[row:row + per_segment].any()))
-            best = row + int(np.argmin(sses[row:row + per_segment]))  # the first start on ties
-            row += per_segment
+            rows = slice(place[i] * per_segment, (place[i] + 1) * per_segment)
+            if not iteration_counts[rows].all():  # the solve dropped it
+                fits.append(None)
+                stopped.append(False)
+                continue
+            stopped.append(bool(stopped_rows[rows].any()))
+            best = rows.start + int(np.argmin(sses[rows]))  # the first start on ties
             y_star, alpha, shape = np.exp(thetas[best])
             params = GrowthParams(model=model, y_star=float(y_star), alpha=float(alpha), shape=float(shape))
             sse = float(sses[best])
@@ -505,7 +612,10 @@ def detect_biphase(
     ``fit_growth``'s; the winner differs from the exhaustive search's only when
     that search's winner had a segment whose best start stopped.  A segment
     that ``fit_growth`` would reject, or whose best SSE is NaN, leaves its
-    splits unranked.
+    splits unranked.  The solve stops solving a split once one of its
+    segments is solved and alone costs more than a split it has seen whole
+    can (``_SplitBound``): such a split ranks above the winner, so the entry
+    is the one the search makes with every split solved.
     """
     data = np.asarray(values, dtype=float)
     n = len(data)
@@ -520,9 +630,11 @@ def detect_biphase(
         except GrowthFitError:
             pass
     ceilings = [math.inf if bounds == (0, n) else RUNAWAY_CEILING for bounds in segments]
-    fitted, stopped = _fit_segments(list(segments.values()), model, (), ceilings)
+    place = {bounds: i for i, bounds in enumerate(segments)}
+    partners = [place.get((stop, n) if start == 0 else (0, start)) for start, stop in segments]  # (0, n): none
+    fitted, stopped = _fit_segments(list(segments.values()), model, (), ceilings, partners)
     fits, stopped = dict(zip(segments, fitted)), dict(zip(segments, stopped))
-    sse = {bounds: fit.sse for bounds, fit in fits.items() if not math.isnan(fit.sse)}
+    sse = {bounds: fit.sse for bounds, fit in fits.items() if fit is not None and not math.isnan(fit.sse)}
     ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):

@@ -20,11 +20,12 @@ from .errors import MetricError
 from .series import MonthlySeries
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties replaced by the mean rank of the tie group."""
+def average_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks 1..n with ties replaced by the mean rank of the tie group, and
+    the number of tie groups (distinct values)."""
     _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)  # a tie group covers sorted positions ends - counts .. ends - 1
-    return ((2 * ends - counts - 1) / 2.0 + 1.0)[group]
+    return ((2 * ends - counts - 1) / 2.0 + 1.0)[group], len(counts)
 
 
 def _as_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -44,11 +45,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> dict:
     (rank correlation is undefined there).
     """
     xv, yv = _as_pair(x, y)
-    if len(np.unique(xv)) < 2 or len(np.unique(yv)) < 2:
+    (rx, x_groups), (ry, y_groups) = average_ranks(xv), average_ranks(yv)
+    if min(x_groups, y_groups) < 2:
         raise MetricError("constant sequence: rank correlation undefined")
-    ties = len(np.unique(xv)) < len(xv) or len(np.unique(yv)) < len(yv)
-    rx = average_ranks(xv)
-    ry = average_ranks(yv)
+    ties = min(x_groups, y_groups) < len(xv)
     rx -= rx.mean()
     ry -= ry.mean()
     rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))

@@ -7,7 +7,9 @@ reads one record at a time through ``record_from_dict``, and
 go through the scalar ``_parse_timestamp``, the parser's reference conversion.
 ``lm_minimize_oracle`` is the one-series Levenberg-Marquardt loop that the
 batched growth solver replaced, with ``jacobian_columns``, the closed-form
-derivatives it steps along.
+derivatives it steps along.  ``unpruned_biphase`` is the bi-phase search with
+every split segment solved: the ranking that ``detect_biphase`` makes while
+dropping the splits that cannot win.
 ``dumps_stable_oracle`` is the pure-Python ``json`` encoder run over a copy
 of the tree with every float rounded by ``round_floats``, the layout
 ``dumps_stable`` writes with one C-encoder call per innermost container.
@@ -31,7 +33,15 @@ import re
 
 import numpy as np
 
-from forgepulse import CommitRecord, GrowthModel, GrowthParams, IdentityConfig, LogParseError, SeriesError
+from forgepulse import (
+    CommitRecord,
+    GrowthFitError,
+    GrowthModel,
+    GrowthParams,
+    IdentityConfig,
+    LogParseError,
+    SeriesError,
+)
 from forgepulse import growth
 from forgepulse.errors import IdentityError, MetricError
 from forgepulse.ingest import (
@@ -240,6 +250,50 @@ def lm_minimize_oracle(t, values, model, start):
         if converged:
             break
     return theta, sse, iterations, converged, trace
+
+
+def unpruned_biphase(values, model, t_offset=None):
+    """``detect_biphase``'s entry with no split dropped: every split segment is
+    solved in one ``_fit_segments`` call, with the runaway ceiling on split
+    segments, splits rank on their summed SSEs (lowest index on ties, a NaN or
+    rejected segment leaving its split unranked), and the winner's segments
+    with a stopped row are solved again without the ceiling."""
+    data = np.asarray(values, dtype=float)
+    n = len(data)
+    if n < 2 * growth.MIN_SEGMENT_MONTHS:
+        return None
+    splits = range(growth.MIN_SEGMENT_MONTHS, n - growth.MIN_SEGMENT_MONTHS + 1)
+    segments = {}
+    for start, stop in sorted({(0, k) for k in splits} | {(k, n) for k in splits} | {(0, n)}):
+        try:
+            segments[start, stop] = growth._checked(data[start:stop])
+        except GrowthFitError:
+            pass
+    ceilings = [math.inf if bounds == (0, n) else growth.RUNAWAY_CEILING for bounds in segments]
+    fitted, stopped = growth._fit_segments(list(segments.values()), model, (), ceilings)
+    fits, stopped = dict(zip(segments, fitted)), dict(zip(segments, stopped))
+    sse = {bounds: fit.sse for bounds, fit in fits.items() if not math.isnan(fit.sse)}
+    ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
+    best = int(np.argmin(ranked))
+    if not math.isfinite(ranked[best]):
+        return None
+    k = splits[best]
+    for bounds in ((0, k), (k, n)):
+        if stopped[bounds]:
+            [fits[bounds]], _ = growth._fit_segments([segments[bounds]], model, ())
+    breakpoint = None if t_offset is None else t_offset.shift(k)
+    first, second = fits[0, k], fits[k, n]
+    combined = first.sse + second.sse
+    sse_floor = max(1e-10, 1e-9 * float(data @ data))
+    single_bic = growth._bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
+    return {
+        "breakpoint_index": k,
+        "breakpoint": None if breakpoint is None else str(breakpoint),
+        "first": {**first.to_dict(), "t_offset": None if t_offset is None else str(t_offset)},
+        "second": {**second.to_dict(), "t_offset": None if breakpoint is None else str(breakpoint)},
+        "combined_sse": combined,
+        "preferred": growth._bic(combined, n, 7, sse_floor) < single_bic,
+    }
 
 
 def record_to_dict(record):

@@ -5,7 +5,9 @@
 batched search must return the same result, bit for bit: a segment's best
 row in the batch is the fit ``fit_growth`` reports for it.  The one
 exception, a segment of the exhaustive winner whose best start the runaway
-ceiling stopped, is bounded by the tests at the end of this file.
+ceiling stopped, is bounded by the tests at the end of this file.  The
+splits the search drops unsolved are checked against ``unpruned_biphase``,
+the same search with every split segment solved.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from forgepulse import (
 )
 from forgepulse import growth
 from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve, _warm_start
+from oracles import unpruned_biphase
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -127,7 +130,9 @@ def test_batched_search_skips_unfittable_splits():
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
 def test_search_is_one_batched_solve(model):
     # The ranking, the winning split's two fits and the whole-series fit for
-    # the BIC all come from one solve; nothing is refit.
+    # the BIC all come from one solve.  A second solve runs only when the
+    # ceiling stopped a row of the winner (not so here), and the rows of the
+    # splits that solve drops never finish.
     with mock.patch.object(growth, "_solve", wraps=growth._solve) as solve, \
             mock.patch.object(growth, "fit_growth", wraps=growth.fit_growth) as fit:
         result = detect_biphase(SERIES["noisy-0"], model)
@@ -186,6 +191,56 @@ def test_a_row_solves_alone_as_in_any_batch(model, values, factor, peers, at, sl
     assert alone[2][0] == batched[2][row] and alone[3][0] == batched[3][row]
 
 
+def noisy_episode(n, seed):
+    return logistic(n, 50.0, 0.3, 10.0) * (1.0 + 0.2 * np.random.default_rng(seed).standard_normal(n))
+
+
+# Splits (b, a) and (c, d), loaded c, b, a, d: c finishes before (b, a) has
+# loaded, and then costs more than b and a together, so d can be dropped.  A
+# NaN start in b, or in a's second row, which loads last, leaves (b, a)
+# unranked, and then nothing can be.
+UNRANKED_SPLIT_FIRST = [
+    (logistic(40, 90.0, 0.25, 4.0).tolist(), logistic(30, 30.0, 0.3, 15.0).tolist()),
+    (noisy_episode(50, 0).tolist(), noisy_episode(20, 1).tolist()),
+]
+
+
+@given(
+    model=st.sampled_from(list(GrowthModel)),
+    halves=st.lists(st.tuples(segment_values, segment_values), min_size=1, max_size=4),
+    nan_row=st.none() | st.integers(0, 15),
+    slots=st.integers(1, 8),
+)
+@example(model=GrowthModel.LOGISTIC, halves=UNRANKED_SPLIT_FIRST, nan_row=None, slots=2)
+@example(model=GrowthModel.LOGISTIC, halves=UNRANKED_SPLIT_FIRST, nan_row=0, slots=2)
+@example(model=GrowthModel.LOGISTIC, halves=UNRANKED_SPLIT_FIRST, nan_row=3, slots=1)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_paired_solve_drops_only_rows_of_splits_that_cannot_win(model, halves, nan_row, slots):
+    # Segments 2i and 2i + 1 are split i's, two starts each.  A NaN start
+    # leaves its segment's SSE NaN (the first NaN is its lowest) and its split unranked.
+    segments = [np.asarray(half) for pair in halves for half in pair]
+    partner, row_segment = np.arange(len(segments)) ^ 1, np.repeat(np.arange(len(segments)), 2)
+    starts = np.array([_start(segments[i], model, factor) for i in row_segment[::2] for factor in (1.0, 3.0)])
+    if nan_row is not None:
+        starts[nan_row % len(starts), 0] = np.nan
+    rows = [segments[i] for i in row_segment]
+    with mock.patch.object(growth, "SEARCH_SLOTS", slots):
+        solved = _solve(rows, starts, model)
+        paired = _solve(rows, starts, model, None, (row_segment, partner))
+    kept = paired[2] > 0
+    for full, pruned in zip(solved, paired):
+        assert full[kept].tobytes() == pruned[kept].tobytes()
+    assert np.isnan(paired[1][~kept]).all()
+    sse = solved[1].reshape(-1, 2)
+    segment_sse = sse[np.arange(len(segments)), np.argmin(sse, axis=1)]
+    ranked = np.nan_to_num(segment_sse + segment_sse[partner], nan=np.inf)
+    dropped = ~kept.reshape(-1, 2).all(axis=1)
+    assert np.all(ranked[dropped] > ranked.min())
+    if halves == UNRANKED_SPLIT_FIRST:
+        assert dropped.any() == (nan_row is None)
+
+
 def test_singular_system_costs_only_its_own_row_a_trial():
     from forgepulse.growth import _Workspace
 
@@ -238,16 +293,21 @@ def had_a_stopped_row(segment, model):
     return growth._fit_segments([segment], model, (), [growth.RUNAWAY_CEILING])[1][0]
 
 
-@st.composite
-def noisy_two_episodes(draw):
-    n = draw(st.integers(24, 60))
-    k = draw(st.integers(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS))
-    first, second = (
-        logistic(length, draw(st.floats(10.0, 200.0)), draw(st.floats(0.05, 0.6)), draw(st.floats(2.0, 40.0)))
-        for length in (k, n - k)
-    )
+def episode(draw, length):
+    return logistic(length, draw(st.floats(10.0, 200.0)), draw(st.floats(0.05, 0.6)), draw(st.floats(2.0, 40.0)))
+
+
+def with_noise(draw, values):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return np.concatenate([first, first[-1] + second]) * (1.0 + 0.05 * rng.standard_normal(n))
+    return values * (1.0 + 0.05 * rng.standard_normal(len(values)))
+
+
+@st.composite
+def noisy_two_episodes(draw, months=(24, 60)):
+    n = draw(st.integers(*months))
+    k = draw(st.integers(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS))
+    first, second = episode(draw, k), episode(draw, n - k)
+    return with_noise(draw, np.concatenate([first, first[-1] + second]))
 
 
 @given(model=st.sampled_from(list(GrowthModel)), values=noisy_two_episodes())
@@ -267,6 +327,44 @@ def test_a_capped_search_reports_exact_fits_and_no_lower_sse(model, values):
     k = expected["breakpoint_index"]
     if not any(had_a_stopped_row(segment, model) for segment in (values[:k], values[k:])):
         assert shipped == expected
+
+
+# Dropped splits.  The search stops solving a split once one of its segments
+# alone costs more than a split it has seen whole; the entry must be the one
+# the search reports with every split solved.
+
+@st.composite
+def noisy_series(draw):
+    """24-120 noisy months of one or two episodes, maybe after zeros or with a flat stretch."""
+    if draw(st.booleans()):
+        values = draw(noisy_two_episodes(months=(24, 120)))
+    else:
+        values = with_noise(draw, episode(draw, draw(st.integers(24, 120))))
+    n = len(values)
+    values[:draw(st.integers(0, n // 4))] = 0.0
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(0, n // 2))
+    values[start:start + length] = values[start]
+    return values
+
+
+@given(model=st.sampled_from(list(GrowthModel)), values=noisy_series())
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dropping_splits_leaves_the_entry_as_with_every_split_solved(model, values):
+    assert detect_biphase(values, model) == unpruned_biphase(values, model)
+
+
+def test_a_long_search_drops_most_of_its_rows():
+    # Two episodes over 400 months, where the unpruned search's work grows as n^2.
+    n = 400
+    t = np.arange(n, dtype=float)
+    values = 40 / (1 + np.exp(-0.12 * (t - 0.25 * n))) + 60 / (1 + np.exp(-0.12 * (t - 0.7 * n)))
+    values *= 1.0 + 0.03 * np.random.default_rng(5).standard_normal(n)
+    t_offset = MonthKey(1990, 1)
+    result, pruned = row_trials(detect_biphase, values, GrowthModel.GOMPERTZ, t_offset)
+    expected, unpruned = row_trials(unpruned_biphase, values, GrowthModel.GOMPERTZ, t_offset)
+    assert result == expected
+    assert pruned <= 0.4 * unpruned
 
 
 def exponential(rate, seed):
@@ -318,8 +416,8 @@ def test_the_winner_is_refit_only_when_the_ceiling_stopped_one_of_its_rows(model
     assert len(solve.call_args_list[1].args[0]) <= 2 * len(growth.RATE_START_FACTORS)
 
 
-def row_trials(values, model, monkeypatch):
-    """Live rows summed over the search's trial steps."""
+def row_trials(search, *args):
+    """What ``search(*args)`` returns, and the live rows summed over its solves' trial steps."""
     trials = []
     step = growth._Workspace.step
 
@@ -327,19 +425,40 @@ def row_trials(values, model, monkeypatch):
         trials.append(work.count)
         return step(work)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(growth._Workspace, "step", counted)
-        detect_biphase(values, model)
-    return sum(trials)
+    with mock.patch.object(growth._Workspace, "step", counted):
+        result = search(*args)
+    return result, sum(trials)
+
+
+def split_segments(values):
+    """The segments of every split that detect_biphase fits, in its order."""
+    segments = []
+    for k in range(MIN_SEGMENT_MONTHS, len(values) - MIN_SEGMENT_MONTHS + 1):
+        for segment in (values[:k], values[k:]):
+            with contextlib.suppress(GrowthFitError):  # as detect_biphase skips it
+                segments.append(growth._checked(segment))
+    return segments
 
 
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
-def test_the_ceiling_cuts_the_searchs_row_trials(model, monkeypatch):
-    values = shipped_series("biphase_noisy")
-    capped = row_trials(values, model, monkeypatch)
-    with uncapped():
-        exhaustive = row_trials(values, model, monkeypatch)
+def test_the_ceiling_cuts_the_searchs_row_trials(model):
+    # Every split segment, none dropped, so the ceiling alone makes the difference.
+    segments = split_segments(shipped_series("biphase_noisy"))
+    _, capped = row_trials(growth._fit_segments, segments, model, (), [growth.RUNAWAY_CEILING] * len(segments))
+    _, exhaustive = row_trials(growth._fit_segments, segments, model, ())
     assert capped <= 0.85 * exhaustive
+
+
+def exhaustive_row_trials(values, model):
+    """Row-trials of solving every split segment and the whole series, with no ceiling and none dropped."""
+    return row_trials(growth._fit_segments, split_segments(values) + [growth._checked(values)], model, ())[1]
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+def test_dropping_splits_that_cannot_win_cuts_the_searchs_row_trials(model):
+    values = shipped_series("biphase_noisy")
+    _, pruned = row_trials(detect_biphase, values, model)
+    assert pruned <= 0.35 * exhaustive_row_trials(values, model)
 
 
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
@@ -350,13 +469,7 @@ def test_a_segment_is_flagged_exactly_when_the_ceiling_ended_one_of_its_rows(nam
     # segment has a row that ended above its ceiling, short of the uncapped
     # row's SSE, and an unflagged segment's rows are the uncapped rows.
     values = SERIES[name] if name in SERIES else shipped_series(name)
-    n = len(values)
-    segments = []
-    for k in range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1):
-        for segment in (values[:k], values[k:]):
-            with contextlib.suppress(GrowthFitError):  # as detect_biphase skips it
-                if np.ptp(segment) > 0:  # a constant segment has no rows
-                    segments.append(growth._checked(segment))
+    segments = [segment for segment in split_segments(values) if np.ptp(segment) > 0]  # a constant one has no rows
     solved = []
 
     def recorded(*args):

@@ -87,7 +87,9 @@ def loop_average_ranks(values):
 @given(values=st.lists(st.integers(-5, 5), max_size=40))
 def test_average_ranks_match_the_tie_group_walk(values):
     values = np.asarray(values, dtype=float)
-    assert np.array_equal(average_ranks(values), loop_average_ranks(values))
+    ranks, groups = average_ranks(values)
+    assert np.array_equal(ranks, loop_average_ranks(values))
+    assert groups == len(set(values.tolist()))
 
 
 no_ties_pairs = st.integers(2, 50).flatmap(
