@@ -19,7 +19,6 @@ from .errors import (
 from .growth import (
     GrowthFit,
     GrowthModel,
-    GrowthParams,
     PhaseLabel,
     classify_phase,
     detect_biphase,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -31,7 +31,7 @@ from .errors import GrowthFitError
 from .series import MonthKey
 
 
-class GrowthModel(Enum):
+class GrowthModel(str, Enum):  # a str, so JSON writes a fit's model as its value
     GOMPERTZ = "gompertz"
     LOGISTIC = "logistic"
 
@@ -44,11 +44,21 @@ class PhaseLabel(Enum):
 
 
 @dataclass(frozen=True)
-class GrowthParams:
+class GrowthFit:
+    """One model fitted to one series; ``dataclasses.asdict`` of it is its
+    fit.json entry.  ``t_offset`` is the "YYYY-MM" month of t = 0, if known."""
+
     model: GrowthModel
     y_star: float
     alpha: float
     shape: float
+    sse: float
+    r_squared: float
+    iterations: int
+    converged: bool
+    t_offset: str | None = None
+    truncated_at: int | None = None
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not (self.y_star > 0 and self.alpha > 0 and self.shape > 0):
@@ -58,16 +68,16 @@ class GrowthParams:
             )
 
 
-def model_value(t, params: GrowthParams):
+def model_value(t, fit: GrowthFit):
     """Evaluate the closed form at time t (months since the anchor).
 
     Accepts scalars or arrays; strictly increasing in t and bounded above by
     y_star for all finite t.
     """
     tv = np.asarray(t, dtype=float)
-    y_star, alpha, shape = params.y_star, params.alpha, params.shape
+    y_star, alpha, shape = fit.y_star, fit.alpha, fit.shape
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if params.model is GrowthModel.GOMPERTZ:
+        if fit.model is GrowthModel.GOMPERTZ:
             out = y_star * np.exp(-shape * np.exp(-alpha * tv))
         else:
             out = y_star / (1.0 + shape * np.exp(-alpha * y_star * tv))
@@ -92,33 +102,6 @@ LAG_FRACTION = 0.1
 STATIONARY_FRACTION = 0.9
 DECLINE_DROP_FRACTION = 0.05
 DECLINE_WINDOW = 6
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    params: GrowthParams
-    sse: float
-    r_squared: float
-    iterations: int
-    converged: bool
-    t_offset: MonthKey | None = None
-    truncated_at: int | None = None
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.params.model.value,
-            "y_star": self.params.y_star,
-            "alpha": self.params.alpha,
-            "shape": self.params.shape,
-            "sse": self.sse,
-            "r_squared": self.r_squared,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "t_offset": None if self.t_offset is None else str(self.t_offset),
-            "truncated_at": self.truncated_at,
-            "notes": list(self.notes),
-        }
 
 
 def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[float, float, float]:
@@ -511,28 +494,28 @@ def _fit_segments(
             segment_notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
         if i not in place:
             # Flat positive series: the level is known but no rate is recoverable.
-            params = GrowthParams(model=model, y_star=float(segment[0]), alpha=1e-6, shape=1e-9)
-            residuals = segment - model_value(np.arange(len(segment), dtype=float), params)
-            sse, r_squared, iterations, converged = float(residuals @ residuals), 0.0, 0, False
             segment_notes.append("rate unidentifiable: constant series")
+            fit = GrowthFit(model, float(segment[0]), alpha=1e-6, shape=1e-9, sse=math.nan, r_squared=0.0,
+                            iterations=0, converged=False, notes=tuple(segment_notes))
+            residuals = segment - model_value(np.arange(len(segment), dtype=float), fit)
+            fits.append(replace(fit, sse=float(residuals @ residuals)))
             stopped.append(False)
-        else:
-            rows = slice(place[i] * per_segment, (place[i] + 1) * per_segment)
-            if not iteration_counts[rows].all():  # the solve dropped it
-                fits.append(None)
-                stopped.append(False)
-                continue
-            stopped.append(bool(stopped_rows[rows].any()))
-            best = rows.start + int(np.argmin(sses[rows]))  # the first start on ties
-            y_star, alpha, shape = np.exp(thetas[best])
-            params = GrowthParams(model=model, y_star=float(y_star), alpha=float(alpha), shape=float(shape))
-            sse = float(sses[best])
-            sst = float(np.sum((segment - segment.mean()) ** 2))
-            r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
-            iterations, converged = int(iteration_counts[best]), bool(convergence[best])
-            if not converged:
-                segment_notes.append("did not converge within iteration limit; best parameters so far")
-        fits.append(GrowthFit(params, sse, r_squared, iterations, converged, notes=tuple(segment_notes)))
+            continue
+        rows = slice(place[i] * per_segment, (place[i] + 1) * per_segment)
+        if not iteration_counts[rows].all():  # the solve dropped it
+            fits.append(None)
+            stopped.append(False)
+            continue
+        stopped.append(bool(stopped_rows[rows].any()))
+        best = rows.start + int(np.argmin(sses[rows]))  # the first start on ties
+        sse = float(sses[best])
+        sst = float(np.sum((segment - segment.mean()) ** 2))
+        r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
+        converged = bool(convergence[best])
+        if not converged:
+            segment_notes.append("did not converge within iteration limit; best parameters so far")
+        fits.append(GrowthFit(model, *np.exp(thetas[best]).tolist(), sse, r_squared, int(iteration_counts[best]),
+                              converged, notes=tuple(segment_notes)))
     return fits, stopped
 
 
@@ -557,7 +540,7 @@ def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey |
         else:
             notes = ("decline detected; truncation skipped (peak too early)",)
     [fit], _ = _fit_segments([data], model, notes)
-    return replace(fit, t_offset=t_offset, truncated_at=truncated_at)
+    return replace(fit, t_offset=None if t_offset is None else str(t_offset), truncated_at=truncated_at)
 
 
 def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
@@ -574,9 +557,9 @@ def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
     if _trailing_decline(data):
         return PhaseLabel.DECLINE
     last = float(data[-1])
-    if last >= STATIONARY_FRACTION * fit.params.y_star:
+    if last >= STATIONARY_FRACTION * fit.y_star:
         return PhaseLabel.STATIONARY
-    if last <= LAG_FRACTION * fit.params.y_star:
+    if last <= LAG_FRACTION * fit.y_star:
         return PhaseLabel.LAG
     return PhaseLabel.EXPONENTIAL
 
@@ -643,17 +626,17 @@ def detect_biphase(
     refit = [bounds for bounds in ((0, breakpoint_index), (breakpoint_index, n)) if stopped[bounds]]
     if refit:
         fits.update(zip(refit, _fit_segments([segments[bounds] for bounds in refit], model, ())[0]))
-    breakpoint = None if t_offset is None else t_offset.shift(breakpoint_index)
-    first = replace(fits[0, breakpoint_index], t_offset=t_offset)
-    second = replace(fits[breakpoint_index, n], t_offset=breakpoint)
-    combined = first.sse + second.sse
+    breakpoint = None if t_offset is None else str(t_offset.shift(breakpoint_index))
+    first = asdict(replace(fits[0, breakpoint_index], t_offset=None if t_offset is None else str(t_offset)))
+    second = asdict(replace(fits[breakpoint_index, n], t_offset=breakpoint))
+    combined = first["sse"] + second["sse"]
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     single_bic = _bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
     return {
         "breakpoint_index": breakpoint_index,
-        "breakpoint": None if breakpoint is None else str(breakpoint),
-        "first": first.to_dict(),
-        "second": second.to_dict(),
+        "breakpoint": breakpoint,
+        "first": first,
+        "second": second,
         "combined_sse": combined,
         "preferred": _bic(combined, n, 7, sse_floor) < single_bic,
     }

@@ -40,9 +40,9 @@ MERGE_POLICY = "excluded"  # `ingest` drops merges; summary.json still says so
 
 
 def _is_number(value) -> bool:
-    """An int (not a bool) or a finite float: ``json.loads`` also reads
-    ``NaN`` and ``Infinity``."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    """An int (not a bool) below 2**63 in size or a finite float: ``json.loads``
+    also reads ``NaN``, ``Infinity`` and ints no float can hold."""
+    return (type(value) is int and abs(value) < 2**63) or (type(value) is float and math.isfinite(value))
 
 
 def _is_range(value) -> bool:
@@ -356,7 +356,7 @@ def fit_report(
     for model in models:
         try:
             fits[model.value] = growth.fit_growth(smoothed, model, t_offset=series.origin)
-            payload["model_fits"][model.value] = fits[model.value].to_dict()
+            payload["model_fits"][model.value] = asdict(fits[model.value])
         except growth.GrowthFitError as exc:
             payload["model_fits"][model.value] = None
             payload[f"{model.value}_reason"] = str(exc)
@@ -366,9 +366,9 @@ def fit_report(
         best = min(fits.values(), key=lambda f: f.sse)
         payload["phase"] = growth.classify_phase(smoothed, best).value
         if biphase:
-            payload["biphase"] = growth.detect_biphase(smoothed, best.params.model, t_offset=series.origin)
+            payload["biphase"] = growth.detect_biphase(smoothed, best.model, t_offset=series.origin)
 
-    fitted = {name: growth.model_value(np.arange(len(series.points), dtype=float), fits[name].params)
+    fitted = {name: growth.model_value(np.arange(len(series.points), dtype=float), fits[name])
               for name in sorted(fits)}
     rows = [["t", "month", "observed", "smoothed"] + [f"fitted_{name}" for name in fitted]]
     for t, point in enumerate(series.points):

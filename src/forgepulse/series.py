@@ -261,7 +261,7 @@ def series_to_dict(series: MonthlySeries) -> dict:
 
 
 def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # not bool
+    return type(value) is int and 0 <= value < 2**63  # not bool; json reads ints no float can hold
 
 
 def _is_counts(value) -> bool:

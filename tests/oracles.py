@@ -30,14 +30,15 @@ family).
 import json
 import math
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from forgepulse import (
     CommitRecord,
+    GrowthFit,
     GrowthFitError,
     GrowthModel,
-    GrowthParams,
     IdentityConfig,
     LogParseError,
     SeriesError,
@@ -281,16 +282,17 @@ def unpruned_biphase(values, model, t_offset=None):
     for bounds in ((0, k), (k, n)):
         if stopped[bounds]:
             [fits[bounds]], _ = growth._fit_segments([segments[bounds]], model, ())
-    breakpoint = None if t_offset is None else t_offset.shift(k)
-    first, second = fits[0, k], fits[k, n]
-    combined = first.sse + second.sse
+    breakpoint = None if t_offset is None else str(t_offset.shift(k))
+    first = asdict(replace(fits[0, k], t_offset=None if t_offset is None else str(t_offset)))
+    second = asdict(replace(fits[k, n], t_offset=breakpoint))
+    combined = first["sse"] + second["sse"]
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
     single_bic = growth._bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
     return {
         "breakpoint_index": k,
-        "breakpoint": None if breakpoint is None else str(breakpoint),
-        "first": {**first.to_dict(), "t_offset": None if t_offset is None else str(t_offset)},
-        "second": {**second.to_dict(), "t_offset": None if breakpoint is None else str(breakpoint)},
+        "breakpoint": breakpoint,
+        "first": first,
+        "second": second,
         "combined_sse": combined,
         "preferred": growth._bic(combined, n, 7, sse_floor) < single_bic,
     }
@@ -320,7 +322,13 @@ def spearman_distinct_ranks(x, y):
     return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))
 
 
-def ode_rhs(y, params: GrowthParams):
+def curve(model, y_star, alpha, shape) -> GrowthFit:
+    """A ``GrowthFit`` that only names a curve, for ``model_value`` and the
+    ODE checks: its SSE, R², iterations and convergence are placeholders."""
+    return GrowthFit(model, y_star, alpha, shape, sse=0.0, r_squared=1.0, iterations=0, converged=True)
+
+
+def ode_rhs(y, params: GrowthFit):
     """The growth rate dy/dt each family postulates at population y."""
     yv = np.asarray(y, dtype=float)
     if params.model is GrowthModel.GOMPERTZ:
@@ -330,7 +338,7 @@ def ode_rhs(y, params: GrowthParams):
     return float(out) if yv.ndim == 0 else out
 
 
-def initial_value(params: GrowthParams):
+def initial_value(params: GrowthFit):
     """y0, the value at t = 0 that ``shape`` encodes."""
     if params.model is GrowthModel.GOMPERTZ:
         return params.y_star * math.exp(-params.shape)

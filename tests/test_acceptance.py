@@ -17,7 +17,6 @@ import pytest
 
 from forgepulse import (
     GrowthModel,
-    GrowthParams,
     ProjectSource,
     RunConfig,
     detect_biphase,
@@ -30,7 +29,7 @@ from forgepulse import (
 )
 
 from conftest import DATA_DIR
-from oracles import ode_rhs, spearman_distinct_ranks
+from oracles import curve, ode_rhs, spearman_distinct_ranks
 
 
 @contextmanager
@@ -98,7 +97,7 @@ def test_criterion_4_ode_consistency():
             for y_star in (10.0, 100.0, 1000.0):
                 for base_rate in (0.01, 0.05, 0.2):
                     alpha = base_rate if model is GrowthModel.GOMPERTZ else base_rate / y_star
-                    params = GrowthParams(model, y_star, alpha, 5.0)
+                    params = curve(model, y_star, alpha, 5.0)
                     span = 12.0 / base_rate
                     t = np.linspace(span * 0.01, span, 100)
                     h = 1e-4 / base_rate
@@ -114,21 +113,21 @@ def test_criterion_5_fit_recovery():
         start = time.perf_counter()
         t = np.arange(120, dtype=float)
         for params in (
-            GrowthParams(GrowthModel.GOMPERTZ, 100.0, 0.05, 5.0),
-            GrowthParams(GrowthModel.LOGISTIC, 500.0, 0.12 / 500.0, 50.0),
+            curve(GrowthModel.GOMPERTZ, 100.0, 0.05, 5.0),
+            curve(GrowthModel.LOGISTIC, 500.0, 0.12 / 500.0, 50.0),
         ):
             fit = fit_growth(model_value(t, params), params.model)
-            assert abs(fit.params.y_star - params.y_star) <= 0.01 * params.y_star
-            assert abs(fit.params.alpha - params.alpha) <= 0.01 * params.alpha
-            assert abs(fit.params.shape - params.shape) <= 0.01 * params.shape
+            assert abs(fit.y_star - params.y_star) <= 0.01 * params.y_star
+            assert abs(fit.alpha - params.alpha) <= 0.01 * params.alpha
+            assert abs(fit.shape - params.shape) <= 0.01 * params.shape
             assert fit.r_squared > 0.9999
         for name in ("gompertz_noisy", "logistic_noisy"):
             payload = json.loads((DATA_DIR / f"{name}.json").read_text())
             true = payload["true_params"]
             fit = fit_growth(payload["values"], GrowthModel(payload["model"]))
-            assert abs(fit.params.y_star - true["y_star"]) <= 0.10 * true["y_star"]
-            assert abs(fit.params.alpha - true["alpha"]) <= 0.10 * true["alpha"]
-            assert abs(fit.params.shape - true["shape"]) <= 0.10 * true["shape"]
+            assert abs(fit.y_star - true["y_star"]) <= 0.10 * true["y_star"]
+            assert abs(fit.alpha - true["alpha"]) <= 0.10 * true["alpha"]
+            assert abs(fit.shape - true["shape"]) <= 0.10 * true["shape"]
             assert fit.r_squared > 0.95
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -138,14 +137,14 @@ def test_criterion_6_biphase_recovery():
     with criterion(6, "bi-phase: junction found within 3 months; single episode not split"):
         start = time.perf_counter()
         t36 = np.arange(36, dtype=float)
-        first = model_value(t36, GrowthParams(GrowthModel.LOGISTIC, 40.0, 0.25 / 40.0, 19.0))
-        second = model_value(t36, GrowthParams(GrowthModel.LOGISTIC, 120.0, 0.2 / 120.0, 5.0))
+        first = model_value(t36, curve(GrowthModel.LOGISTIC, 40.0, 0.25 / 40.0, 19.0))
+        second = model_value(t36, curve(GrowthModel.LOGISTIC, 120.0, 0.2 / 120.0, 5.0))
         two_episode = np.concatenate([first, second])
         result = detect_biphase(two_episode, GrowthModel.LOGISTIC)
         assert result is not None and result["preferred"]
         assert abs(result["breakpoint_index"] - 36) <= 3
 
-        single = model_value(np.arange(72, dtype=float), GrowthParams(GrowthModel.GOMPERTZ, 100.0, 0.06, 5.0))
+        single = model_value(np.arange(72, dtype=float), curve(GrowthModel.GOMPERTZ, 100.0, 0.06, 5.0))
         result = detect_biphase(single, GrowthModel.GOMPERTZ)
         assert result is not None and not result["preferred"]
         elapsed = time.perf_counter() - start

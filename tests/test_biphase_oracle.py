@@ -13,6 +13,7 @@ the same search with every split segment solved.
 import contextlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 from forgepulse import (
     GrowthFitError,
     GrowthModel,
-    GrowthParams,
     MonthKey,
     detect_biphase,
     fit_growth,
@@ -32,7 +32,7 @@ from forgepulse import (
 )
 from forgepulse import growth
 from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve, _warm_start
-from oracles import unpruned_biphase
+from oracles import curve, unpruned_biphase
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -73,20 +73,20 @@ def exhaustive_biphase(values, model, t_offset=None):
     return {
         "breakpoint_index": breakpoint_index,
         "breakpoint": None if t_offset is None else str(t_offset.shift(breakpoint_index)),
-        "first": first.to_dict(),
-        "second": second.to_dict(),
+        "first": asdict(first),
+        "second": asdict(second),
         "combined_sse": combined,
         "preferred": _bic(combined, n, 7, sse_floor) < single_bic,
     }
 
 
 def logistic(n, y_star, rate, shape):
-    params = GrowthParams(GrowthModel.LOGISTIC, y_star, rate / y_star, shape)
+    params = curve(GrowthModel.LOGISTIC, y_star, rate / y_star, shape)
     return model_value(np.arange(n, dtype=float), params)
 
 
 TWO_EPISODES = np.concatenate([logistic(36, 40.0, 0.25, 19.0), logistic(36, 120.0, 0.2, 5.0)])
-SINGLE_EPISODE = model_value(np.arange(72, dtype=float), GrowthParams(GrowthModel.GOMPERTZ, 100.0, 0.06, 5.0))
+SINGLE_EPISODE = model_value(np.arange(72, dtype=float), curve(GrowthModel.GOMPERTZ, 100.0, 0.06, 5.0))
 SHORT_EPISODES = np.concatenate([logistic(24, 30.0, 0.3, 15.0), logistic(24, 90.0, 0.25, 4.0)])
 
 
@@ -114,7 +114,7 @@ def test_batched_search_matches_exhaustive_search(name, model):
     assert expected is not None
     assert result == expected
     k = result["breakpoint_index"]
-    assert result["first"] == untruncated_fit(np.asarray(values, dtype=float)[:k], model, t_offset=t_offset).to_dict()
+    assert result["first"] == asdict(untruncated_fit(np.asarray(values, dtype=float)[:k], model, t_offset=t_offset))
 
 
 def test_batched_search_skips_unfittable_splits():
@@ -321,8 +321,8 @@ def test_a_capped_search_reports_exact_fits_and_no_lower_sse(model, values):
     if shipped is None:
         return
     k = shipped["breakpoint_index"]
-    assert shipped["first"] == untruncated_fit(values[:k], model).to_dict()
-    assert shipped["second"] == untruncated_fit(values[k:], model).to_dict()
+    assert shipped["first"] == asdict(untruncated_fit(values[:k], model))
+    assert shipped["second"] == asdict(untruncated_fit(values[k:], model))
     assert shipped["combined_sse"] >= expected["combined_sse"]
     k = expected["breakpoint_index"]
     if not any(had_a_stopped_row(segment, model) for segment in (values[:k], values[k:])):
@@ -354,17 +354,30 @@ def test_dropping_splits_leaves_the_entry_as_with_every_split_solved(model, valu
     assert detect_biphase(values, model) == unpruned_biphase(values, model)
 
 
-def test_a_long_search_drops_most_of_its_rows():
+def long_two_episodes():
     # Two episodes over 400 months, where the unpruned search's work grows as n^2.
     n = 400
     t = np.arange(n, dtype=float)
     values = 40 / (1 + np.exp(-0.12 * (t - 0.25 * n))) + 60 / (1 + np.exp(-0.12 * (t - 0.7 * n)))
-    values *= 1.0 + 0.03 * np.random.default_rng(5).standard_normal(n)
-    t_offset = MonthKey(1990, 1)
+    return values * (1.0 + 0.03 * np.random.default_rng(5).standard_normal(n))
+
+
+def test_a_long_search_drops_most_of_its_rows():
+    values, t_offset = long_two_episodes(), MonthKey(1990, 1)
     result, pruned = row_trials(detect_biphase, values, GrowthModel.GOMPERTZ, t_offset)
     expected, unpruned = row_trials(unpruned_biphase, values, GrowthModel.GOMPERTZ, t_offset)
     assert result == expected
     assert pruned <= 0.4 * unpruned
+
+
+def test_the_ceiling_still_cuts_a_long_pruned_search():
+    # The pruning drops most rows the ceiling would stop; on a long history it still stops many.
+    values = long_two_episodes()
+    result, capped = row_trials(detect_biphase, values, GrowthModel.GOMPERTZ)
+    with uncapped():
+        expected, without = row_trials(detect_biphase, values, GrowthModel.GOMPERTZ)
+    assert result == expected
+    assert capped <= 0.9 * without
 
 
 def exponential(rate, seed):
@@ -390,8 +403,8 @@ def test_the_ceiling_reaches_no_single_fit(name, model):
     # the search's whole-series fit, for the single-fit BIC, stay as they are.
     values = SINGLE_FIT_SERIES[name]
     with uncapped():
-        expected = fit_growth(values, model).to_dict()
-        whole = untruncated_fit(values, model).to_dict()
+        expected = fit_growth(values, model)
+        whole = untruncated_fit(values, model)
     calls = []
 
     def recorded(segments, *args):
@@ -401,9 +414,9 @@ def test_the_ceiling_reaches_no_single_fit(name, model):
 
     fit_segments = growth._fit_segments
     with mock.patch.object(growth, "RUNAWAY_CEILING", 1.0), mock.patch.object(growth, "_fit_segments", recorded):
-        assert fit_growth(values, model).to_dict() == expected
+        assert fit_growth(values, model) == expected
         detect_biphase(values, model)
-    assert calls[1][len(values)].to_dict() == whole  # calls[0] is fit_growth's
+    assert calls[1][len(values)] == whole  # calls[0] is fit_growth's
 
 
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)

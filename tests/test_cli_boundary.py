@@ -271,6 +271,24 @@ SERIES = {
 }
 
 
+@pytest.mark.parametrize("command", ["fit", "metrics", "summary"])
+def test_an_integer_no_float_can_hold_ends_in_one_line(tmp_path, command):
+    # json reads integers of any size; 10**400 overflows a float.
+    path = tmp_path / "input.json"
+    if command == "summary":
+        path.write_text(json.dumps({**SUMMARY, "spearman": 10**400}))
+        argv, message = ["summary", str(path), "--out-csv", str(tmp_path / "s.csv")], "bad summary file"
+        field = "spearman"
+    else:
+        path.write_text(json.dumps({**SERIES, "points": [{**POINT, "active_contributors": 10**400}]}))
+        argv, message = [command, "--series", str(path), "--out", str(tmp_path / "out.json")], "bad series file"
+        field = "active_contributors"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == f"error: {message} {path}: missing or bad field {field!r}\n"
+
+
 @given(documents(SERIES, json_values | st.lists(documents(POINT), max_size=3)))
 @example(SERIES)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
