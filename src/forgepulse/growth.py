@@ -21,9 +21,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -102,33 +102,6 @@ LAG_FRACTION = 0.1
 STATIONARY_FRACTION = 0.9
 DECLINE_DROP_FRACTION = 0.05
 DECLINE_WINDOW = 6
-
-
-def _warm_start(t: np.ndarray, values: np.ndarray, model: GrowthModel) -> tuple[float, float, float]:
-    """Deterministic initialization.
-
-    y_star = 1.1 * max, y0 = first positive value, and the rate comes from
-    the OLS slope of log(y) over the first half of the rise (the points up to
-    halfway between y0 and the maximum, in value).
-    """
-    y_max = float(np.max(values))
-    y_star = 1.1 * y_max
-    positive = np.flatnonzero(values > 0)
-    y0 = float(values[positive[0]])
-    half_value = y0 + 0.5 * (y_max - y0)
-    rise = positive[values[positive] <= half_value]
-    if len(rise) < 2:
-        rise = positive[: max(2, len(positive) // 2)]
-    if len(rise) >= 2 and np.ptp(t[rise]) > 0:
-        log_slope = float(np.polyfit(t[rise], np.log(values[rise]), 1)[0])
-    else:
-        log_slope = 0.0
-    log_slope = max(log_slope, 1e-4)
-    if model is GrowthModel.GOMPERTZ:
-        shape = max(math.log(y_star / y0), 1e-6)
-        return y_star, max(log_slope / shape, 1e-8), shape
-    shape = max((y_star - y0) / y0, 1e-6)
-    return y_star, max(log_slope / y_star, 1e-12), shape
 
 
 # Rows the solver minimises at once.  A finished row's slot goes to the next
@@ -409,14 +382,13 @@ def _solve(
     return theta, sse, iterations, converged
 
 
+def _trailing_slope(values: np.ndarray) -> float:  # the OLS slope over the last DECLINE_WINDOW values
+    return float(np.polyfit(np.arange(DECLINE_WINDOW, dtype=float), values[-DECLINE_WINDOW:], 1)[0])
+
+
 def _trailing_decline(values: np.ndarray) -> bool:
-    window = DECLINE_WINDOW
-    if len(values) < window:
-        return False
-    tail = values[-window:]
-    tt = np.arange(window, dtype=float)
-    slope = float(np.polyfit(tt, tail, 1)[0])
-    return slope * window < -DECLINE_DROP_FRACTION * float(np.max(values))
+    return len(values) >= DECLINE_WINDOW and (
+        _trailing_slope(values) * DECLINE_WINDOW < -DECLINE_DROP_FRACTION * float(np.max(values)))
 
 
 MIN_FIT_POINTS = 8
@@ -434,89 +406,137 @@ def _checked(values) -> np.ndarray:
     return data
 
 
-class _RateStarts:
-    """The solver's ``starts`` for ``_fit_segments``: row i starts segment
-    i // len(RATE_START_FACTORS) from its warm start, with the rate scaled by
-    factor i % len(RATE_START_FACTORS).  A segment's warm start is computed when
-    its first row loads, so a segment the solve drops before that costs none."""
+def _window_facts(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Whether ``_checked`` accepts each window ``data[start:stop]`` (none empty), its
+    peak (``np.max``), whether it rises (``np.ptp > 0``) and the offset of its first
+    positive value (at or past its length if none): one numpy pass per fact, not per window.
+    reduceat reduces between consecutive edges, so its even places are the windows' reductions."""
+    edges, padded = np.column_stack([starts, stops]).ravel(), np.append(data, 0.0)  # a stop at len(data) is an edge
+    peaks = np.maximum.reduceat(padded, edges)[::2]
+    rising = peaks - np.minimum.reduceat(padded, edges)[::2] > 0
+    negatives = np.concatenate([[0], np.cumsum(data < 0)])
+    next_positive = np.minimum.accumulate(np.where(data > 0, np.arange(len(data)), len(data))[::-1])[::-1]
+    lengths, firsts = stops - starts, next_positive[starts] - starts
+    accepted = (lengths >= MIN_FIT_POINTS) & (negatives[stops] == negatives[starts]) & (firsts < lengths)
+    return accepted, peaks, rising, firsts
 
-    def __init__(self, segments: list[np.ndarray], model: GrowthModel):
-        self.segments, self.model, self.bases = segments, model, {}
+
+class _RateStarts:
+    """The solver's ``starts`` for ``_fit_segments``: row i starts segment i // len(RATE_START_FACTORS)
+    from its warm start, computed when its first row loads, with the rate scaled by factor
+    i % len(RATE_START_FACTORS).  The warm start: y_star = 1.1 * peak, y0 = the first positive
+    value, and the rate from the OLS slope of log(y) over the positive points up to halfway from y0
+    to the peak, in value (else the first half of the positive points).  The slope is ``np.polyfit``'s
+    bit for bit: ``np.linalg.lstsq`` on the scaled Vandermonde matrix it solves (exact norms: t is whole)."""
+
+    def __init__(self, segments: list[np.ndarray], peaks: np.ndarray, firsts: np.ndarray, model: GrowthModel):
+        self.segments, self.peaks, self.firsts, self.model = segments, peaks.tolist(), firsts, model
+        self.bases, self.slopes = {}, {}  # warm starts by segment; slopes by their (t, log y)
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         segments, factors = np.divmod(rows, len(RATE_START_FACTORS))
         segments = segments.tolist()
         for segment in segments:
             if segment not in self.bases:
-                values = self.segments[segment]
-                self.bases[segment] = _warm_start(np.arange(len(values), dtype=float), values, self.model)
+                self.bases[segment] = self._warm_start(segment)
         starts = np.array([self.bases[segment] for segment in segments])
         starts[:, 1] *= np.array(RATE_START_FACTORS)[factors]
         return starts
 
+    def _warm_start(self, segment: int) -> tuple[float, float, float]:
+        values, y_max = self.segments[segment], self.peaks[segment]
+        y_star, y0 = 1.1 * y_max, float(values[self.firsts[segment]])
+        positive = values > 0
+        rise = np.flatnonzero(positive & (values <= y0 + 0.5 * (y_max - y0)))
+        if len(rise) < 2:
+            rise = np.flatnonzero(positive)[: max(2, int(positive.sum()) // 2)]
+        log_slope = 1e-4
+        if len(rise) >= 2:
+            logs = np.log(values[rise])
+            key = rise.tobytes() + logs.tobytes()  # windows of one series often share their rise
+            if key not in self.slopes:
+                t = rise.astype(float)
+                scale, lhs = math.sqrt(t @ t), np.empty((len(rise), 2))
+                lhs[:, 0], lhs[:, 1] = t / scale, 1.0 / math.sqrt(len(rise))
+                self.slopes[key] = float(np.linalg.lstsq(lhs, logs, len(rise) * np.finfo(float).eps)[0][0] / scale)
+            log_slope = max(self.slopes[key], 1e-4)
+        if self.model is GrowthModel.GOMPERTZ:
+            shape = max(math.log(y_star / y0), 1e-6)
+            return y_star, max(log_slope / shape, 1e-8), shape
+        shape = max((y_star - y0) / y0, 1e-6)
+        return y_star, max(log_slope / y_star, 1e-12), shape
+
+
+class _Fits:
+    """``_fit_segments``' fits, each built when read; ``sse[i]`` is fit i's SSE (NaN for None)."""
+
+    def __init__(self, fit: Callable[[int], GrowthFit | None], sse: np.ndarray):
+        self.fit, self.sse = fit, sse
+
+    def __getitem__(self, i: int) -> GrowthFit | None:
+        return self.fit(range(len(self.sse))[i])  # an IndexError past the last ends iteration
+
 
 def _fit_segments(
     segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...], ceilings: Sequence[float] | None = None,
-    partners: Sequence[int | None] | None = None,
-) -> tuple[list[GrowthFit | None], list[bool]]:
-    """Fit each checked segment at t = 0, 1, ...; every segment's fit comes
-    from one batched solve.
+    partners: Sequence[int] | None = None, facts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[_Fits, list[bool]]:
+    """Fit each checked segment at t = 0, 1, ... in one batched solve; a fit is built when read.
 
-    A segment runs one row per ``RATE_START_FACTORS`` start and reports its
-    lowest-SSE row, the first start on ties.  ``notes`` lead every fit's notes.
-    A row of segment i stops once its y* passes ``ceilings[i]`` (if given)
-    times the segment's peak; the second list says which segments had a row
-    stopped so, and their fits may not be the ones ``fit_growth`` reports.
-    ``partners[i]`` (if given) is the index of the other segment of i's split,
-    or None; the solve then drops splits that cannot have the lowest summed
-    SSE, and a segment it did not finish has None for its fit.
+    A segment runs one row per ``RATE_START_FACTORS`` start; its fit is its lowest-SSE row, the
+    first start on ties, with ``notes`` first among its notes.  A row of segment i stops once its
+    y* passes ``ceilings[i]`` (if given) times the segment's peak; the second list says which
+    segments had a row stopped so: their fits may not be ``fit_growth``'s.  ``partners[i]`` (if
+    given) is the other segment of i's split, or -1; the solve then drops splits that cannot have
+    the lowest summed SSE, and their fits are None.  ``facts``: the segments' ``_window_facts``.
     """
     per_segment = len(RATE_START_FACTORS)
-    ceilings = ceilings or [math.inf] * len(segments)
-    peaks = [float(np.max(segment)) for segment in segments]
-    place = {i: j for j, i in enumerate(i for i, segment in enumerate(segments) if np.ptp(segment) > 0)}  # rising
-    if place:
-        solved = [segments[i] for i in place]
-        log_ceilings = np.repeat([math.log(ceilings[i] * peaks[i]) for i in place], per_segment)
-        pairing = None if partners is None else (
-            np.repeat(np.arange(len(place)), per_segment),
-            np.array([place.get(partners[i], -1) for i in place]),  # a constant segment is no partner
-        )
+    if facts is None:  # each segment is a window of their concatenation
+        offsets = np.cumsum([0, *map(len, segments)])
+        facts = _window_facts(np.concatenate([np.empty(0), *segments]), offsets[:-1], offsets[1:])[1:]
+    peaks, rising, firsts = facts
+    peak_values, ceilings = peaks.tolist(), ceilings or [math.inf] * len(segments)
+    solved = np.flatnonzero(rising).tolist()
+    place = {i: j for j, i in enumerate(solved)}
+    sse, stopped = np.full(len(segments), math.nan), np.zeros(len(segments), dtype=bool)
+
+    def noted(i: int, *more: str) -> tuple[str, ...]:
+        if peak_values[i] < LOW_CONFIDENCE_PEAK:
+            more = (f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors", *more)
+        return (*notes, *more)
+
+    fixed = {}
+    for i in np.flatnonzero(~rising).tolist():  # flat: the level is known but no rate is recoverable
+        fit = GrowthFit(model, float(segments[i][0]), alpha=1e-6, shape=1e-9, sse=math.nan, r_squared=0.0,
+                        iterations=0, converged=False, notes=noted(i, "rate unidentifiable: constant series"))
+        residuals = segments[i] - model_value(np.arange(len(segments[i]), dtype=float), fit)
+        fixed[i] = replace(fit, sse=float(residuals @ residuals))
+        sse[i] = fixed[i].sse
+    if solved:
+        log_ceilings = np.repeat([math.log(ceilings[i] * peak_values[i]) for i in solved], per_segment)
+        pairing = None if partners is None else (  # a constant segment is no partner
+            np.repeat(np.arange(len(solved)), per_segment), np.array([place.get(partners[i], -1) for i in solved]))
+        starts = _RateStarts([segments[i] for i in solved], peaks[solved], firsts[solved], model)
         thetas, sses, iteration_counts, convergence = _solve(
-            [segment for segment in solved for _ in range(per_segment)], _RateStarts(solved, model), model,
-            log_ceilings, pairing,
-        )
+            [segments[i] for i in solved for _ in range(per_segment)], starts, model, log_ceilings, pairing)
+        best = np.arange(len(solved)) * per_segment + np.argmin(sses.reshape(-1, per_segment), axis=1)  # first on ties
+        dropped = ~iteration_counts.reshape(-1, per_segment).all(axis=1)
         stopped_rows = ~convergence & (iteration_counts < MAX_ITERATIONS)  # as _solve says
-    fits, stopped = [], []
-    for i, segment in enumerate(segments):
-        segment_notes = list(notes)
-        if peaks[i] < LOW_CONFIDENCE_PEAK:
-            segment_notes.append(f"low confidence: series peak below {LOW_CONFIDENCE_PEAK:g} active contributors")
-        if i not in place:
-            # Flat positive series: the level is known but no rate is recoverable.
-            segment_notes.append("rate unidentifiable: constant series")
-            fit = GrowthFit(model, float(segment[0]), alpha=1e-6, shape=1e-9, sse=math.nan, r_squared=0.0,
-                            iterations=0, converged=False, notes=tuple(segment_notes))
-            residuals = segment - model_value(np.arange(len(segment), dtype=float), fit)
-            fits.append(replace(fit, sse=float(residuals @ residuals)))
-            stopped.append(False)
-            continue
-        rows = slice(place[i] * per_segment, (place[i] + 1) * per_segment)
-        if not iteration_counts[rows].all():  # the solve dropped it
-            fits.append(None)
-            stopped.append(False)
-            continue
-        stopped.append(bool(stopped_rows[rows].any()))
-        best = rows.start + int(np.argmin(sses[rows]))  # the first start on ties
-        sse = float(sses[best])
+        stopped[solved] = stopped_rows.reshape(-1, per_segment).any(axis=1) & ~dropped
+        sse[solved] = sses[best]
+
+    def fit(i: int) -> GrowthFit | None:
+        if i in fixed or dropped[place[i]]:
+            return fixed.get(i)
+        row, segment, fit_sse = best[place[i]], segments[i], float(sse[i])
         sst = float(np.sum((segment - segment.mean()) ** 2))
-        r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - sse / sst))
-        converged = bool(convergence[best])
-        if not converged:
-            segment_notes.append("did not converge within iteration limit; best parameters so far")
-        fits.append(GrowthFit(model, *np.exp(thetas[best]).tolist(), sse, r_squared, int(iteration_counts[best]),
-                              converged, notes=tuple(segment_notes)))
-    return fits, stopped
+        r_squared = 0.0 if sst == 0 else max(0.0, min(1.0, 1.0 - fit_sse / sst))
+        converged = bool(convergence[row])
+        more = () if converged else ("did not converge within iteration limit; best parameters so far",)
+        return GrowthFit(model, *np.exp(thetas[row]).tolist(), fit_sse, r_squared, int(iteration_counts[row]),
+                         converged, notes=noted(i, *more))
+
+    return _Fits(fit, sse), stopped.tolist()
 
 
 def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None) -> GrowthFit:
@@ -546,16 +566,19 @@ def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey |
 def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
     """Assign exactly one growth phase to a (series, fit) pair.
 
-    Decline: the trailing OLS slope loses more than DECLINE_DROP_FRACTION of
-    the series maximum over the last DECLINE_WINDOW months.  Otherwise the last smoothed
-    value is compared against the fitted ceiling: stationary above 90% of
-    y_star, lag below 10%, exponential in between.
+    Decline: the trailing OLS slope loses more than DECLINE_DROP_FRACTION of the series maximum
+    over the last DECLINE_WINDOW months.  While the data do not identify y* (``phase_reason``):
+    exponential when the trailing log-growth rate is positive, lag when the series is flat.
+    Otherwise the last value against y_star: stationary above 90%, lag below 10%, else exponential.
     """
     data = np.asarray(values, dtype=float)
     if len(data) < DECLINE_WINDOW:
         raise GrowthFitError(f"classification unavailable: need at least {DECLINE_WINDOW} months")
     if _trailing_decline(data):
         return PhaseLabel.DECLINE
+    if phase_reason(data, fit) is not None:
+        tail = data[-DECLINE_WINDOW:]
+        return PhaseLabel.EXPONENTIAL if np.all(tail > 0) and _trailing_slope(np.log(tail)) > 0 else PhaseLabel.LAG
     last = float(data[-1])
     if last >= STATIONARY_FRACTION * fit.y_star:
         return PhaseLabel.STATIONARY
@@ -564,79 +587,74 @@ def classify_phase(values: Sequence[float], fit: GrowthFit) -> PhaseLabel:
     return PhaseLabel.EXPONENTIAL
 
 
+def phase_reason(values: Sequence[float], fit: GrowthFit) -> str | None:
+    """Why ``classify_phase`` labels from the data: the series does not decline and is below the
+    fit's inflection value (y*/e for Gompertz, y*/2 logistic), so y* is not identified; else None."""
+    data = np.asarray(values, dtype=float)
+    peak, inflection = float(np.max(data)), fit.y_star / (math.e if fit.model is GrowthModel.GOMPERTZ else 2.0)
+    if _trailing_decline(data) or not inflection > peak:
+        return None
+    return (f"ceiling not identified: the fit's inflection value {inflection:.6g} is above the series peak "
+            f"{peak:.6g}, so the trailing {DECLINE_WINDOW}-month log-growth rate sets the phase")
+
+
 MIN_SEGMENT_MONTHS = 12
 
 def _bic(sse: float, n: int, n_params: int, sse_floor: float) -> float:
-    # The floor keeps noiseless comparisons from resolving on numerical dust:
-    # any SSE below ~1e-9 of the data's energy counts as "exact", so model
-    # preference then falls to the parameter-count penalty alone.
+    # The floor keeps noiseless comparisons from resolving on numerical dust: any SSE below
+    # ~1e-9 of the data's energy counts as "exact", so the parameter-count penalty decides.
     return n * math.log(max(sse, sse_floor) / n) + n_params * math.log(n)
 
 
 def detect_biphase(
     values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None
 ) -> dict | None:
-    """Search for two successive growth episodes; returns fit.json's
-    ``biphase`` entry.
+    """Search for two successive growth episodes; returns fit.json's ``biphase`` entry.
 
-    Every interior breakpoint leaving at least ``MIN_SEGMENT_MONTHS`` months
-    per side is tried; each segment is fit independently and the split with the
-    lowest combined SSE wins.  ``preferred`` is True when the two-segment
-    BIC (7 effective parameters) beats the single-fit BIC (3).  Returns None
-    when the series is too short or no split has two fittable segments.
+    Every interior breakpoint leaving at least ``MIN_SEGMENT_MONTHS`` months per side is tried;
+    each segment is fit independently and the split with the lowest combined SSE wins, the lowest
+    index on ties.  ``preferred`` is True when the two-segment BIC (7 effective parameters) beats
+    the single-fit BIC (3).  Returns None when the series is too short or no split has two
+    fittable segments.
 
-    Every segment of every split and the whole series, for the single-fit
-    BIC, are fit by one ``_fit_segments`` call, without the decline
-    truncation; a split segment's rows stop once y* passes ``RUNAWAY_CEILING``
-    times its peak.  A ranked SSE is then what ``fit_growth`` reports for the
-    segment with the decline test off when no row stopped, and at or above it
-    otherwise; ties go to the lowest index.  The winner's segments with a
-    stopped row are fit again without the ceiling, so the reported fits are
-    ``fit_growth``'s; the winner differs from the exhaustive search's only when
-    that search's winner had a segment whose best start stopped.  A segment
-    that ``fit_growth`` would reject, or whose best SSE is NaN, leaves its
-    splits unranked.  The solve stops solving a split once one of its
-    segments is solved and alone costs more than a split it has seen whole
-    can (``_SplitBound``): such a split ranks above the winner, so the entry
-    is the one the search makes with every split solved.
+    Each segment is a window of the series, all checked at once by ``_window_facts``; a rejected
+    one, or one whose best SSE is NaN, leaves its splits unranked.  Every segment is fit by one
+    ``_fit_segments`` call, without the decline truncation, and ranked on its SSEs; only the
+    reported fits are built.  A split segment's rows stop once y* passes ``RUNAWAY_CEILING`` times
+    its peak, and the winner's segments with a stopped row are fit again without it, so the
+    reported fits are ``fit_growth``'s (decline test off); the winner differs from the exhaustive
+    search's only when that search's winner had a segment whose best start stopped.  Splits that
+    cannot win are dropped unsolved (``_SplitBound``), with the same entry.
     """
     data = np.asarray(values, dtype=float)
     n = len(data)
-    if n < 2 * MIN_SEGMENT_MONTHS:
+    if n < 2 * MIN_SEGMENT_MONTHS or data.ndim != 1:  # _checked rejects every window of a series not 1-D
         return None
 
-    splits = range(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1)
-    segments: dict[tuple[int, int], np.ndarray] = {}
-    for start, stop in sorted({(0, k) for k in splits} | {(k, n) for k in splits} | {(0, n)}):
-        try:
-            segments[start, stop] = _checked(data[start:stop])
-        except GrowthFitError:
-            pass
-    ceilings = [math.inf if bounds == (0, n) else RUNAWAY_CEILING for bounds in segments]
-    place = {bounds: i for i, bounds in enumerate(segments)}
-    partners = [place.get((stop, n) if start == 0 else (0, start)) for start, stop in segments]  # (0, n): none
-    fitted, stopped = _fit_segments(list(segments.values()), model, (), ceilings, partners)
-    fits, stopped = dict(zip(segments, fitted)), dict(zip(segments, stopped))
-    sse = {bounds: fit.sse for bounds, fit in fits.items() if fit is not None and not math.isnan(fit.sse)}
-    ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
+    # The windows in (start, stop) order: (0, k) for each split k, (0, n), then (k, n) for each k.
+    splits = np.arange(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1)
+    m = len(splits)
+    starts = np.concatenate([np.zeros(m + 1, dtype=int), splits])
+    stops = np.concatenate([splits, np.full(m + 1, n)])
+    accepted, *facts = _window_facts(data, starts, stops)
+    kept = np.flatnonzero(accepted)
+    segment = np.append(np.where(accepted, np.cumsum(accepted) - 1, -1), -1)  # each window's, then none
+    partners = segment[np.concatenate([m + 1 + np.arange(m), [-1], np.arange(m)])][kept].tolist()  # (0, n): none
+    ceilings = np.where(stops[kept] - starts[kept] == n, math.inf, RUNAWAY_CEILING).tolist()
+    segments = [data[start:stop] for start, stop in zip(starts[kept].tolist(), stops[kept].tolist())]
+    fits, stopped = _fit_segments(segments, model, (), ceilings, partners, [fact[kept] for fact in facts])
+    sse = np.append(np.where(np.isnan(fits.sse), math.inf, fits.sse), math.inf)[segment]  # NaN or none: unranked
+    ranked = sse[:m] + sse[m + 1:-1]
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):
         return None
-    breakpoint_index = splits[best]
-    refit = [bounds for bounds in ((0, breakpoint_index), (breakpoint_index, n)) if stopped[bounds]]
-    if refit:
-        fits.update(zip(refit, _fit_segments([segments[bounds] for bounds in refit], model, ())[0]))
-    breakpoint = None if t_offset is None else str(t_offset.shift(breakpoint_index))
-    first = asdict(replace(fits[0, breakpoint_index], t_offset=None if t_offset is None else str(t_offset)))
-    second = asdict(replace(fits[breakpoint_index, n], t_offset=breakpoint))
+    breakpoint_index, halves = int(splits[best]), [segment[best], segment[m + 1 + best]]
+    refit = [i for i in halves if stopped[i]]
+    reported = dict(zip(refit, _fit_segments([segments[i] for i in refit], model, ())[0]))
+    offsets = (None, None) if t_offset is None else (str(t_offset), str(t_offset.shift(breakpoint_index)))
+    first, second = (asdict(replace(reported.get(i) or fits[i], t_offset=at)) for i, at in zip(halves, offsets))
     combined = first["sse"] + second["sse"]
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
-    single_bic = _bic(fits[0, n].sse, n, 3, sse_floor) if (0, n) in fits else math.inf
-    return {
-        "breakpoint_index": breakpoint_index,
-        "breakpoint": breakpoint,
-        "first": first,
-        "second": second,
-        "combined_sse": combined,
-        "preferred": _bic(combined, n, 7, sse_floor) < single_bic,
-    }
+    single_bic = _bic(float(fits.sse[segment[m]]), n, 3, sse_floor) if accepted[m] else math.inf
+    return {"breakpoint_index": breakpoint_index, "breakpoint": offsets[1], "first": first, "second": second,
+            "combined_sse": combined, "preferred": _bic(combined, n, 7, sse_floor) < single_bic}

@@ -365,6 +365,7 @@ def fit_report(
         # A fit needs MIN_FIT_POINTS months, more than classify_phase needs.
         best = min(fits.values(), key=lambda f: f.sse)
         payload["phase"] = growth.classify_phase(smoothed, best).value
+        payload["phase_reason"] = growth.phase_reason(smoothed, best)
         if biphase:
             payload["biphase"] = growth.detect_biphase(smoothed, best.model, t_offset=series.origin)
 

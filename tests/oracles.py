@@ -203,6 +203,34 @@ def _growth_values(t, model, theta):
         return y_star / (1.0 + shape * np.exp(-alpha * y_star * t))
 
 
+def warm_start_oracle(t, values, model):
+    """One segment's deterministic start through ``np.polyfit``, as the solver
+    once computed it segment by segment; ``growth._warm_starts`` must match it bit for bit.
+
+    y_star = 1.1 * max, y0 = first positive value, and the rate comes from
+    the OLS slope of log(y) over the first half of the rise (the points up to
+    halfway between y0 and the maximum, in value).
+    """
+    y_max = float(np.max(values))
+    y_star = 1.1 * y_max
+    positive = np.flatnonzero(values > 0)
+    y0 = float(values[positive[0]])
+    half_value = y0 + 0.5 * (y_max - y0)
+    rise = positive[values[positive] <= half_value]
+    if len(rise) < 2:
+        rise = positive[: max(2, len(positive) // 2)]
+    if len(rise) >= 2 and np.ptp(t[rise]) > 0:
+        log_slope = float(np.polyfit(t[rise], np.log(values[rise]), 1)[0])
+    else:
+        log_slope = 0.0
+    log_slope = max(log_slope, 1e-4)
+    if model is GrowthModel.GOMPERTZ:
+        shape = max(math.log(y_star / y0), 1e-6)
+        return y_star, max(log_slope / shape, 1e-8), shape
+    shape = max((y_star - y0) / y0, 1e-6)
+    return y_star, max(log_slope / y_star, 1e-12), shape
+
+
 def lm_minimize_oracle(t, values, model, start):
     """One start's Levenberg-Marquardt fit, one series at a time, with the
     settings in ``forgepulse.growth`` as they are when it runs.

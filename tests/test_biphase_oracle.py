@@ -31,8 +31,8 @@ from forgepulse import (
     model_value,
 )
 from forgepulse import growth
-from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve, _warm_start
-from oracles import curve, unpruned_biphase
+from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve
+from oracles import curve, unpruned_biphase, warm_start_oracle
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -157,7 +157,7 @@ segment_values = st.lists(st.floats(0.0, 1e3), min_size=8, max_size=60).filter(
 
 
 def _start(segment, model, factor):
-    base = _warm_start(np.arange(len(segment), dtype=float), segment, model)
+    base = warm_start_oracle(np.arange(len(segment), dtype=float), segment, model)
     return (base[0], base[1] * factor, base[2])
 
 
@@ -245,7 +245,7 @@ def test_singular_system_costs_only_its_own_row_a_trial():
     from forgepulse.growth import _Workspace
 
     t = np.arange(len(SHORT_EPISODES), dtype=float)
-    start = _warm_start(t, SHORT_EPISODES, GrowthModel.LOGISTIC)
+    start = warm_start_oracle(t, SHORT_EPISODES, GrowthModel.LOGISTIC)
     segments = [SHORT_EPISODES, SHORT_EPISODES]
     starts = np.array([start, start])
 
@@ -504,3 +504,99 @@ def test_a_segment_is_flagged_exactly_when_the_ceiling_ended_one_of_its_rows(nam
     assert np.all(same | ended)
     assert stopped == [bool(ended[i * per_segment:(i + 1) * per_segment].any()) for i in range(len(segments))]
     assert any(stopped) and not all(stopped)
+
+
+# The search reads each window's facts from one pass per fact over the series,
+# and computes warm starts without np.polyfit; both must be the per-segment
+# calls' bit for bit.
+
+@st.composite
+def awkward_series(draw):
+    """Up to 40 values with zeros, leading zeros, negatives, NaN, constant runs
+    and maybe a subnormal first value."""
+    value = st.floats(0.0, 1e3) | st.sampled_from([0.0, -2.5, math.nan])
+    values = np.asarray(draw(st.lists(value, min_size=1, max_size=40)))
+    start, length = draw(st.integers(0, len(values) - 1)), draw(st.integers(0, 10))
+    values[start:start + length] = values[start]
+    values = np.concatenate([np.zeros(draw(st.integers(0, 5))), values])
+    if draw(st.booleans()):
+        values[0] = 2.2250738585072e-309
+    return values
+
+
+@given(values=awkward_series(), cuts=st.lists(st.integers(1, 44), max_size=6))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_window_facts_are_the_per_segment_calls(values, cuts):
+    # The search's prefix and suffix windows, then the windows between cuts, as
+    # _fit_segments lays a list of segments end to end.
+    n = len(values)
+    edges = sorted({0, n, *(cut for cut in cuts if cut < n)})
+    windows = [(0, k) for k in range(1, n + 1)] + [(k, n) for k in range(1, n)] + list(zip(edges, edges[1:]))
+    starts, stops = np.array(windows).T
+    accepted, peaks, rising, firsts = growth._window_facts(values, starts, stops)
+    for i, (start, stop) in enumerate(windows):
+        segment = values[start:stop]
+        try:
+            growth._checked(segment)
+        except GrowthFitError:
+            assert not accepted[i]
+        else:
+            assert accepted[i]
+        assert np.array_equal(peaks[i], np.max(segment), equal_nan=True)
+        assert rising[i] == (np.ptp(segment) > 0)
+        positive = np.flatnonzero(segment > 0)
+        assert firsts[i] == positive[0] if len(positive) else firsts[i] >= len(segment)
+
+
+warm_segment = st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40).filter(lambda values: max(values) > 0)
+
+
+@given(
+    model=st.sampled_from(list(GrowthModel)),
+    segments=st.lists(warm_segment, min_size=1, max_size=6),
+    loads=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The first half of the rise has one point, so the first half of the positive
+# points stands in; a single positive value leaves no slope at all.
+@example(model=GrowthModel.GOMPERTZ, segments=[[1.0, 100.0, 100.0, 100.0, 100.0, 100.0]], loads=1, seed=0)
+@example(model=GrowthModel.LOGISTIC, segments=[[0.0, 0.0, 7.0, 0.0, 0.0]], loads=1, seed=0)
+@example(model=GrowthModel.LOGISTIC, segments=[[2.2250738585072e-309, 0.0, 3.0, 5.0, 9.0]], loads=1, seed=0)
+# Equal rises, as windows of one series often have, share one slope.
+@example(model=GrowthModel.GOMPERTZ, segments=[[1.0, 2.0, 4.0, 8.0, 16.0]] * 2 + [[1.0, 2.0, 4.0, 8.0, 16.0, 3.0]],
+         loads=2, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_a_loads_warm_starts_are_the_per_segment_polyfit_starts(model, segments, loads, seed):
+    segments = [np.asarray(segment) for segment in segments]
+    offsets = np.cumsum([0, *map(len, segments)])
+    _, peaks, _, firsts = growth._window_facts(np.concatenate(segments), offsets[:-1], offsets[1:])
+    starts = growth._RateStarts(segments, peaks, firsts, model)
+    rows = np.random.default_rng(seed).permutation(len(segments) * len(growth.RATE_START_FACTORS))
+    for load in np.array_split(rows, loads):  # the solver asks for each load's rows as it loads them
+        expected = [_start(segments[row // len(growth.RATE_START_FACTORS)], model,
+                           growth.RATE_START_FACTORS[row % len(growth.RATE_START_FACTORS)]) for row in load]
+        assert starts[load].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+def test_the_search_builds_only_the_fits_it_reports(model):
+    # Ranking reads the solver's SSEs: the winner's two fits are built (and the
+    # whole series' fit only if it is constant), plus the refits; no segment
+    # is passed to _checked or np.polyfit.
+    values = shipped_series("biphase_noisy")
+    refit = []
+    fit_segments = growth._fit_segments
+
+    def recorded(segments, *args):
+        refit.append(len(segments))
+        return fit_segments(segments, *args)
+
+    with mock.patch.object(growth, "GrowthFit", wraps=growth.GrowthFit) as built, \
+            mock.patch.object(growth, "_checked", wraps=growth._checked) as checked, \
+            mock.patch.object(np, "polyfit", wraps=np.polyfit) as polyfit, \
+            mock.patch.object(growth, "_fit_segments", recorded):
+        result = detect_biphase(values, model)
+    assert result == unpruned_biphase(values, model)
+    assert built.call_count <= 3 + sum(refit[1:])
+    assert checked.call_count == 0 and polyfit.call_count == 0

@@ -17,9 +17,9 @@ from forgepulse import (
     model_value,
 )
 from forgepulse import growth
-from forgepulse.growth import GrowthFit, _solve, _warm_start
+from forgepulse.growth import GrowthFit, _solve
 
-from oracles import curve, initial_value, lm_minimize_oracle, ode_rhs
+from oracles import curve, initial_value, lm_minimize_oracle, ode_rhs, warm_start_oracle
 
 
 def gompertz_params(y_star=100.0, alpha=0.05, shape=5.0):
@@ -160,7 +160,7 @@ def test_solver_takes_the_scalar_loops_steps(model, constants, data_dir, monkeyp
     ]
     for values in series:
         t = np.arange(len(values), dtype=float)
-        base = _warm_start(t, values, model)
+        base = warm_start_oracle(t, values, model)
         starts = np.array([(base[0], base[1] * factor, base[2]) for factor in growth.RATE_START_FACTORS])
         theta, sse, iterations, converged = _solve([values] * len(starts), starts, model)
         for row, start in enumerate(starts):
@@ -269,8 +269,51 @@ def test_phase_exponential():
 
 
 def test_phase_lag():
-    values = [1, 1, 2, 2, 3, 3]
+    values = [2, 2, 2, 2, 2, 2]
     assert classify_phase(values, manual_fit(100.0)) is PhaseLabel.LAG
+
+
+def test_below_the_inflection_value_the_data_decide_the_phase():
+    # y* = 100 puts the Gompertz inflection value at 36.8, above both series'
+    # peaks: y* is not identified, so the label follows the trailing growth.
+    fit = manual_fit(100.0)
+    assert classify_phase([1, 1, 2, 2, 3, 3], fit) is PhaseLabel.EXPONENTIAL
+    assert classify_phase([2, 2, 2, 2, 2, 2], fit) is PhaseLabel.LAG
+    for values in ([1, 1, 2, 2, 3, 3], [2, 2, 2, 2, 2, 2]):
+        assert "ceiling not identified" in growth.phase_reason(values, fit)
+    # Past the inflection value, or declining, the fitted ceiling or the decline test decides.
+    assert growth.phase_reason([5, 10, 18, 28, 38, 50], fit) is None
+    assert growth.phase_reason([10, 20, 40, 60, 70, 65, 55, 45, 35, 25], fit) is None
+    assert classify_phase([2, 2, 2, 2, 2, 2], manual_fit(2.1)) is PhaseLabel.STATIONARY
+
+
+def still_exponential(rate, months, noise, seed):
+    rng = np.random.default_rng(seed)
+    return 5.0 * np.exp(rate * np.arange(months)) * (1.0 + noise * rng.standard_normal(months))
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed, rate", enumerate((0.03, 0.05, 0.08)))
+def test_a_still_exponential_community_is_not_lag(seed, rate, model):
+    # 72 months of 5 e^(rt) with 3% noise: the fitted y* is far above the
+    # peak, and an extrapolated ceiling used to label every one of these Lag.
+    values = still_exponential(rate, 72, 0.03, seed)
+    fit = fit_growth(values, model)
+    assert classify_phase(values, fit) is PhaseLabel.EXPONENTIAL
+    assert growth.phase_reason(values, fit).startswith("ceiling not identified")
+
+
+@given(
+    model=st.sampled_from(list(GrowthModel)),
+    rate=st.floats(0.03, 0.12),
+    months=st.integers(24, 96),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_rising_exponential_series_is_never_lag(model, rate, months, noise, seed):
+    values = still_exponential(rate, months, noise, seed)
+    assert classify_phase(values, fit_growth(values, model)) is not PhaseLabel.LAG
 
 
 def test_phase_needs_six_months():
