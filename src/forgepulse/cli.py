@@ -9,6 +9,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ConfigError, ForgepulseError
 from .identity import IdentityConfig, load_identity_config
@@ -31,8 +32,18 @@ from .pipeline import (
 from .series import build_monthly_series, load_series, series_to_dict
 
 
+def _stdout_sink():
+    """Binary stdout for records.jsonl text; a stand-in that holds text, such
+    as ``redirect_stdout(io.StringIO())`` gives, has no buffer and gets the
+    text decoded."""
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what was written as text goes first
+        return sys.stdout.buffer
+    return SimpleNamespace(write=lambda data: sys.stdout.write(data.decode("ascii")))
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with nullcontext(sys.stdout) if args.out == "-" else atomic_writer(args.out) as sink:
+    with nullcontext(_stdout_sink()) if args.out == "-" else atomic_writer(args.out) as sink:
         records, report = ingest(args.repo, args.log, args.strict)
         written = sum(map(len, tee_records(records, sink)))
     payload = report.to_dict()

@@ -164,14 +164,18 @@ class _Workspace:
         """Append ``pairs``, none longer than a live row, at their starts; lay
         every row out again when the widest fits a narrower padded width."""
         width = _padded(self.lengths[self.ids[:self.count] if self.count else pairs].max())
-        placed = 0 if width < self.width else self.count
-        rows = slice(self.count, self.count + len(pairs))
+        flat, live = self.buffers[self._VALUES], self.count
+        narrowed = self.view(flat)[:, :width]  # the live rows' values and zero padding
+        first = 0 if width < self.width else live  # the first row to lay out
+        rows = slice(live, live + len(pairs))
         self.width, self.t, self.count, self.ids[rows] = width, self.t[:width], rows.stop, pairs
-        values, ids = self.view(self.buffers[self._VALUES])[placed:], self.ids[placed:self.count]
-        values[...] = 0.0
-        for row, pair in zip(values, ids):
+        values = self.view(flat)
+        if first < live:
+            values[:live] = narrowed  # one copy; numpy buffers the overlap
+        values[rows] = 0.0
+        for row, pair in zip(values[rows], pairs):
             row[:self.lengths[pair]] = self.segments[pair]
-        np.greater_equal(self.t, self.lengths[ids][:, None], out=self.view(self.pad)[placed:])
+        np.greater_equal(self.t, self.lengths[self.ids[first:self.count]][:, None], out=self.view(self.pad)[first:])
         theta = np.log(self.starts[pairs], out=self.theta[rows])
         self.damping[rows], self.iterations[rows], self.trials[rows] = DAMPING_INIT, 1, 0
         params, self.sse[rows] = self._evaluate(theta, rows)

@@ -12,6 +12,8 @@ bucketing downstream is timezone-independent.
 Logs and records JSONL are read ``BLOCK_LINES`` lines at a time into
 ``RecordBlock`` columns: the checks and the UTC conversion run once per
 block, over arrays, and a block's records.jsonl text is built in one join.
+A block's text columns hold bytes, one per character, as records.jsonl
+stores them, so its text is written with no re-encoding.
 Each line git writes starts with a fixed head: 40 hex digits, a tab, a
 25-character offset stamp or a 20-character Z stamp, and a tab.  A log
 block's first 67 characters per line are checked as one uint8 matrix, and
@@ -75,7 +77,7 @@ class CommitRecord(NamedTuple):
 # record.  A block parse reads this one column to choose the lines it keeps.
 RECORD, MERGE, SKIP = 0, 1, 2
 # records.jsonl text after a record's hash, by kind.
-_ENDS = ('", "is_merge": false}\n', '", "is_merge": true}\n', "")
+_ENDS = (b'", "is_merge": false}\n', b'", "is_merge": true}\n', b"")
 
 
 def _head(email: str, name: str) -> str:
@@ -91,10 +93,10 @@ class AuthorTable(dict):
 
     Columns indexed by id (their arrays may run past the last id) hold the
     uint8 ``kinds``, the ``emails`` and ``names``, and the records.jsonl
-    text around a record's stamp and hash: ``heads`` (see ``_head``) and
-    ``ends``.  A stream starts a new table once one holds ``_MEMO_SIZE``
-    keys, so a long log cannot grow it without bound; a block keeps the
-    table its ids index."""
+    text around a record's stamp and hash as ASCII bytes: ``heads`` (see
+    ``_head``) and ``ends``.  A stream starts a new table once one holds
+    ``_MEMO_SIZE`` keys, so a long log cannot grow it without bound; a block
+    keeps the table its ids index."""
 
     _COLUMNS = {"kinds": np.uint8, "emails": object, "names": object, "heads": object, "ends": object}
 
@@ -112,11 +114,11 @@ class AuthorTable(dict):
                 setattr(self, column, np.concatenate([getattr(self, column)] * 2))
         self.kinds[i], self.emails[i], self.names[i] = kind, email, name
         if kind != SKIP:
-            self.heads[i], self.ends[i] = _head(email, name), _ENDS[kind]
+            self.heads[i], self.ends[i] = _head(email, name).encode("ascii"), _ENDS[kind]
         return i
 
 
-_HASH_KEY = '", "hash": "'
+_HASH_KEY = b'", "hash": "'
 
 
 class RecordBlock:
@@ -125,10 +127,11 @@ class RecordBlock:
     ``author_ids`` (int32) index the columns of ``table``, an AuthorTable,
     which hold each commit's email, name, merge kind and records.jsonl text
     around its stamp.  ``stamps`` holds each commit's UTC time as ISO 8601
-    text, ``months`` its UTC month index (year * 12 + month - 1).
-    Iterating a block gives its ``CommitRecord``s.  ``hex_hashes`` says that
-    every hash was checked to be 40 hex digits, so it goes into JSON without
-    escaping.
+    text in ASCII bytes, ``months`` its UTC month index (year * 12 + month
+    - 1).  Iterating a block gives its ``CommitRecord``s.  ``hex_hashes``
+    says that every hash was checked to be 40 hex digits and is held as
+    ASCII bytes, so it goes into JSON as it is; else the hashes are ``str``
+    objects, escaped when written.
     """
 
     __slots__ = ("hashes", "author_ids", "table", "stamps", "months", "hex_hashes")
@@ -150,7 +153,7 @@ class RecordBlock:
             np.array([r.hash for r in records], dtype=object),
             np.array([table[r.author_email, r.author_name, r.is_merge] for r in records], dtype=np.int32),
             table,
-            np.array([r.authored_at.isoformat() for r in records], dtype=str),
+            np.array([r.authored_at.isoformat() for r in records], dtype=bytes),
             np.array([r.authored_at.year * 12 + r.authored_at.month - 1 for r in records], dtype=np.int32),
         )
 
@@ -159,8 +162,9 @@ class RecordBlock:
 
     def __iter__(self) -> Iterator[CommitRecord]:
         table, ids = self.table, self.author_ids
-        for sha, email, name, stamp, kind in zip(self.hashes.tolist(), table.emails[ids].tolist(),
-                                                 table.names[ids].tolist(), self.stamps.tolist(),
+        hashes = self.hashes.astype(str) if self.hex_hashes else self.hashes
+        for sha, email, name, stamp, kind in zip(hashes.tolist(), table.emails[ids].tolist(),
+                                                 table.names[ids].tolist(), self.stamps.astype(str).tolist(),
                                                  table.kinds[ids].tolist()):
             yield CommitRecord(sha, email, name, datetime.fromisoformat(stamp), kind == MERGE)
 
@@ -170,19 +174,19 @@ class RecordBlock:
         return RecordBlock(self.hashes[keep], self.author_ids[keep], self.table, self.stamps[keep],
                            self.months[keep], self.hex_hashes)
 
-    def jsonl(self) -> str:
-        """The block as records.jsonl lines: for each record, its fields
-        (``authored_at`` as ISO 8601 text) as ``json.dumps(..., sort_keys=True)``
-        writes them, and a newline."""
+    def jsonl(self) -> bytes:
+        """The block as records.jsonl lines, in ASCII: for each record, its
+        fields (``authored_at`` as ISO 8601 text) as ``json.dumps(...,
+        sort_keys=True)`` writes them, and a newline."""
         hashes = self.hashes.tolist()
         if not self.hex_hashes:
-            hashes = [encode_basestring_ascii(sha)[1:-1] for sha in hashes]
+            hashes = [encode_basestring_ascii(sha)[1:-1].encode("ascii") for sha in hashes]
         parts = [_HASH_KEY] * (5 * len(hashes))
         parts[0::5] = self.table.heads[self.author_ids].tolist()
         parts[1::5] = self.stamps.tolist()
         parts[3::5] = hashes
         parts[4::5] = self.table.ends[self.author_ids].tolist()
-        return "".join(parts)
+        return b"".join(parts)
 
 
 @dataclass
@@ -220,29 +224,29 @@ _STAMP_WIDTH = 25
 # minute, second, offset hours, offset minutes.
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24]
 _STAMP_SEPARATORS = [4, 7, 10, 13, 16]
-_SEPARATOR_CODES = np.array([ord(c) for c in "--T::"], dtype=np.uint32)
+_SEPARATOR_CODES = np.frombuffer(b"--T::", dtype=np.uint8)
 # Upper bounds of month, day, hour, minute, second, offset hours, offset minutes.
 _FIELD_MAXIMA = np.array([12, 31, 23, 59, 59, 23, 59], dtype=np.int32)
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
-_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], dtype=np.uint32)
-_TWO_DIGITS = np.array([[48 + v // 10, 48 + v % 10] for v in range(100)], dtype=np.uint32)
+_UTC_SUFFIX = np.frombuffer(b"+00:00", dtype=np.uint8)
+_TWO_DIGITS = np.array([[48 + v // 10, 48 + v % 10] for v in range(100)], dtype=np.uint8)
 _MONTH_ZERO = np.datetime64("0000-01", "M")  # month index 0
 
 
 def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert the stamps of canonical shape to UTC together, given as their
-    code points, one row each, cut to ``_STAMP_WIDTH`` columns, and their
-    widths.  A row's columns past its width are ignored, and a stamp wider
-    than the array is left over.  ``chars`` must be a C-contiguous uint32
-    array; it is rewritten.
+    bytes, one character each, one row each, cut to ``_STAMP_WIDTH``
+    columns, and their widths.  A row's columns past its width are ignored,
+    and a stamp wider than the array is left over.  ``chars`` must be a
+    C-contiguous uint8 array; it is rewritten.
 
     Returns which stamps were converted, their UTC month index and their
-    UTC ISO text as a str array viewing ``chars``, the form
+    UTC ISO text as an ASCII bytes array viewing ``chars``, the form
     ``_parse_timestamp(...).isoformat()`` gives.  A stamp is converted only
     when every field is ASCII digits and in range (the day within its month,
     the offset under 24 hours) and its UTC instant falls in years 1..9999;
     the entries of the others are filler."""
-    digits = chars[:, _STAMP_DIGITS] - 48  # code points below "0" wrap around
+    digits = chars[:, _STAMP_DIGITS] - 48  # bytes below "0" wrap around
     is_digit = digits < 10
     sign = chars[:, 19].copy()
     zulu = (width == 20) & (sign == ord("Z"))
@@ -277,8 +281,8 @@ def _utc_codes(chars: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nda
         utc_months = (date.astype("datetime64[M]") - _MONTH_ZERO).astype(np.int64)
         ok[moved] &= (utc_months >= 12) & (utc_months < 10000 * 12)  # years 1..9999
         months[moved] = utc_months
-        text[moved, :10] = np.datetime_as_string(date).astype("<U10").view(np.uint32).reshape(-1, 10)
-    return ok, months, text.view(f"<U{_STAMP_WIDTH}").ravel()
+        text[moved, :10] = np.datetime_as_string(date).astype("S10").view(np.uint8).reshape(-1, 10)
+    return ok, months, text.view(f"S{_STAMP_WIDTH}").ravel()
 
 
 def _is_hex(codes: np.ndarray) -> np.ndarray:
@@ -361,13 +365,13 @@ def _parse_block(
     # One byte per character: "?" stands for any character past U+00FF.
     codes = np.frombuffer(text.encode("latin-1", "replace"), dtype=np.uint8).reshape(n, _HEAD)
     zulu = (codes[:, _ZULU_HEAD - 2] == ord("Z")) & (codes[:, _ZULU_HEAD - 1] == _TAB)
-    stamp_ok, months, texts = _utc_codes(codes[:, 41:_HEAD - 1].astype(np.uint32), np.where(zulu, 20, _STAMP_WIDTH))
+    stamp_ok, months, texts = _utc_codes(codes[:, 41:_HEAD - 1].copy(), np.where(zulu, 20, _STAMP_WIDTH))
     on = stamp_ok & (codes[:, 40] == _TAB) & (zulu | (codes[:, _HEAD - 1] == _TAB))
     hex_digits = _is_hex(codes[:, :40])
     if not hex_digits.all():  # numpy reduces 40-column rows slowly, so most blocks skip it
         on &= hex_digits.all(axis=1)
 
-    hashes = codes[:, :40].astype(np.uint32).view("<U40").ravel()  # a kept line's hash is in the matrix
+    hashes = codes[:, :40].copy().view("S40").ravel()  # a kept line's hash is in the matrix
     rest = list(map(getitem, lines, repeat(slice(_HEAD, None), n)))
     for i in np.flatnonzero(zulu & on).tolist():
         rest[i] = lines[i][_ZULU_HEAD:]
@@ -377,7 +381,7 @@ def _parse_block(
         # A hash field is 40 hex digits just when the head starts with them and a tab.
         hex_ok[off] = hex_digits[off].all(axis=1) & (codes[off, 40] == _TAB)
         rows = off.tolist()
-        texts = texts.astype("<U32")  # room for a fraction of a second
+        texts = texts.astype("S32")  # room for a fraction of a second
         for i, tail, stamp in zip(rows, *_split_lines([lines[i] for i in rows])):
             rest[i], stamp_ok[i] = tail, stamp is not None
             if stamp is not None:
@@ -504,8 +508,8 @@ def _jsonl_error(line_no: int, exc: Exception) -> LogParseError:
 # second), a 40-hex hash and a false merge flag (merges are dropped):
 #     <head><stamp>", "hash": "<hash>", "is_merge": false}\n
 # The template of the tail has NUL in the columns that vary.
-_TAIL = "\0" * _STAMP_WIDTH + _HASH_KEY + "\0" * 40 + _ENDS[RECORD]
-_TAIL_CODES = np.frombuffer(_TAIL.encode("ascii"), dtype=np.uint8)
+_TAIL = b"\0" * _STAMP_WIDTH + _HASH_KEY + b"\0" * 40 + _ENDS[RECORD]
+_TAIL_CODES = np.frombuffer(_TAIL, dtype=np.uint8)
 _VARIES = _TAIL_CODES == 0
 _HASH_AT = _STAMP_WIDTH + len(_HASH_KEY) - len(_TAIL)  # the hash's first column, from the line's end
 
@@ -537,10 +541,10 @@ def _written_block(lines: list[str], heads: AuthorTable) -> RecordBlock | None:
                       dtype=np.int32, count=n)
     if (heads.kinds[ids] == SKIP).any():
         return None
-    ok, months, texts = _utc_codes(codes[:, :_STAMP_WIDTH].astype(np.uint32), np.full(n, _STAMP_WIDTH))
+    ok, months, texts = _utc_codes(codes[:, :_STAMP_WIDTH].copy(), np.full(n, _STAMP_WIDTH))
     if not ok.all():
         return None
-    hashes = codes[:, _HASH_AT:_HASH_AT + 40].astype(np.uint32).view("<U40").ravel()
+    hashes = codes[:, _HASH_AT:_HASH_AT + 40].copy().view("S40").ravel()
     return RecordBlock(hashes, ids, heads, texts, months, hex_hashes=True)
 
 

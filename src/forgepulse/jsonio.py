@@ -78,14 +78,14 @@ def csv_text(rows) -> str:
 
 @contextmanager
 def atomic_writer(path: Path | str):
-    """Text handle that lands at ``path`` via temp file + rename, so readers
+    """Binary handle that lands at ``path`` via temp file + rename, so readers
     and concurrent runs never see partial files.  The file gets the mode
     ``open()`` would give it: 0666 less the umask."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # exclusive: never another's file
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -103,7 +103,7 @@ def remove_temp_files(directory: Path, pids: list[int]) -> None:
 
 def write_text_atomic(path: Path | str, text: str) -> None:
     with atomic_writer(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
 
 
 def write_json_atomic(path: Path | str, obj) -> None:

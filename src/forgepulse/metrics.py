@@ -136,7 +136,8 @@ def contribution_tail(per_contributor_commits: Sequence[int]) -> dict:
         alpha_hat = 1 + n_tail / sum(ln(x_i / (x_min - 0.5)))
 
     x_min is the smaller of two observed counts: the least count at or
-    above the median (``np.percentile(counts, 50)``), and the
+    above the median (``np.percentile(counts, 50)``), which is the sorted
+    counts' entry at ``len // 2`` for odd and even lengths alike, and the
     ``MIN_TAIL_POINTS``-th largest count.  The tail thus holds at least
     ``MIN_TAIL_POINTS`` points, and x_min is the median's count unless that
     leaves fewer.  Errors: fewer than ``MIN_TAIL_POINTS`` counts overall,
@@ -148,7 +149,7 @@ def contribution_tail(per_contributor_commits: Sequence[int]) -> dict:
     if np.any(counts <= 0):
         raise MetricError("contributor commit counts must be positive")
     xs = np.sort(counts.astype(float))
-    x_min = min(xs[np.searchsorted(xs, np.percentile(xs, 50.0))], xs[-MIN_TAIL_POINTS])
+    x_min = min(xs[len(xs) // 2], xs[-MIN_TAIL_POINTS])
     tail = xs[xs >= x_min]
     if tail.max() == tail.min():
         raise MetricError("no tail variation")

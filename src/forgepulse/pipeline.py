@@ -103,8 +103,18 @@ def compute_metrics(series: MonthlySeries, window: int | str = "all") -> dict:
 
 
 def _percentile_range(values: list[int]) -> tuple[float, float]:
-    low, high = np.percentile(np.asarray(values, dtype=float), [5.0, 95.0])
-    return float(low), float(high)
+    """The 5th and 95th percentiles of ``values`` by ``np.percentile``'s
+    default (linear) rule, bit for bit, without the ``numpy.ma`` import its
+    first call costs."""
+    xs = sorted(map(float, values))
+
+    def at(q: float) -> float:
+        v = (len(xs) - 1) * q
+        i = math.floor(v)
+        g, a, b = v - i, xs[i], xs[min(i + 1, len(xs) - 1)]
+        return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+    return at(0.05), at(0.95)
 
 
 def summarize(series: MonthlySeries, metrics_payload: dict, fit_payload: dict | None = None, project: str = "") -> dict:
@@ -286,9 +296,8 @@ def cached_repo_lines(repo: Path) -> Iterator[str]:
     if cache_path.exists():
         return open_text(cache_path)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    with atomic_writer(cache_path) as handle:
-        handle.reconfigure(errors="surrogateescape")  # git's bytes, as git wrote them
-        handle.writelines(acquire_repo_log(repo))
+    with atomic_writer(cache_path) as handle:  # git's bytes, as git wrote them
+        handle.writelines(line.encode("utf-8", "surrogateescape") for line in acquire_repo_log(repo))
     if ref_state(repo) != state:  # a ref moved while git ran: read the log, keep no entry
         acquired = open_text(cache_path)
         cache_path.unlink(missing_ok=True)  # the open handle still reads it
@@ -323,7 +332,7 @@ def ingest(
 
 
 def tee_records(blocks: Iterable[RecordBlock], sink) -> Iterator[RecordBlock]:
-    """Pass blocks through, writing each to ``sink`` as records.jsonl lines."""
+    """Pass blocks through, writing each to the binary ``sink`` as records.jsonl lines."""
     for block in blocks:
         sink.write(block.jsonl())
         yield block

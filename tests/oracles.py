@@ -106,12 +106,15 @@ def parse_log_stream_oracle(lines, strict=False, source="<stream>"):
 
 def utc_block(stamps):
     """``_utc_codes`` of a list of stamps: which were converted together,
-    their UTC month index and their UTC ISO text."""
+    their UTC month index and their UTC ISO text as ASCII bytes.  The codes
+    are made as the log parser makes them: one byte per character, "?" for
+    any character past U+00FF."""
     n = len(stamps)
     width = np.fromiter(map(len, stamps), dtype=np.int64, count=n)
     if (width > _STAMP_WIDTH).any():  # the fixed-width array would cut them short
         stamps = [stamp if len(stamp) <= _STAMP_WIDTH else "" for stamp in stamps]
-    chars = np.array(stamps, dtype=f"<U{_STAMP_WIDTH}").view(np.uint32).reshape(n, _STAMP_WIDTH)
+    text = "".join(stamp.ljust(_STAMP_WIDTH, "\0") for stamp in stamps)
+    chars = np.frombuffer(text.encode("latin-1", "replace"), dtype=np.uint8).reshape(n, _STAMP_WIDTH).copy()
     return _utc_codes(chars, width)
 
 

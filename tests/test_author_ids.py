@@ -106,7 +106,7 @@ def test_restarted_tables_parse_as_the_oracle(lines, strict, size, merges):
     assert _dicts(r for block in blocks for r in block) == _dicts(expected)
     assert error == expected_error
     assert report.to_dict() == oracle_report.to_dict()
-    assert "".join(block.jsonl() for block in blocks) == _jsonl(expected)
+    assert b"".join(block.jsonl() for block in blocks) == _jsonl(expected).encode()
     # A block adds at most its own lines to a table the stream did not replace.
     assert all(len(table) < TABLE_SIZE + size for table in _tables(blocks))
 
@@ -126,18 +126,18 @@ def test_restarted_tables_ingest_write_and_read_back_as_the_oracle(lines, strict
         with mock.patch.object(ingest_module, "_MEMO_SIZE", TABLE_SIZE), \
                 mock.patch.object(ingest_module, "BLOCK_LINES", size):
             blocks, report = ingest(None, log, strict)
-            sink = io.StringIO()
+            sink = io.BytesIO()
             blocks, error = _drain(tee_records(blocks, sink))
             assert error == expected_error
             assert report.to_dict() == oracle_report.to_dict()
-            assert sink.getvalue() == _jsonl(expected)
+            assert sink.getvalue() == _jsonl(expected).encode()
             assert _series(build_monthly_series, blocks) == _series(build_monthly_series_oracle, expected)
 
-            written = sink.getvalue().splitlines(keepends=True)
+            written = sink.getvalue().decode("ascii").splitlines(keepends=True)
             read, read_error = _drain(read_records_jsonl(written))
     assert read_error is None
     assert _dicts(r for block in read for r in block) == _dicts(read_records_jsonl_oracle(written)) == _dicts(expected)
-    assert "".join(block.jsonl() for block in read) == sink.getvalue()
+    assert b"".join(block.jsonl() for block in read) == sink.getvalue()
     assert _series(build_monthly_series, read) == _series(build_monthly_series_oracle, expected)
     assert all(len(table) < TABLE_SIZE + size for table in _tables(read))
 

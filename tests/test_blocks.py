@@ -87,7 +87,7 @@ def test_block_conversion_matches_the_scalar_one(batch):
         expected = _parse_timestamp(stamp)
         if converted:
             assert expected is not None, stamp
-            assert text == expected.isoformat(), stamp
+            assert text == expected.isoformat().encode(), stamp
             assert month == expected.year * 12 + expected.month - 1, stamp
         elif STRICT_STAMP.fullmatch(stamp):
             # Left to the scalar parser only when it is not a timestamp.
@@ -111,7 +111,7 @@ def test_block_conversion_matches_the_scalar_one(batch):
 def test_block_conversion_edges(stamp, utc):
     ok, months, texts = utc_block([stamp])
     assert ok.tolist() == [True]
-    assert texts == [utc]
+    assert texts == [utc.encode()]
     assert months.tolist() == [int(utc[:4]) * 12 + int(utc[5:7]) - 1]
 
 
@@ -183,9 +183,9 @@ def test_block_parser_matches_the_line_parser(lines, strict, size):
     assert report.to_dict() == oracle_report.to_dict()
     assert all(len(block) > 0 for block in blocks)
     # The records.jsonl text of the blocks is the per-record JSON encoding.
-    assert "".join(block.jsonl() for block in blocks) == "".join(
+    assert b"".join(block.jsonl() for block in blocks) == "".join(
         json.dumps(record, sort_keys=True) + "\n" for record in _dicts(expected)
-    )
+    ).encode()
 
 
 def test_strict_mode_yields_the_records_before_the_first_bad_line():
@@ -436,13 +436,14 @@ written_records = st.builds(
 @given(records=st.lists(written_records, min_size=1, max_size=25), size=block_sizes)
 @settings(max_examples=300)
 def test_written_records_round_trip(records, size):
-    text = RecordBlock.from_records(records).jsonl()
+    written = RecordBlock.from_records(records).jsonl()
+    text = written.decode("ascii")
     with mock.patch.object(ingest_module, "BLOCK_LINES", size):
         blocks, error = _drain(read_records_jsonl(io.StringIO(text)))
     assert error is None
     expected, _ = _drain(read_records_jsonl_oracle(io.StringIO(text)))
     assert _dicts(r for block in blocks for r in block) == _dicts(expected) == _dicts(records)
-    assert "".join(block.jsonl() for block in blocks) == text
+    assert b"".join(block.jsonl() for block in blocks) == written
 
 
 # What ``ingest`` writes: no merges, and UTC stamps in whole seconds, as
@@ -456,7 +457,7 @@ ingested_records = st.builds(
 @given(records=st.lists(ingested_records, min_size=1, max_size=25), size=block_sizes)
 @settings(max_examples=300)
 def test_written_records_are_read_back_a_block_at_a_time(records, size):
-    text = RecordBlock.from_records(records).jsonl()
+    text = RecordBlock.from_records(records).jsonl().decode("ascii")
     with mock.patch.object(ingest_module, "BLOCK_LINES", size), \
             mock.patch.object(ingest_module, "record_from_dict", side_effect=AssertionError("read a line at a time")):
         blocks, error = _drain(read_records_jsonl(io.StringIO(text)))
@@ -467,7 +468,7 @@ def test_written_records_are_read_back_a_block_at_a_time(records, size):
 def _written_lines():
     records = [CommitRecord(sha_for(i), f"dev{i}@intel.com", f"Dev {i}", datetime(2015, 3, i + 1, tzinfo=timezone.utc),
                             False) for i in range(6)]
-    return io.StringIO(RecordBlock.from_records(records).jsonl()).readlines()
+    return io.StringIO(RecordBlock.from_records(records).jsonl().decode("ascii")).readlines()
 
 
 @pytest.mark.parametrize(

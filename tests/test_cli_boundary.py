@@ -91,6 +91,21 @@ def test_importing_the_cli_leaves_subprocess_unloaded():
     assert (cli.stdout, cli.stderr) == ("False\n", "")
 
 
+def test_ingest_to_stdout_writes_the_bytes_of_the_out_file(tmp_path):
+    log, records = DATA_DIR / "fixture_500.log", tmp_path / "records.jsonl"
+    assert _cli("ingest", "--log", str(log), "--out", str(records)).returncode == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "forgepulse.cli", "ingest", "--log", str(log), "--out", "-"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == records.read_bytes()
+    # A stand-in stdout that holds text has no buffer: it gets the same text.
+    out = io.StringIO()
+    with redirect_stderr(io.StringIO()), redirect_stdout(out):
+        assert main(["ingest", "--log", str(log), "--out", "-"]) == 0
+    assert out.getvalue() == records.read_text(encoding="ascii")
+
+
 def test_bad_bytes_and_out_of_range_stamps_end_in_one_line(tmp_path):
     good = f"{sha_for(1)}\t2015-03-10T14:22:05+00:00\ta@intel.com\tA\t1\n"
     not_utf8 = tmp_path / "not-utf8.log"

@@ -100,10 +100,10 @@ stamps = st.datetimes(
 def test_record_line_is_the_json_encoding(email, name, stamp, is_merge, tag):
     record = CommitRecord(sha_for(tag), email, name, stamp, is_merge)
     line = json.dumps(record_to_dict(record), sort_keys=True) + "\n"
-    assert RecordBlock.from_records([record]).jsonl() == line
+    assert RecordBlock.from_records([record]).jsonl() == line.encode()
     # A hash is written unescaped only once it is known to be hex digits.
     odd = record._replace(hash=email)
-    assert RecordBlock.from_records([odd]).jsonl() == json.dumps(record_to_dict(odd), sort_keys=True) + "\n"
+    assert RecordBlock.from_records([odd]).jsonl() == (json.dumps(record_to_dict(odd), sort_keys=True) + "\n").encode()
 
 
 DOMAINS = [

@@ -14,7 +14,7 @@ from forgepulse import (
     org_shares,
     spearman,
 )
-from forgepulse.metrics import average_ranks
+from forgepulse.metrics import MIN_TAIL_POINTS, average_ranks
 from forgepulse.series import MonthlySeries
 
 from oracles import contribution_tail_oracle, spearman_distinct_ranks
@@ -329,3 +329,18 @@ def _tail_or_error(function, counts):
 def test_tail_x_min_expression_equals_the_lowering_search(counts):
     # The same alpha_hat bit for bit, x_min and n_tail, or the same error.
     assert _tail_or_error(contribution_tail, counts) == _tail_or_error(contribution_tail_oracle, counts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 6), min_size=MIN_TAIL_POINTS, max_size=40),  # many ties
+                 st.lists(st.integers(1, 10**6), min_size=MIN_TAIL_POINTS, max_size=60)))
+def test_x_min_is_the_least_count_at_or_above_the_percentile_median(counts):
+    xs = np.sort(np.asarray(counts, dtype=float))
+    x_min = min(xs[np.searchsorted(xs, np.percentile(xs, 50.0))], xs[-MIN_TAIL_POINTS])
+    tail = xs[xs >= x_min]
+    try:
+        result = contribution_tail(counts)
+    except MetricError:
+        assert tail.max() == tail.min()  # no tail variation
+    else:
+        assert (result["x_min"], result["n_tail"]) == (int(x_min), len(tail))

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from forgepulse import (
     summarize,
 )
 from forgepulse.jsonio import dumps_stable
-from forgepulse.pipeline import summary_csv, summary_text
+from forgepulse.pipeline import _percentile_range, summary_csv, summary_text
 from forgepulse.series import MonthlySeries, series_to_dict
 
 from conftest import DATA_DIR, series_of, sha_for, utc
@@ -423,3 +425,23 @@ def test_summary_table_renderers():
     assert [len(row) for row in rows] == [12] * 4
     assert [row[0] for row in rows[1:]] == names
     assert rows[1][1:] == rows[3][1:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=40),  # many ties
+                 st.lists(st.integers(0, 10**6), min_size=1, max_size=300)))
+def test_percentile_range_is_numpys_linear_percentile_bit_for_bit(values):
+    low, high = np.percentile(np.asarray(values, dtype=float), [5.0, 95.0])
+    assert _percentile_range(values) == (float(low), float(high))
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.percentile, quantile and median import numpy.ma on their first
+    # call, which every fresh run and pool worker would pay.
+    code = ("import sys; from pathlib import Path; from forgepulse import ProjectSource, RunConfig, run_pipeline; "
+            "outcome = run_pipeline(RunConfig(projects=(ProjectSource(name='fixture', log=Path(sys.argv[1])),), "
+            "out_dir=Path(sys.argv[2]))); print(outcome.exit_code, 'numpy.ma' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(DATA_DIR / "fixture_500.log"), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
