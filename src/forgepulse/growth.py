@@ -171,7 +171,11 @@ class _Workspace:
         self.width, self.t, self.count, self.ids[rows] = width, self.t[:width], rows.stop, pairs
         values = self.view(flat)
         if first < live:
-            values[:live] = narrowed  # one copy; numpy buffers the overlap
+            # Two block copies through the curve buffer, whose rows are read only after
+            # ``_evaluate`` rewrote them: one copy within ``flat`` would need a temporary.
+            staged = self.view(self.buffers[self._CURVE], live)
+            staged[...] = narrowed
+            values[:live] = staged
         values[rows] = 0.0
         for row, pair in zip(values[rows], pairs):
             row[:self.lengths[pair]] = self.segments[pair]
