@@ -7,7 +7,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,7 +46,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with nullcontext(_stdout_sink()) if args.out == "-" else atomic_writer(args.out) as sink:
         records, report = ingest(args.repo, args.log, args.strict)
         written = sum(map(len, tee_records(records, sink)))
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["records_written"] = written
     payload["merge_policy"] = MERGE_POLICY
     sys.stderr.write(dumps_stable(payload) + "\n")

@@ -405,7 +405,9 @@ MIN_FIT_POINTS = 8
 def _checked(values) -> np.ndarray:
     """The series as floats; GrowthFitError when no growth model can be fit to it."""
     data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or len(data) < MIN_FIT_POINTS:
+    if data.ndim != 1:
+        raise GrowthFitError(f"need a 1-D series, got shape {data.shape}")
+    if len(data) < MIN_FIT_POINTS:
         raise GrowthFitError(f"need at least {MIN_FIT_POINTS} points, got {len(data)}")
     if np.any(data < 0):
         raise GrowthFitError("series values must be nonnegative")
@@ -475,36 +477,28 @@ class _RateStarts:
         return y_star, max(log_slope / y_star, 1e-12), shape
 
 
-class _Fits:
-    """``_fit_segments``' fits, each built when read; ``sse[i]`` is fit i's SSE (NaN for None)."""
-
-    def __init__(self, fit: Callable[[int], GrowthFit | None], sse: np.ndarray):
-        self.fit, self.sse = fit, sse
-
-    def __getitem__(self, i: int) -> GrowthFit | None:
-        return self.fit(range(len(self.sse))[i])  # an IndexError past the last ends iteration
-
-
 def _fit_segments(
     segments: list[np.ndarray], model: GrowthModel, notes: tuple[str, ...], ceilings: Sequence[float] | None = None,
-    partners: Sequence[int] | None = None, facts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[_Fits, list[bool]]:
-    """Fit each checked segment at t = 0, 1, ... in one batched solve; a fit is built when read.
+    partners: Sequence[int] | None = None, facts: tuple[np.ndarray, ...] | None = None,
+) -> tuple[Callable[[int], GrowthFit | None], np.ndarray, list[bool]]:
+    """Fit each segment that ``_checked`` accepts at t = 0, 1, ... in one batched solve.
 
-    A segment runs one row per ``RATE_START_FACTORS`` start; its fit is its lowest-SSE row, the
-    first start on ties, with ``notes`` first among its notes.  A row of segment i stops once its
-    y* passes ``ceilings[i]`` (if given) times the segment's peak; the second list says which
-    segments had a row stopped so: their fits may not be ``fit_growth``'s.  ``partners[i]`` (if
-    given) is the other segment of i's split, or -1; the solve then drops splits that cannot have
-    the lowest summed SSE, and their fits are None.  ``facts``: the segments' ``_window_facts``.
+    Returns (fit, sse, stopped): ``fit(i)`` builds segment i's fit, or None, when called;
+    ``sse[i]`` is its SSE, NaN for None.  A rejected segment has no fit.  A segment runs one row
+    per ``RATE_START_FACTORS`` start; its fit is its lowest-SSE row, the first start on ties, with
+    ``notes`` first among its notes.  A row of segment i stops once its y* passes ``ceilings[i]``
+    (if given) times the segment's peak; ``stopped`` says which segments had a row stopped so:
+    their fits may not be ``fit_growth``'s.  ``partners[i]`` (if given) is the other segment of
+    i's split, or -1; the solve then drops splits that cannot have the lowest summed SSE, and
+    their fits are None.  ``facts``: the segments' ``_window_facts``.
     """
     per_segment = len(RATE_START_FACTORS)
     if facts is None:  # each segment is a window of their concatenation
         offsets = np.cumsum([0, *map(len, segments)])
-        facts = _window_facts(np.concatenate([np.empty(0), *segments]), offsets[:-1], offsets[1:])[1:]
-    peaks, rising, firsts = facts
+        facts = _window_facts(np.concatenate([np.empty(0), *segments]), offsets[:-1], offsets[1:])
+    accepted, peaks, rising, firsts = facts
     peak_values, ceilings = peaks.tolist(), ceilings or [math.inf] * len(segments)
-    solved = np.flatnonzero(rising).tolist()
+    solved = np.flatnonzero(accepted & rising).tolist()
     place = {i: j for j, i in enumerate(solved)}
     sse, stopped = np.full(len(segments), math.nan), np.zeros(len(segments), dtype=bool)
 
@@ -514,7 +508,7 @@ def _fit_segments(
         return (*notes, *more)
 
     fixed = {}
-    for i in np.flatnonzero(~rising).tolist():  # flat: the level is known but no rate is recoverable
+    for i in np.flatnonzero(accepted & ~rising).tolist():  # flat: the level is known but no rate is recoverable
         fit = GrowthFit(model, float(segments[i][0]), alpha=1e-6, shape=1e-9, sse=math.nan, r_squared=0.0,
                         iterations=0, converged=False, notes=noted(i, "rate unidentifiable: constant series"))
         residuals = segments[i] - model_value(np.arange(len(segments[i]), dtype=float), fit)
@@ -522,7 +516,7 @@ def _fit_segments(
         sse[i] = fixed[i].sse
     if solved:
         log_ceilings = np.repeat([math.log(ceilings[i] * peak_values[i]) for i in solved], per_segment)
-        pairing = None if partners is None else (  # a constant segment is no partner
+        pairing = None if partners is None else (  # a rejected or constant segment is no partner
             np.repeat(np.arange(len(solved)), per_segment), np.array([place.get(partners[i], -1) for i in solved]))
         starts = _RateStarts([segments[i] for i in solved], peaks[solved], firsts[solved], model)
         thetas, sses, iteration_counts, convergence = _solve(
@@ -534,7 +528,7 @@ def _fit_segments(
         sse[solved] = sses[best]
 
     def fit(i: int) -> GrowthFit | None:
-        if i in fixed or dropped[place[i]]:
+        if i not in place or dropped[place[i]]:
             return fixed.get(i)
         row, segment, fit_sse = best[place[i]], segments[i], float(sse[i])
         sst = float(np.sum((segment - segment.mean()) ** 2))
@@ -544,7 +538,7 @@ def _fit_segments(
         return GrowthFit(model, *np.exp(thetas[row]).tolist(), fit_sse, r_squared, int(iteration_counts[row]),
                          converged, notes=noted(i, *more))
 
-    return _Fits(fit, sse), stopped.tolist()
+    return fit, sse, stopped.tolist()
 
 
 def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey | None = None) -> GrowthFit:
@@ -567,7 +561,7 @@ def fit_growth(values: Sequence[float], model: GrowthModel, t_offset: MonthKey |
             notes = (f"decline detected; fit truncated at peak month index {peak}",)
         else:
             notes = ("decline detected; truncation skipped (peak too early)",)
-    [fit], _ = _fit_segments([data], model, notes)
+    fit = _fit_segments([data], model, notes)[0](0)
     return replace(fit, t_offset=None if t_offset is None else str(t_offset), truncated_at=truncated_at)
 
 
@@ -626,7 +620,7 @@ def detect_biphase(
     fittable segments.
 
     Each segment is a window of the series, all checked at once by ``_window_facts``; a rejected
-    one, or one whose best SSE is NaN, leaves its splits unranked.  Every segment is fit by one
+    one, or one whose best SSE is NaN, leaves its splits unranked.  Every window is fit by one
     ``_fit_segments`` call, without the decline truncation, and ranked on its SSEs; only the
     reported fits are built.  A split segment's rows stop once y* passes ``RUNAWAY_CEILING`` times
     its peak, and the winner's segments with a stopped row are fit again without it, so the
@@ -635,34 +629,32 @@ def detect_biphase(
     cannot win are dropped unsolved (``_SplitBound``), with the same entry.
     """
     data = np.asarray(values, dtype=float)
-    n = len(data)
-    if n < 2 * MIN_SEGMENT_MONTHS or data.ndim != 1:  # _checked rejects every window of a series not 1-D
+    if data.ndim != 1 or len(data) < 2 * MIN_SEGMENT_MONTHS:  # _checked rejects every window of a series not 1-D
         return None
+    n = len(data)
 
     # The windows in (start, stop) order: (0, k) for each split k, (0, n), then (k, n) for each k.
     splits = np.arange(MIN_SEGMENT_MONTHS, n - MIN_SEGMENT_MONTHS + 1)
     m = len(splits)
     starts = np.concatenate([np.zeros(m + 1, dtype=int), splits])
     stops = np.concatenate([splits, np.full(m + 1, n)])
-    accepted, *facts = _window_facts(data, starts, stops)
-    kept = np.flatnonzero(accepted)
-    segment = np.append(np.where(accepted, np.cumsum(accepted) - 1, -1), -1)  # each window's, then none
-    partners = segment[np.concatenate([m + 1 + np.arange(m), [-1], np.arange(m)])][kept].tolist()  # (0, n): none
-    ceilings = np.where(stops[kept] - starts[kept] == n, math.inf, RUNAWAY_CEILING).tolist()
-    segments = [data[start:stop] for start, stop in zip(starts[kept].tolist(), stops[kept].tolist())]
-    fits, stopped = _fit_segments(segments, model, (), ceilings, partners, [fact[kept] for fact in facts])
-    sse = np.append(np.where(np.isnan(fits.sse), math.inf, fits.sse), math.inf)[segment]  # NaN or none: unranked
-    ranked = sse[:m] + sse[m + 1:-1]
+    partners = np.concatenate([m + 1 + np.arange(m), [-1], np.arange(m)]).tolist()  # (0, n): none
+    ceilings = np.where(stops - starts == n, math.inf, RUNAWAY_CEILING).tolist()
+    segments = [data[start:stop] for start, stop in zip(starts.tolist(), stops.tolist())]
+    fit, sse, stopped = _fit_segments(segments, model, (), ceilings, partners, _window_facts(data, starts, stops))
+    ranked = sse[:m] + sse[m + 1:]
+    ranked[np.isnan(ranked)] = math.inf  # a NaN half leaves its split unranked
     best = int(np.argmin(ranked))  # the lowest index on ties
     if not math.isfinite(ranked[best]):
         return None
-    breakpoint_index, halves = int(splits[best]), [segment[best], segment[m + 1 + best]]
+    breakpoint_index, halves = int(splits[best]), [best, m + 1 + best]
     refit = [i for i in halves if stopped[i]]
-    reported = dict(zip(refit, _fit_segments([segments[i] for i in refit], model, ())[0]))
+    refit_fit = _fit_segments([segments[i] for i in refit], model, ())[0]
+    reported = {i: refit_fit(j) for j, i in enumerate(refit)}
     offsets = (None, None) if t_offset is None else (str(t_offset), str(t_offset.shift(breakpoint_index)))
-    first, second = (asdict(replace(reported.get(i) or fits[i], t_offset=at)) for i, at in zip(halves, offsets))
+    first, second = (asdict(replace(reported.get(i) or fit(i), t_offset=at)) for i, at in zip(halves, offsets))
     combined = first["sse"] + second["sse"]
     sse_floor = max(1e-10, 1e-9 * float(data @ data))
-    single_bic = _bic(float(fits.sse[segment[m]]), n, 3, sse_floor) if accepted[m] else math.inf
+    single_bic = _bic(float(sse[m]), n, 3, sse_floor)  # a ranked split's halves make (0, n) accepted
     return {"breakpoint_index": breakpoint_index, "breakpoint": offsets[1], "first": first, "second": second,
             "combined_sse": combined, "preferred": _bic(combined, n, 7, sse_floor) < single_bic}

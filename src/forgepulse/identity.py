@@ -24,9 +24,14 @@ class DomainClass(Enum):
     UNKNOWN = "Unknown"
 
 
-DEFAULT_PROVIDER_DOMAINS = frozenset(
-    {"gmail.com", "hotmail.com", "yahoo.com", "outlook.com", "qq.com", "163.com"}
-)
+# Webmail, and the forges' private addresses (user@users.noreply.github.com):
+# each address is one person, not an organisation.  A subdomain of a noreply
+# domain has the forge itself as its registrable form, so it stays Corporate.
+DEFAULT_PROVIDER_DOMAINS = frozenset({
+    "gmail.com", "googlemail.com", "hotmail.com", "yahoo.com", "outlook.com", "live.com", "msn.com", "aol.com",
+    "icloud.com", "me.com", "protonmail.com", "proton.me", "gmx.de", "gmx.net", "web.de", "mail.ru", "yandex.ru",
+    "qq.com", "163.com", "126.com", "foxmail.com", "users.noreply.github.com", "users.noreply.gitlab.com",
+})
 DEFAULT_VIRTUAL_ORG_DOMAINS = frozenset({"apache.org", "gnome.org"})
 
 # Two-level public suffixes under which the registrable domain has three

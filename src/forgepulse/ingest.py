@@ -24,10 +24,12 @@ another stamp form, is split at its tabs.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import tempfile
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import accumulate, chain, islice, repeat
 from json.decoder import scanstring
@@ -128,29 +130,26 @@ class RecordBlock:
     which hold each commit's email, name, merge kind and records.jsonl text
     around its stamp.  ``stamps`` holds each commit's UTC time as ISO 8601
     text in ASCII bytes, ``months`` its UTC month index (year * 12 + month
-    - 1).  Iterating a block gives its ``CommitRecord``s.  ``hex_hashes``
-    says that every hash was checked to be 40 hex digits and is held as
-    ASCII bytes, so it goes into JSON as it is; else the hashes are ``str``
-    objects, escaped when written.
+    - 1), and ``hashes`` each hash as the ASCII bytes between the quotes of
+    its JSON string.  Iterating a block gives its ``CommitRecord``s.
     """
 
-    __slots__ = ("hashes", "author_ids", "table", "stamps", "months", "hex_hashes")
+    __slots__ = ("hashes", "author_ids", "table", "stamps", "months")
 
     def __init__(self, hashes: np.ndarray, author_ids: np.ndarray, table: AuthorTable, stamps: np.ndarray,
-                 months: np.ndarray, hex_hashes: bool = False):
+                 months: np.ndarray):
         self.hashes = hashes
         self.author_ids = author_ids
         self.table = table
         self.stamps = stamps
         self.months = months
-        self.hex_hashes = hex_hashes
 
     @classmethod
     def from_records(cls, records: Iterable[CommitRecord]) -> RecordBlock:
         records = list(records)
         table = AuthorTable(lambda key: (MERGE if key[2] else RECORD, key[0], key[1]))
         return cls(
-            np.array([r.hash for r in records], dtype=object),
+            np.array([encode_basestring_ascii(r.hash)[1:-1].encode("ascii") for r in records], dtype=object),
             np.array([table[r.author_email, r.author_name, r.is_merge] for r in records], dtype=np.int32),
             table,
             np.array([r.authored_at.isoformat() for r in records], dtype=bytes),
@@ -162,8 +161,8 @@ class RecordBlock:
 
     def __iter__(self) -> Iterator[CommitRecord]:
         table, ids = self.table, self.author_ids
-        hashes = self.hashes.astype(str) if self.hex_hashes else self.hashes
-        for sha, email, name, stamp, kind in zip(hashes.tolist(), table.emails[ids].tolist(),
+        hashes = json.loads(b'["' + b'", "'.join(self.hashes.tolist()) + b'"]')
+        for sha, email, name, stamp, kind in zip(hashes, table.emails[ids].tolist(),
                                                  table.names[ids].tolist(), self.stamps.astype(str).tolist(),
                                                  table.kinds[ids].tolist()):
             yield CommitRecord(sha, email, name, datetime.fromisoformat(stamp), kind == MERGE)
@@ -171,20 +170,16 @@ class RecordBlock:
     def select(self, keep) -> RecordBlock:
         """The commits whose ``keep`` entry is true."""
         keep = np.asarray(keep, dtype=bool)
-        return RecordBlock(self.hashes[keep], self.author_ids[keep], self.table, self.stamps[keep],
-                           self.months[keep], self.hex_hashes)
+        return RecordBlock(self.hashes[keep], self.author_ids[keep], self.table, self.stamps[keep], self.months[keep])
 
     def jsonl(self) -> bytes:
         """The block as records.jsonl lines, in ASCII: for each record, its
         fields (``authored_at`` as ISO 8601 text) as ``json.dumps(...,
         sort_keys=True)`` writes them, and a newline."""
-        hashes = self.hashes.tolist()
-        if not self.hex_hashes:
-            hashes = [encode_basestring_ascii(sha)[1:-1].encode("ascii") for sha in hashes]
-        parts = [_HASH_KEY] * (5 * len(hashes))
+        parts = [_HASH_KEY] * (5 * len(self))
         parts[0::5] = self.table.heads[self.author_ids].tolist()
         parts[1::5] = self.stamps.tolist()
-        parts[3::5] = hashes
+        parts[3::5] = self.hashes.tolist()
         parts[4::5] = self.table.ends[self.author_ids].tolist()
         return b"".join(parts)
 
@@ -199,9 +194,6 @@ class IngestReport:
     def tally_skip(self, reason: str) -> None:
         self.records_skipped += 1
         self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -305,6 +297,22 @@ def _utf8_prefix(lines: list[str]) -> int:
     return len(lines)
 
 
+def _chunks(lines: Iterable[str], make: Callable) -> Iterator[tuple[list[str], int, AuthorTable, LogParseError | None]]:
+    """``lines`` in blocks of ``BLOCK_LINES``, each as its leading UTF-8 lines, the
+    1-based number of its first line, the ``AuthorTable(make)`` its ids go into (a
+    new one once one holds ``_MEMO_SIZE`` keys), and the LogParseError of its first
+    line that is not UTF-8, or None."""
+    table = AuthorTable(make)
+    pending = iter(lines)
+    first = 1
+    while chunk := list(islice(pending, BLOCK_LINES)):
+        if len(table) >= _MEMO_SIZE:
+            table = AuthorTable(make)
+        utf8 = _utf8_prefix(chunk)
+        yield chunk[:utf8], first, table, LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
+        first += len(chunk)
+
+
 def _tail_author(tail: str) -> tuple[int, str, str | None]:
     """The AuthorTable entry of a line's fields after the stamp: (kind,
     email, name), or (SKIP, reason, None) when they make no record."""
@@ -339,10 +347,11 @@ def _split_lines(lines: list[str]) -> tuple[list[str], list[datetime | None]]:
 
 
 def _parse_block(
-    chunk: list[str], first: int, table: AuthorTable, report: IngestReport, strict: bool, merges: bool
+    lines: list[str], first: int, table: AuthorTable, error: LogParseError | None, report: IngestReport,
+    strict: bool, merges: bool,
 ) -> Iterator[RecordBlock]:
-    """Parse the lines of ``chunk``, the first of which is line ``first``,
-    keeping merges only when ``merges`` is set.
+    """Parse ``lines``, the first of which is line ``first``, keeping merges
+    only when ``merges`` is set.
 
     The lines' heads are checked as one matrix; a line whose head is off
     git's layout goes to ``_split_lines``.  Each distinct tail is read once,
@@ -352,11 +361,9 @@ def _parse_block(
 
     A line with faults takes the reason of the first of: field count, hash,
     timestamp, then parent count or empty email.  Before a LogParseError
-    (strict mode, or a line that is not UTF-8) the records of the lines
-    before the failing one are yielded.
+    (strict mode's, else ``error``, that of a line after ``lines`` that is
+    not UTF-8) the records of the lines before the failing one are yielded.
     """
-    utf8 = _utf8_prefix(chunk)
-    lines = chunk[:utf8]
     n = len(lines)
     heads = list(map(getitem, lines, repeat(slice(_HEAD), n)))
     text = "".join(heads)
@@ -390,7 +397,6 @@ def _parse_block(
     kinds = table.kinds[ids]
     kinds[~(hex_ok & stamp_ok)] = SKIP
 
-    error = None
     for i in np.flatnonzero(kinds == SKIP).tolist():
         author = ids[i]
         fault = table.emails[author] if table.kinds[author] == SKIP else None
@@ -409,12 +415,10 @@ def _parse_block(
             kinds[i:] = SKIP
             break
         report.tally_skip(reason)
-    if error is None and utf8 < len(chunk):
-        error = LogParseError(first + utf8, REASON_NOT_UTF8)
 
     report.records_parsed += n - int(np.count_nonzero(kinds == SKIP))
     keep = kinds != SKIP if merges else kinds == RECORD
-    block = RecordBlock(hashes, ids, table, texts, months, hex_hashes=True)
+    block = RecordBlock(hashes, ids, table, texts, months)
     if not keep.all():
         block = block.select(keep)
     if block:
@@ -454,18 +458,9 @@ def parse_log_stream(
     once one holds ``_MEMO_SIZE`` keys.
     """
     report = IngestReport(source=source)
-
-    def _blocks() -> Iterator[RecordBlock]:
-        table = AuthorTable(_tail_author)
-        pending = iter(lines)
-        first = 1
-        while chunk := list(islice(pending, BLOCK_LINES)):
-            if len(table) >= _MEMO_SIZE:
-                table = AuthorTable(_tail_author)
-            yield from _parse_block(chunk, first, table, report, strict, _merges)
-            first += len(chunk)
-
-    return (_blocks() if blocks else chain.from_iterable(_blocks())), report
+    parsed = (block for chunk in _chunks(lines, _tail_author)
+              for block in _parse_block(*chunk, report, strict, _merges))
+    return (parsed if blocks else chain.from_iterable(parsed)), report
 
 
 def record_from_dict(data: dict) -> CommitRecord:
@@ -545,7 +540,7 @@ def _written_block(lines: list[str], heads: AuthorTable) -> RecordBlock | None:
     if not ok.all():
         return None
     hashes = codes[:, _HASH_AT:_HASH_AT + 40].copy().view("S40").ravel()
-    return RecordBlock(hashes, ids, heads, texts, months, hex_hashes=True)
+    return RecordBlock(hashes, ids, heads, texts, months)
 
 
 def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
@@ -566,18 +561,11 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
     UTF-8, raises LogParseError with its 1-based line number, after the
     records of the lines before it.
     """
-    heads = AuthorTable(_head_author)
-    pending = iter(lines)
-    first = 1
-    while chunk := list(islice(pending, BLOCK_LINES)):
-        if len(heads) >= _MEMO_SIZE:
-            heads = AuthorTable(_head_author)
-        utf8 = _utf8_prefix(chunk)
-        error = LogParseError(first + utf8, REASON_NOT_UTF8) if utf8 < len(chunk) else None
-        block = _written_block(chunk[:utf8], heads)
+    for chunk, first, heads, error in _chunks(lines, _head_author):
+        block = _written_block(chunk, heads)
         if block is None:
             records = []
-            for offset, raw in enumerate(chunk[:utf8]):
+            for offset, raw in enumerate(chunk):
                 line = raw.strip()
                 if not line:
                     continue
@@ -592,7 +580,6 @@ def read_records_jsonl(lines: Iterable[str]) -> Iterator[RecordBlock]:
             yield block
         if error is not None:
             raise error
-        first += len(chunk)
 
 
 def open_text(path: str | Path) -> TextIO:
@@ -603,22 +590,30 @@ def open_text(path: str | Path) -> TextIO:
 
 
 def ref_state(repo_path: str | Path) -> str:
-    """Digest of the refs that ``acquire_repo_log`` walks, which changes
-    whenever the history it streams can: a stash or a note leaves it as it
-    is.  Raises RepoAcquisitionError on failure."""
+    """Digest of what shapes the history ``acquire_repo_log`` streams: the
+    refs it walks, and the shallow file and grafts file, which cut or join
+    history with no ref moving (deepening a shallow clone rewrites only its
+    shallow file); a missing file counts as empty.  A stash or a note leaves
+    it as it is.  Raises RepoAcquisitionError on failure."""
     import hashlib  # only the log cache needs these; they cost start-up time
     import subprocess
 
-    cmd = ["git", "-C", str(repo_path), "show-ref", "--head"]
-    try:
-        proc = subprocess.run(cmd, capture_output=True)
-    except OSError as exc:
-        raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
-    if proc.returncode > 1:  # 1 only says that there is no ref yet
-        stderr_text = proc.stderr.decode("utf-8", errors="replace").strip()
-        raise RepoAcquisitionError(stderr_text or f"git exited with {proc.returncode}")
-    walked = [line for line in proc.stdout.splitlines(keepends=True)  # b"<hash> <ref>\n"
+    def git(*args: str) -> bytes:
+        try:
+            proc = subprocess.run(["git", "-C", str(repo_path), *args], capture_output=True)
+        except OSError as exc:
+            raise RepoAcquisitionError(f"cannot invoke git: {exc}") from exc
+        if proc.returncode > 1:  # 1 only says that show-ref found no ref yet
+            stderr_text = proc.stderr.decode("utf-8", errors="replace").strip()
+            raise RepoAcquisitionError(stderr_text or f"git exited with {proc.returncode}")
+        return proc.stdout
+
+    walked = [line for line in git("show-ref", "--head").splitlines(keepends=True)  # b"<hash> <ref>\n"
               if not line.split(b" ", 1)[1].startswith((b"refs/stash\n", b"refs/notes/"))]
+    for path in git("rev-parse", "--git-path", "shallow", "--git-path", "info/grafts").splitlines():
+        walked.append(b"\0")  # no ref line holds one, nor does either file
+        with contextlib.suppress(FileNotFoundError):
+            walked.append(Path(repo_path, os.fsdecode(path)).read_bytes())
     return hashlib.sha1(b"".join(walked)).hexdigest()
 
 

@@ -403,7 +403,7 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
         with atomic_writer(project_dir / "records.jsonl") as sink:
             records, report = ingest(source.repo, source.log, config.strict)
             series = build_monthly_series(tee_records(records, sink), config.identity)
-        write_json_atomic(project_dir / "ingest_report.json", report.to_dict())
+        write_json_atomic(project_dir / "ingest_report.json", asdict(report))
         write_json_atomic(project_dir / "series.json", series_to_dict(series))
 
         metrics_payload = compute_metrics(series, config.metrics_window)

@@ -9,7 +9,9 @@ go through the scalar ``_parse_timestamp``, the parser's reference conversion.
 batched growth solver replaced, with ``jacobian_columns``, the closed-form
 derivatives it steps along.  ``unpruned_biphase`` is the bi-phase search with
 every split segment solved: the ranking that ``detect_biphase`` makes while
-dropping the splits that cannot win.
+dropping the splits that cannot win.  ``envelope_biphase`` ranks the splits on
+``restriction_envelope``, each window's best SSE among its own fit and the
+fits of the windows around it: the certificate the search's winner must hold.
 ``dumps_stable_oracle`` is the pure-Python ``json`` encoder run over a copy
 of the tree with every float rounded by ``round_floats``, the layout
 ``dumps_stable`` writes with one C-encoder call per innermost container.
@@ -284,6 +286,12 @@ def lm_minimize_oracle(t, values, model, start):
     return theta, sse, iterations, converged, trace
 
 
+def search_windows(n):
+    """The windows the bi-phase search fits, in (start, stop) order."""
+    splits = range(growth.MIN_SEGMENT_MONTHS, n - growth.MIN_SEGMENT_MONTHS + 1)
+    return sorted({(0, k) for k in splits} | {(k, n) for k in splits} | {(0, n)})
+
+
 def unpruned_biphase(values, model, t_offset=None):
     """``detect_biphase``'s entry with no split dropped: every split segment is
     solved in one ``_fit_segments`` call, with the runaway ceiling on split
@@ -296,14 +304,15 @@ def unpruned_biphase(values, model, t_offset=None):
         return None
     splits = range(growth.MIN_SEGMENT_MONTHS, n - growth.MIN_SEGMENT_MONTHS + 1)
     segments = {}
-    for start, stop in sorted({(0, k) for k in splits} | {(k, n) for k in splits} | {(0, n)}):
+    for start, stop in search_windows(n):
         try:
             segments[start, stop] = growth._checked(data[start:stop])
         except GrowthFitError:
             pass
     ceilings = [math.inf if bounds == (0, n) else growth.RUNAWAY_CEILING for bounds in segments]
-    fitted, stopped = growth._fit_segments(list(segments.values()), model, (), ceilings)
-    fits, stopped = dict(zip(segments, fitted)), dict(zip(segments, stopped))
+    fit_of, _, stopped = growth._fit_segments(list(segments.values()), model, (), ceilings)
+    fits = {bounds: fit_of(i) for i, bounds in enumerate(segments)}
+    stopped = dict(zip(segments, stopped))
     sse = {bounds: fit.sse for bounds, fit in fits.items() if not math.isnan(fit.sse)}
     ranked = [sse.get((0, k), math.inf) + sse.get((k, n), math.inf) for k in splits]
     best = int(np.argmin(ranked))
@@ -312,7 +321,7 @@ def unpruned_biphase(values, model, t_offset=None):
     k = splits[best]
     for bounds in ((0, k), (k, n)):
         if stopped[bounds]:
-            [fits[bounds]], _ = growth._fit_segments([segments[bounds]], model, ())
+            fits[bounds] = growth._fit_segments([segments[bounds]], model, ())[0](0)
     breakpoint = None if t_offset is None else str(t_offset.shift(k))
     first = asdict(replace(fits[0, k], t_offset=None if t_offset is None else str(t_offset)))
     second = asdict(replace(fits[k, n], t_offset=breakpoint))
@@ -327,6 +336,49 @@ def unpruned_biphase(values, model, t_offset=None):
         "combined_sse": combined,
         "preferred": growth._bic(combined, n, 7, sse_floor) < single_bic,
     }
+
+
+def restriction_envelope(values, model):
+    """Each search window's SSE lowered to that of the best fit the search
+    holds for it: the lowest of its own fit's SSE and the SSEs of every
+    enclosing window's fit restricted to it.  For windows W in W', the fit of
+    W' on W's months is a fit of W with its curve shifted by d, W's start
+    less W''s: Gompertz shape becomes shape*e^(-alpha*d) and logistic
+    shape becomes shape*e^(-alpha*y_star*d).  So a least-squares fit of W
+    has an SSE no higher.  Every window ``_checked`` accepts is solved in one
+    ``_fit_segments`` call, with no ceiling and none dropped; returns
+    {(start, stop): envelope SSE} over those windows."""
+    data = np.asarray(values, dtype=float)
+    segments = {}
+    for start, stop in search_windows(len(data)):
+        try:
+            segments[start, stop] = growth._checked(data[start:stop])
+        except GrowthFitError:
+            pass
+    fit_of = growth._fit_segments(list(segments.values()), model, ())[0]
+    fits = {bounds: fit_of(i) for i, bounds in enumerate(segments)}
+    envelope = {}
+    for (start, stop), segment in segments.items():
+        sses = [fits[start, stop].sse]
+        for (outer_start, outer_stop), outer in fits.items():
+            if outer_start <= start and stop <= outer_stop:
+                t = np.arange(start - outer_start, stop - outer_start, dtype=float)
+                residuals = segment - growth.model_value(t, outer)
+                sses.append(float(residuals @ residuals))
+        envelope[start, stop] = min(sses)
+    return envelope
+
+
+def envelope_biphase(values, model):
+    """(breakpoint index, combined SSE) of the split whose two windows sum
+    lowest on ``restriction_envelope``, the lowest index on ties, or None
+    when no split has two accepted windows."""
+    n = len(values)
+    envelope = restriction_envelope(values, model)
+    splits = range(growth.MIN_SEGMENT_MONTHS, n - growth.MIN_SEGMENT_MONTHS + 1)
+    ranked = [envelope.get((0, k), math.inf) + envelope.get((k, n), math.inf) for k in splits]
+    best = int(np.argmin(ranked))
+    return None if not math.isfinite(ranked[best]) else (splits[best], ranked[best])
 
 
 def record_to_dict(record):

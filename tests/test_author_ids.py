@@ -105,7 +105,7 @@ def test_restarted_tables_parse_as_the_oracle(lines, strict, size, merges):
     expected = [r for r in expected if merges or not r.is_merge]
     assert _dicts(r for block in blocks for r in block) == _dicts(expected)
     assert error == expected_error
-    assert report.to_dict() == oracle_report.to_dict()
+    assert report == oracle_report
     assert b"".join(block.jsonl() for block in blocks) == _jsonl(expected).encode()
     # A block adds at most its own lines to a table the stream did not replace.
     assert all(len(table) < TABLE_SIZE + size for table in _tables(blocks))
@@ -129,7 +129,7 @@ def test_restarted_tables_ingest_write_and_read_back_as_the_oracle(lines, strict
             sink = io.BytesIO()
             blocks, error = _drain(tee_records(blocks, sink))
             assert error == expected_error
-            assert report.to_dict() == oracle_report.to_dict()
+            assert report == oracle_report
             assert sink.getvalue() == _jsonl(expected).encode()
             assert _series(build_monthly_series, blocks) == _series(build_monthly_series_oracle, expected)
 

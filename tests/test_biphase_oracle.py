@@ -32,7 +32,7 @@ from forgepulse import (
 )
 from forgepulse import growth
 from forgepulse.growth import MIN_SEGMENT_MONTHS, _bic, _solve
-from oracles import curve, unpruned_biphase, warm_start_oracle
+from oracles import curve, envelope_biphase, unpruned_biphase, warm_start_oracle
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -290,7 +290,7 @@ def uncapped():
 
 def had_a_stopped_row(segment, model):
     # Rows solve as they would in any batch, so this is what the search saw.
-    return growth._fit_segments([segment], model, (), [growth.RUNAWAY_CEILING])[1][0]
+    return growth._fit_segments([segment], model, (), [growth.RUNAWAY_CEILING])[2][0]
 
 
 def episode(draw, length):
@@ -396,6 +396,21 @@ SINGLE_FIT_SERIES = {
 }
 
 
+# The certificate: a fit of a window, restricted to a window inside it, is a
+# fit of that one, so each window's SSE is at most its envelope's.  Where the
+# solver stops in a local minimum, the envelope is lower; the winner must not
+# depend on it.
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["biphase_noisy", "gompertz_noisy", "logistic_noisy"])
+def test_the_winner_holds_against_the_restriction_envelope(name, model):
+    values = shipped_series(name)
+    result = detect_biphase(values, model)
+    breakpoint_index, combined = envelope_biphase(values, model)
+    assert result["breakpoint_index"] == breakpoint_index or math.isclose(
+        result["combined_sse"], combined, rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", list(SINGLE_FIT_SERIES))
 def test_the_ceiling_reaches_no_single_fit(name, model):
@@ -409,7 +424,7 @@ def test_the_ceiling_reaches_no_single_fit(name, model):
 
     def recorded(segments, *args):
         fits = fit_segments(segments, *args)
-        calls.append(dict(zip(map(len, segments), fits[0])))  # the whole series is the one of length n
+        calls.append({len(segment): fits[0](i) for i, segment in enumerate(segments)})  # the whole series: length n
         return fits
 
     fit_segments = growth._fit_segments
@@ -490,7 +505,7 @@ def test_a_segment_is_flagged_exactly_when_the_ceiling_ended_one_of_its_rows(nam
         return solved[-1]
 
     with mock.patch.object(growth, "_solve", recorded):
-        _, stopped = growth._fit_segments(segments, model, (), [growth.RUNAWAY_CEILING] * len(segments))
+        _, _, stopped = growth._fit_segments(segments, model, (), [growth.RUNAWAY_CEILING] * len(segments))
         growth._fit_segments(segments, model, ())
     (theta, sse, iterations, converged), exhaustive = solved
     per_segment = len(growth.RATE_START_FACTORS)

@@ -10,6 +10,7 @@ the generated inputs at every position.
 import io
 import json
 import re
+from dataclasses import asdict
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -180,7 +181,7 @@ def test_block_parser_matches_the_line_parser(lines, strict, size):
     expected, expected_error = _drain(oracle_records)
     assert _dicts(r for block in blocks for r in block) == _dicts(records) == _dicts(expected)
     assert error == records_error == expected_error
-    assert report.to_dict() == oracle_report.to_dict()
+    assert report == oracle_report
     assert all(len(block) > 0 for block in blocks)
     # The records.jsonl text of the blocks is the per-record JSON encoding.
     assert b"".join(block.jsonl() for block in blocks) == "".join(
@@ -226,7 +227,7 @@ def test_merge_free_blocks_match_the_line_parser_without_merges(lines, strict, s
     expected, expected_error = _drain(oracle_records)
     assert _dicts(r for block in blocks for r in block) == _dicts(r for r in expected if not r.is_merge)
     assert error == expected_error
-    assert report.to_dict() == oracle_report.to_dict()  # records_parsed counts the merges
+    assert report == oracle_report  # records_parsed counts the merges
     assert all(len(block) > 0 for block in blocks)
 
 
@@ -249,7 +250,7 @@ def _parse_with_spy(lines):
     expected, expected_report = parse_log_stream_oracle(lines)
     expected, expected_error = _drain(expected)
     assert _dicts(r for block in blocks for r in block) == _dicts(expected)
-    assert report.to_dict() == expected_report.to_dict()
+    assert report == expected_report
     assert error == expected_error
     return [line for call in split.call_args_list for line in call.args[0]], report
 
@@ -324,7 +325,7 @@ def test_a_mixed_block_on_the_pipeline_path_matches_the_oracle(tmp_path, monkeyp
     expected = [r for r in _drain(oracle_records)[0] if not r.is_merge]
     assert [r.hash for r in expected] == [sha_for(1), sha_for(4), sha_for(13)]
     project = tmp_path / "out" / "mixed"
-    assert json.loads((project / "ingest_report.json").read_text(encoding="utf-8")) == oracle_report.to_dict()
+    assert json.loads((project / "ingest_report.json").read_text(encoding="utf-8")) == asdict(oracle_report)
     assert oracle_report.records_parsed == 6 and oracle_report.records_skipped == 5
     assert (project / "records.jsonl").read_bytes() == "".join(
         json.dumps(record, sort_keys=True) + "\n" for record in _dicts(expected)
@@ -338,7 +339,7 @@ def test_a_mixed_block_on_the_pipeline_path_matches_the_oracle(tmp_path, monkeyp
     assert _dicts(records) == _dicts(r for r in expected if not r.is_merge)
     assert [r.hash for r in records] == [sha_for(1), sha_for(4)]  # the records before line 6
     assert error == expected_error == (6, "bad field count")
-    assert report.to_dict() == oracle_report.to_dict()
+    assert report == oracle_report
     assert report.records_parsed == 4  # lines 1, 2, 4 and 5: merges count as parsed
     assert len(selects) <= -(-6 // size)  # the blocks up to line 6
 

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 from unittest import mock
 
 import pytest
@@ -378,6 +379,42 @@ def test_cache_env_sees_new_commits(tmp_path, capsys, repo_builder, monkeypatch)
     code, _, err = run_cli(capsys, "ingest", "--repo", str(repo.root), "--out", str(out))
     assert code == 1
     assert err.startswith("error: fatal: cannot change to") and err.count("\n") == 1
+
+
+def shallow_clone(tmp_path, repo_builder):
+    """A ``--depth 1`` clone, over file://, of a repository with 5 commits."""
+    origin = repo_builder()
+    for day in range(1, 6):
+        origin.commit(date=f"2015-03-0{day}T12:00:00+00:00")
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", "--depth", "1", f"file://{origin.root}", str(clone)],
+                   check=True, capture_output=True)
+    return clone
+
+
+def ingested_count(repo):
+    blocks, _ = pipeline.ingest(repo, None)
+    return sum(map(len, blocks))
+
+
+@pytest.mark.parametrize("deepen, commits", [(["--unshallow"], 5), (["--deepen", "1"], 2)])
+def test_deepening_a_shallow_clone_makes_a_new_cache_entry(tmp_path, repo_builder, monkeypatch, deepen, commits):
+    # Deepening rewrites the clone's shallow file and moves no ref.
+    clone = shallow_clone(tmp_path, repo_builder)
+    monkeypatch.setenv("FORGEPULSE_CACHE", str(tmp_path / "cache"))
+    assert ingested_count(clone) == 1
+    subprocess.run(["git", "-C", str(clone), "fetch", "-q", *deepen], check=True, capture_output=True)
+    assert ingested_count(clone) == commits
+    monkeypatch.delenv("FORGEPULSE_CACHE")
+    assert ingested_count(clone) == commits
+
+
+def test_an_unchanged_shallow_clone_is_served_from_the_cache(tmp_path, repo_builder, monkeypatch):
+    clone = shallow_clone(tmp_path, repo_builder)
+    monkeypatch.setenv("FORGEPULSE_CACHE", str(tmp_path / "cache"))
+    assert ingested_count(clone) == 1
+    monkeypatch.setattr(pipeline, "acquire_repo_log", mock.Mock(side_effect=AssertionError("log acquired again")))
+    assert ingested_count(clone) == 1
 
 
 def test_pipeline_and_cli_ingest_agree(tmp_path, capsys):

@@ -373,3 +373,11 @@ def test_biphase_constant_series_not_preferred():
 
 def test_biphase_too_short_returns_none():
     assert detect_biphase([1.0] * 20, GrowthModel.GOMPERTZ) is None
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("values", [5.0, np.ones((30, 2))], ids=["scalar", "2-D"])
+def test_a_series_not_1d_ends_in_a_typed_error_or_none(values, model):
+    with pytest.raises(GrowthFitError, match=r"need a 1-D series, got shape \("):
+        fit_growth(values, model)
+    assert detect_biphase(values, model) is None

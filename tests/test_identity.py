@@ -57,6 +57,35 @@ def test_classify_domain(domain, expected):
     assert classify_domain(domain) is expected
 
 
+WEBMAIL_DOMAINS = ["googlemail.com", "icloud.com", "me.com", "live.com", "msn.com", "aol.com", "protonmail.com",
+                   "proton.me", "gmx.de", "gmx.net", "web.de", "mail.ru", "yandex.ru", "126.com", "foxmail.com"]
+NOREPLY_DOMAINS = ["users.noreply.github.com", "users.noreply.gitlab.com"]
+
+
+@pytest.mark.parametrize("domain", WEBMAIL_DOMAINS)
+def test_webmail_domains_and_their_subdomains_are_providers(domain):
+    assert classify_domain(domain) is DomainClass.PROVIDER
+    assert classify_domain(f"mx.{domain}") is DomainClass.PROVIDER
+
+
+@pytest.mark.parametrize("domain", NOREPLY_DOMAINS)
+def test_forge_noreply_domains_are_providers_and_the_forge_is_not(domain):
+    forge = domain.split(".", 2)[2]
+    assert classify_domain(domain) is DomainClass.PROVIDER
+    assert resolve_org(f"x@{forge}") == OrgUnit(forge, DomainClass.CORPORATE)
+
+
+@given(
+    local_parts=st.lists(st.from_regex(r"([0-9]{1,8}\+)?[a-z0-9-]{1,12}(\[bot\])?", fullmatch=True),
+                         min_size=2, max_size=2, unique=True),
+    domain=st.sampled_from(NOREPLY_DOMAINS),
+)
+def test_two_noreply_addresses_are_two_units(local_parts, domain):
+    units = [resolve_org(normalize_email(f"{local}@{domain}")) for local in local_parts]
+    assert units[0] != units[1]
+    assert all(unit.domain_class is DomainClass.PROVIDER for unit in units)
+
+
 def test_classification_is_total_and_deterministic():
     config = IdentityConfig()
     for domain in ["", ".", "..", "a.", ".b", "x", "weird..name"]:

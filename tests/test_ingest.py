@@ -280,7 +280,7 @@ def test_git_output_is_read_at_fixed_offsets(repo_builder):
         records, report = parse_all(lines)
     expected, expected_report = parse_log_stream_oracle(lines)
     assert [record_to_dict(r) for r in records] == [record_to_dict(r) for r in expected]
-    assert report.to_dict() == expected_report.to_dict()
+    assert report == expected_report
     assert sum(r.is_merge for r in records) == 1
     assert "李雷 Łukasz" in {r.author_name for r in records}
 
