@@ -338,15 +338,14 @@ class _SplitBound:
 
 
 def _solve(
-    segments: list[np.ndarray], starts: np.ndarray | _RateStarts, model: GrowthModel,
+    segments: list[np.ndarray], starts: np.ndarray, model: GrowthModel,
     ceilings: np.ndarray | None = None, pairing: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from each (segment, start) pair, all pairs at once.
 
     Pair i fits ``segments[i]`` at t = 0, 1, ... from ``starts[i]`` and returns its
-    log-parameters, SSE, iteration count and convergence.  ``starts`` is indexed
-    with the pairs of each load, so it may compute them only then.  Each row keeps
-    its own damping and counts (Moré 1978) and, padded to a multiple of ``_PAD``, rounds as
+    log-parameters, SSE, iteration count and convergence.  Each row keeps its own
+    damping and counts (Moré 1978) and, padded to a multiple of ``_PAD``, rounds as
     it would alone, so a pair's result does not depend on the other pairs.  Pairs
     enter longest first, so the padded width only shrinks.  A turn of the loop is one
     trial for every live row: a row whose trial lowers its SSE takes the step and
@@ -409,6 +408,8 @@ def _checked(values) -> np.ndarray:
         raise GrowthFitError(f"need a 1-D series, got shape {data.shape}")
     if len(data) < MIN_FIT_POINTS:
         raise GrowthFitError(f"need at least {MIN_FIT_POINTS} points, got {len(data)}")
+    if not np.all(np.isfinite(data)):
+        raise GrowthFitError("series values must be finite")
     if np.any(data < 0):
         raise GrowthFitError("series values must be nonnegative")
     if not np.any(data > 0):
@@ -424,57 +425,43 @@ def _window_facts(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tu
     edges, padded = np.column_stack([starts, stops]).ravel(), np.append(data, 0.0)  # a stop at len(data) is an edge
     peaks = np.maximum.reduceat(padded, edges)[::2]
     rising = peaks - np.minimum.reduceat(padded, edges)[::2] > 0
-    negatives = np.concatenate([[0], np.cumsum(data < 0)])
+    invalid = np.concatenate([[0], np.cumsum(~np.isfinite(data) | (data < 0))])  # what _checked rejects
     next_positive = np.minimum.accumulate(np.where(data > 0, np.arange(len(data)), len(data))[::-1])[::-1]
     lengths, firsts = stops - starts, next_positive[starts] - starts
-    accepted = (lengths >= MIN_FIT_POINTS) & (negatives[stops] == negatives[starts]) & (firsts < lengths)
+    accepted = (lengths >= MIN_FIT_POINTS) & (invalid[stops] == invalid[starts]) & (firsts < lengths)
     return accepted, peaks, rising, firsts
 
 
-class _RateStarts:
+def _warm_starts(segments: list[np.ndarray], peaks: np.ndarray, firsts: np.ndarray, model: GrowthModel) -> np.ndarray:
     """The solver's ``starts`` for ``_fit_segments``: row i starts segment i // len(RATE_START_FACTORS)
-    from its warm start, computed when its first row loads, with the rate scaled by factor
-    i % len(RATE_START_FACTORS).  The warm start: y_star = 1.1 * peak, y0 = the first positive
-    value, and the rate from the OLS slope of log(y) over the positive points up to halfway from y0
-    to the peak, in value (else the first half of the positive points).  The slope is ``np.polyfit``'s
-    bit for bit: ``np.linalg.lstsq`` on the scaled Vandermonde matrix it solves (exact norms: t is whole)."""
-
-    def __init__(self, segments: list[np.ndarray], peaks: np.ndarray, firsts: np.ndarray, model: GrowthModel):
-        self.segments, self.peaks, self.firsts, self.model = segments, peaks.tolist(), firsts, model
-        self.bases, self.slopes = {}, {}  # warm starts by segment; slopes by their (t, log y)
-
-    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
-        segments, factors = np.divmod(rows, len(RATE_START_FACTORS))
-        segments = segments.tolist()
-        for segment in segments:
-            if segment not in self.bases:
-                self.bases[segment] = self._warm_start(segment)
-        starts = np.array([self.bases[segment] for segment in segments])
-        starts[:, 1] *= np.array(RATE_START_FACTORS)[factors]
-        return starts
-
-    def _warm_start(self, segment: int) -> tuple[float, float, float]:
-        values, y_max = self.segments[segment], self.peaks[segment]
-        y_star, y0 = 1.1 * y_max, float(values[self.firsts[segment]])
+    from its warm start with the rate scaled by factor i % len(RATE_START_FACTORS).  The warm start:
+    y_star = 1.1 * peak, y0 = the first positive value, and the rate from the OLS slope of log(y) over
+    the positive points up to halfway from y0 to the peak, in value (else the first half of the positive
+    points).  The slope is ``np.polyfit``'s bit for bit: ``np.linalg.lstsq`` on the scaled Vandermonde
+    matrix it solves (exact norms: t is whole)."""
+    bases = []
+    for values, y_max, first in zip(segments, peaks.tolist(), firsts.tolist()):
+        y_star, y0 = 1.1 * y_max, float(values[first])
         positive = values > 0
         rise = np.flatnonzero(positive & (values <= y0 + 0.5 * (y_max - y0)))
         if len(rise) < 2:
             rise = np.flatnonzero(positive)[: max(2, int(positive.sum()) // 2)]
         log_slope = 1e-4
         if len(rise) >= 2:
-            logs = np.log(values[rise])
-            key = rise.tobytes() + logs.tobytes()  # windows of one series often share their rise
-            if key not in self.slopes:
-                t = rise.astype(float)
-                scale, lhs = math.sqrt(t @ t), np.empty((len(rise), 2))
-                lhs[:, 0], lhs[:, 1] = t / scale, 1.0 / math.sqrt(len(rise))
-                self.slopes[key] = float(np.linalg.lstsq(lhs, logs, len(rise) * np.finfo(float).eps)[0][0] / scale)
-            log_slope = max(self.slopes[key], 1e-4)
-        if self.model is GrowthModel.GOMPERTZ:
+            t = rise.astype(float)
+            scale, lhs = math.sqrt(t @ t), np.empty((len(rise), 2))
+            lhs[:, 0], lhs[:, 1] = t / scale, 1.0 / math.sqrt(len(rise))
+            slope = np.linalg.lstsq(lhs, np.log(values[rise]), len(rise) * np.finfo(float).eps)[0][0] / scale
+            log_slope = max(float(slope), 1e-4)
+        if model is GrowthModel.GOMPERTZ:
             shape = max(math.log(y_star / y0), 1e-6)
-            return y_star, max(log_slope / shape, 1e-8), shape
-        shape = max((y_star - y0) / y0, 1e-6)
-        return y_star, max(log_slope / y_star, 1e-12), shape
+            bases.append((y_star, max(log_slope / shape, 1e-8), shape))
+        else:
+            shape = max((y_star - y0) / y0, 1e-6)
+            bases.append((y_star, max(log_slope / y_star, 1e-12), shape))
+    starts = np.repeat(bases, len(RATE_START_FACTORS), axis=0)
+    starts[:, 1] *= np.tile(RATE_START_FACTORS, len(bases))
+    return starts
 
 
 def _fit_segments(
@@ -518,7 +505,7 @@ def _fit_segments(
         log_ceilings = np.repeat([math.log(ceilings[i] * peak_values[i]) for i in solved], per_segment)
         pairing = None if partners is None else (  # a rejected or constant segment is no partner
             np.repeat(np.arange(len(solved)), per_segment), np.array([place.get(partners[i], -1) for i in solved]))
-        starts = _RateStarts([segments[i] for i in solved], peaks[solved], firsts[solved], model)
+        starts = _warm_starts([segments[i] for i in solved], peaks[solved], firsts[solved], model)
         thetas, sses, iteration_counts, convergence = _solve(
             [segments[i] for i in solved for _ in range(per_segment)], starts, model, log_ceilings, pairing)
         best = np.arange(len(solved)) * per_segment + np.argmin(sses.reshape(-1, per_segment), axis=1)  # first on ties

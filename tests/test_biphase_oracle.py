@@ -586,7 +586,7 @@ def test_a_loads_warm_starts_are_the_per_segment_polyfit_starts(model, segments,
     segments = [np.asarray(segment) for segment in segments]
     offsets = np.cumsum([0, *map(len, segments)])
     _, peaks, _, firsts = growth._window_facts(np.concatenate(segments), offsets[:-1], offsets[1:])
-    starts = growth._RateStarts(segments, peaks, firsts, model)
+    starts = growth._warm_starts(segments, peaks, firsts, model)
     rows = np.random.default_rng(seed).permutation(len(segments) * len(growth.RATE_START_FACTORS))
     for load in np.array_split(rows, loads):  # the solver asks for each load's rows as it loads them
         expected = [_start(segments[row // len(growth.RATE_START_FACTORS)], model,

@@ -381,3 +381,16 @@ def test_a_series_not_1d_ends_in_a_typed_error_or_none(values, model):
     with pytest.raises(GrowthFitError, match=r"need a 1-D series, got shape \("):
         fit_growth(values, model)
     assert detect_biphase(values, model) is None
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("at", [0, 20, 29], ids=["first", "interior", "last"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_value_ends_in_a_typed_error_or_none(bad, at, model):
+    # Every split has a half holding the bad value, so no split is ranked.
+    values = np.arange(1.0, 31.0)
+    values[at] = bad
+    with pytest.raises(GrowthFitError, match="series values must be finite"):
+        fit_growth(values, model)
+    assert detect_biphase(values, model) is None
