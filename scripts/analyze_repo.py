@@ -5,16 +5,28 @@ summary table.
     python scripts/analyze_repo.py /path/to/repo [/path/to/other ...] \
         --out results/ [--model both] [--biphase]
 
-Equivalent to writing a run config by hand and calling `forgepulse run`,
-for quick experiments.
+Writes a run config (absolute paths, each project named after its
+repository's directory) and runs `forgepulse run --config` on it, so its
+messages and exit status are `run`'s.  The table is `out/summary.txt`,
+printed only when this run wrote it.
 """
 
 import argparse
+import contextlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
-from forgepulse import ConfigError, ForgepulseError, ProjectSource, RunConfig, run_pipeline
-from forgepulse.pipeline import summary_text
+from forgepulse.cli import main as forgepulse_main
+
+
+def _stamp(path: Path) -> tuple[int, int] | None:
+    """The file's (inode, mtime); each atomic write of it gives a new inode."""
+    with contextlib.suppress(OSError):
+        stat = path.stat()
+        return stat.st_ino, stat.st_mtime_ns
+    return None
 
 
 def main() -> int:
@@ -26,31 +38,23 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    try:
-        projects = tuple(
-            ProjectSource(name=Path(path).resolve().name, repo=Path(path)) for path in args.repos
-        )
-        config = RunConfig(
-            projects=projects,
-            out_dir=Path(args.out),
-            model=args.model,
-            biphase=args.biphase,
-            workers=args.workers,
-        )
-        outcome = run_pipeline(config)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ForgepulseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    rows = sorted((r.summary for r in outcome.results if r.summary), key=lambda row: row["project"])
-    sys.stdout.write(summary_text(rows))
-    for result in outcome.results:
-        if result.error:
-            sys.stderr.write(f"error: {result.name}: {result.error}\n")
-    print(f"\nartifacts written under {config.out_dir}/")
-    return outcome.exit_code
+    out = Path(args.out).resolve()
+    config = {
+        "projects": [{"name": Path(path).resolve().name, "repo": str(Path(path).resolve())} for path in args.repos],
+        "out_dir": str(out),
+        "model": args.model,
+        "biphase": args.biphase,
+        "workers": args.workers,
+    }
+    summary, before = out / "summary.txt", _stamp(out / "summary.txt")
+    with tempfile.TemporaryDirectory(prefix="analyze-repo-") as work:
+        path = Path(work) / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = forgepulse_main(["run", "--config", str(path)])
+    if _stamp(summary) not in (None, before):
+        sys.stdout.write(summary.read_text(encoding="utf-8"))
+        print(f"\nartifacts written under {out}/")
+    return code
 
 
 if __name__ == "__main__":

@@ -401,14 +401,46 @@ SINGLE_FIT_SERIES = {
 # solver stops in a local minimum, the envelope is lower; the winner must not
 # depend on it.
 
-@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", ["biphase_noisy", "gompertz_noisy", "logistic_noisy"])
-def test_the_winner_holds_against_the_restriction_envelope(name, model):
-    values = shipped_series(name)
+def assert_the_winner_holds(values, model):
     result = detect_biphase(values, model)
     breakpoint_index, combined = envelope_biphase(values, model)
     assert result["breakpoint_index"] == breakpoint_index or math.isclose(
         result["combined_sse"], combined, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["biphase_noisy", "gompertz_noisy", "logistic_noisy"])
+def test_the_winner_holds_against_the_restriction_envelope(name, model):
+    assert_the_winner_holds(shipped_series(name), model)
+
+
+# Two series on which the winner does not hold.  In the first (Gompertz), the
+# runaway ceiling stopped the best start of split 13, the envelope's winner, so
+# split 12 wins: the exception the README states for the ceiling.  In the
+# second (logistic), window (26, 48)'s five starts end in a local minimum at an
+# SSE of 1278.4, where the fit of an enclosing window, restricted to it, reaches
+# 1049.1, so split 12 wins over split 26.  Either remedy changes the bits of
+# reported fits.  Strict: once neither fails, the test fails until the mark goes.
+@given(model=st.sampled_from(list(GrowthModel)), values=noisy_two_episodes(months=(48, 120)))
+@example(model=GrowthModel.GOMPERTZ, values=np.array([
+    3.36484223, 3.38284612, 3.54194943, 3.30288712, 4.26174813, 4.29195712, 4.14275137, 4.53319803,
+    4.58216193, 4.54442171, 5.06576573, 4.90846217, 8.59225374, 10.28084592, 13.68142564, 16.61308021,
+    20.94741866, 23.30861182, 27.40535978, 28.42368967, 32.90522267, 33.12989387, 34.19057708, 34.85249557,
+    32.73196815, 36.03122721, 38.37381205, 32.01354287, 31.89642802, 32.31403216, 36.43085805, 35.19523186,
+    36.86217532, 36.24363577, 35.35069025, 35.48059096, 34.68764177, 36.50425785, 33.00922876, 34.2476451,
+    35.41067685, 38.13698152, 33.64854773, 33.09825113, 34.00050414, 36.6814092, 34.57477975, 37.3025489]))
+@example(model=GrowthModel.LOGISTIC, values=np.array([
+    3.47371022, 2.95674141, 3.56148648, 4.03487923, 3.66672409, 4.07050912, 4.52708999, 4.10941812,
+    4.70177248, 5.11760364, 4.93763306, 5.39201898, 18.85473508, 25.78236953, 37.15956388, 45.19712299,
+    65.9681083, 76.28484812, 82.34800804, 102.9578395, 107.78794039, 107.12310202, 108.42761324, 116.00912063,
+    105.99845628, 109.12630761, 123.77416155, 118.66656116, 124.12324451, 118.2494983, 127.08528817, 111.11645092,
+    124.45619293, 123.06687169, 124.40560282, 127.0747396, 115.62544152, 117.96056476, 129.6315924, 125.37884749,
+    123.71566408, 109.56751314, 129.18869459, 120.8215121, 123.29774856, 107.68384559, 119.73471644, 104.13248666]))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the runaway ceiling and local minima can each move the winner off the envelope's")
+def test_the_winner_holds_against_the_restriction_envelope_on_two_episode_series(model, values):
+    assert_the_winner_holds(values, model)
 
 
 @pytest.mark.parametrize("model", list(GrowthModel), ids=lambda m: m.value)
@@ -578,7 +610,7 @@ warm_segment = st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40).filter(lam
 @example(model=GrowthModel.GOMPERTZ, segments=[[1.0, 100.0, 100.0, 100.0, 100.0, 100.0]], loads=1, seed=0)
 @example(model=GrowthModel.LOGISTIC, segments=[[0.0, 0.0, 7.0, 0.0, 0.0]], loads=1, seed=0)
 @example(model=GrowthModel.LOGISTIC, segments=[[2.2250738585072e-309, 0.0, 3.0, 5.0, 9.0]], loads=1, seed=0)
-# Equal rises, as windows of one series often have, share one slope.
+# Equal rises, as windows of one series often have.
 @example(model=GrowthModel.GOMPERTZ, segments=[[1.0, 2.0, 4.0, 8.0, 16.0]] * 2 + [[1.0, 2.0, 4.0, 8.0, 16.0, 3.0]],
          loads=2, seed=1)
 @settings(max_examples=100, deadline=None)

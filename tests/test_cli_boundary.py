@@ -410,6 +410,32 @@ def test_analyze_repo_config_errors_end_in_one_line(tmp_path):
         assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
 
 
+def test_analyze_repo_is_forgepulse_run(tmp_path, repo_builder):
+    # The script's messages and exit status are run's: its eligibility warning,
+    # and one line for an --out that cannot be created.  A table that this run
+    # did not write is not printed.
+    repo = repo_builder()
+    repo.commit(email="alice@intel.com", name="Alice", date="2015-01-31T12:00:00+00:00")
+    repo.commit(email="bob@gmail.com", name="Bob", date="2015-02-10T12:00:00+00:00")
+    (tmp_path / "file").write_text("")
+
+    def analyze(out, *flags):
+        script = SRC.parent / "scripts" / "analyze_repo.py"
+        return subprocess.run([sys.executable, str(script), str(repo.root), "--out", str(out), *flags],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+
+    proc = analyze(tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (0, "warning: repo: below eligibility thresholds\n")
+    table = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+    assert proc.stdout == f"{table}\nartifacts written under {tmp_path / 'out'}/\n"
+    assert table.splitlines()[2].split()[0] == "repo"
+    proc = analyze(tmp_path / "out", "--workers", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "config error: workers must be >= 1\n")
+    proc = analyze(tmp_path / "file" / "out")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_a_run_writes_its_files_with_the_mode_the_umask_gives(tmp_path, umask):
     # The umask is set in a process of its own, as a shell sets it.
