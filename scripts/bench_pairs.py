@@ -13,8 +13,10 @@ even pairs and the change first in odd ones.  For every end-to-end metric
 of BENCHMARK.json the entry holds both sides' quartiles (numpy.percentile,
 linear, over the runs' values) and runs, ``change_wins`` (pairs where the
 change is better), ``parent_iqr``, ``median_ratio`` (change over parent)
-and ``within_bound`` (the change's median is no worse than the parent's
-by more than the metric's bound).  ``all_correct_failed_0`` says that
+``within_bound`` (the change's median is no worse than the parent's by
+more than the metric's bound) and ``gain_shown`` (the change wins at least
+9 in 10 pairs, ties counting for neither side, and its median beats the
+parent's by more than ``parent_iqr``).  ``all_correct_failed_0`` says that
 every run was correct with no failed operation.
 
 The entry goes under ``end_to_end.<workload>`` of ``--out``; the file's
@@ -72,12 +74,14 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     p_median, c_median = sides["parent"]["median"], sides["change"]["median"]
     within = c_median <= p_median * (1 + bound) if lower else c_median >= p_median * (1 - bound)
+    iqr = round(sides["parent"]["q3"] - sides["parent"]["q1"], 4)
     return {
         **sides,
         "change_wins": wins,
-        "parent_iqr": round(sides["parent"]["q3"] - sides["parent"]["q1"], 4),
+        "parent_iqr": iqr,
         "median_ratio": round(c_median / p_median, 4) if p_median else None,
         "within_bound": bool(within),
+        "gain_shown": bool(10 * wins >= 9 * len(parent) and (c_median - p_median) * (-1 if lower else 1) > iqr),
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
     }
@@ -135,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     wall = entry["wall_s"]
     print(f"{args.workload}: wall_s median {wall['parent']['median']} -> {wall['change']['median']}, "
-          f"change wins {wall['change_wins']}/{args.pairs}, parent IQR {wall['parent_iqr']}")
+          f"change wins {wall['change_wins']}/{args.pairs}, parent IQR {wall['parent_iqr']}, "
+          f"gain shown: {str(wall['gain_shown']).lower()}")
     return 0
 
 

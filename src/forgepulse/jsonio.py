@@ -9,6 +9,7 @@ one C-encoder call per innermost container.  All CSV goes through ``csv_text``.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -26,6 +27,12 @@ def _round(value):
     return value
 
 
+@functools.cache
+def _encoder(separator: str) -> json.JSONEncoder:
+    """The C-backed encoder whose item separator carries one depth's newline and indent."""
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": "))
+
+
 def _encode(obj, outer: str) -> str:
     """``obj`` as ``json.dumps`` with sorted keys and a 2-space ``indent`` lays
     it out at the nesting depth whose indent is ``outer``, after ``_round``.
@@ -34,8 +41,17 @@ def _encode(obj, outer: str) -> str:
     A container whose values hold no container is one C-encoder call: the
     item separator carries the newline and indent.  With ``indent`` set,
     ``json`` would run its pure-Python encoder, several generator steps per
-    value.
+    value.  An exact str, int or float is encoded here, without the set-up
+    of a ``json.dumps`` call.
     """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float:
+        obj = _round(obj)
+        return "null" if obj is None else float.__repr__(obj)
     if not isinstance(obj, (dict, list, tuple)):
         return json.dumps(_round(obj))
     is_dict = isinstance(obj, dict)
@@ -47,7 +63,7 @@ def _encode(obj, outer: str) -> str:
     if not any(issubclass(t, (dict, list, tuple)) for t in types):
         if any(issubclass(t, float) for t in types):
             obj = {key: _round(value) for key, value in obj.items()} if is_dict else list(map(_round, obj))
-        body = json.dumps(obj, sort_keys=True, separators=(separator, ": "))[1:-1]
+        body = _encoder(separator).encode(obj)[1:-1]
     elif is_dict:
         body = separator.join(
             f"{encode_basestring_ascii(key)}: {_encode(value, inner)}" for key, value in sorted(obj.items())
@@ -93,11 +109,10 @@ def atomic_writer(path: Path | str):
         raise
 
 
-def remove_temp_files(directory: Path, pids: list[int]) -> None:
-    """Remove the temp files a killed ``atomic_writer`` in processes ``pids`` left in ``directory``."""
-    writers = {str(pid) for pid in pids}
+def remove_temp_files(directory: Path, pid: int) -> None:
+    """Remove the temp files a killed ``atomic_writer`` in process ``pid`` left in ``directory``."""
     for tmp in directory.glob(".*.tmp"):
-        if tmp.name.rsplit(".", 3)[1] in writers:  # .<name>.<pid>.<hex>.tmp
+        if tmp.name.rsplit(".", 3)[1] == str(pid):  # .<name>.<pid>.<hex>.tmp
             tmp.unlink(missing_ok=True)
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import re
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -195,6 +196,8 @@ class RunConfig:
         object.__setattr__(self, "metrics_window", parse_window(self.metrics_window))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ConfigError("workers above 1 need os.fork, which this platform lacks")
 
 
 def check_smoothing_window(window: int, key: str = "smoothing_window") -> int:
@@ -431,50 +434,107 @@ def run_project(source: ProjectSource, config: RunConfig) -> ProjectResult:
     return result
 
 
-def _run_project_in_worker(source: ProjectSource, config: RunConfig) -> ProjectResult:
-    # The pool pickles functions by name; this one looks ``run_project`` up
-    # when it runs, so a wrapped ``run_project`` still reaches the workers.
-    return run_project(source, config)
+class _Worker:  # not a dataclass: making one costs every run about 0.5 ms of start-up
+    def __init__(self, pid: int, tasks: int):
+        self.pid = pid
+        self.tasks = tasks  # the pipe that hands it project indices
+        self.project: int | None = None  # the index of the project it holds
+        self.data = b""  # what it has sent of that project's result
 
 
 def _run_in_workers(config: RunConfig) -> list[ProjectResult]:
-    """``run_project`` for each project, in up to ``config.workers`` worker
-    processes.  A worker that dies breaks the whole pool, which cannot say
-    whose worker it was: each project left without a result then runs
-    alone in a fresh one-worker pool, and a project whose pool breaks again
-    gets ``worker process died`` as its error."""
-    # Imported here: multiprocessing adds about 8 ms and 0.7 MB to the
-    # start-up of every run, and only runs with workers use it.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """``run_project`` for each project in ``min(config.workers, projects)``
+    processes, each forked once.  The parent hands each idle worker the next
+    project in config order over a pipe; the worker sends back the length of
+    the result's pickle (8 bytes) and the pickle.  A worker that dies costs
+    only the project it held: its temp files in that project's directory are
+    removed, and the project runs once more, first in a fresh worker.  A
+    second death is the project's error ``worker process died (exit code N)``."""
+    import select  # only runs with workers use it
 
-    def run(sources: tuple[ProjectSource, ...], workers: int) -> tuple[list[ProjectResult | None], list[int]]:
-        """Each source's result, None where the pool broke, and the exit
-        codes of the pool's workers."""
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_project_in_worker, source, config) for source in sources]
-            # The pool has no public record of its workers; the first
-            # submit started them.
-            processes = list((getattr(pool, "_processes", None) or {}).values())
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool:
-                    results.append(None)
-        # Its shutdown joined the workers: drop what a killed one left half-written.
-        for source, result in zip(sources, results):
-            if result is None:
-                remove_temp_files(config.out_dir / source.name, [process.pid for process in processes])
-        return results, [process.exitcode for process in processes]
+    results: list[ProjectResult | None] = [None] * len(config.projects)
+    todo = list(range(len(config.projects)))[::-1]  # popped from the end
+    workers: dict[int, _Worker] = {}  # by the pipe its results come back on
+    poller = select.poll()
 
-    results, _ = run(config.projects, min(config.workers, len(config.projects)))
-    for i, source in enumerate(config.projects):
-        if results[i] is None:
-            (results[i],), codes = run((source,), 1)
-            if results[i] is None:
-                exit_code = f" (exit code {codes[0]})" if codes else ""
-                results[i] = ProjectResult(name=source.name, error=f"worker process died{exit_code}")
+    def feed(worker: _Worker) -> None:
+        """Hand ``worker`` the next project, if one is left."""
+        worker.project = todo.pop() if todo else None
+        if worker.project is not None:
+            with suppress(BrokenPipeError):  # it died: its end of file follows
+                os.write(worker.tasks, worker.project.to_bytes(4, "little"))  # into an empty pipe: never blocks
+
+    def fork() -> None:
+        tasks, task_writer = os.pipe()
+        result_reader, result_writer = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (tasks, task_writer, result_reader, result_writer):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                # The parent's ends, also those of the workers forked before,
+                # so that each worker sees the end of its own pipe.
+                for fd in (task_writer, result_reader, *workers, *(w.tasks for w in workers.values())):
+                    os.close(fd)
+                while index := os.read(tasks, 4):
+                    # Looked up here, so a wrapped ``run_project`` reaches the workers.
+                    result = pickle.dumps(run_project(config.projects[int.from_bytes(index, "little")], config))
+                    message = memoryview(len(result).to_bytes(8, "little") + result)
+                    while message:
+                        message = message[os.write(result_writer, message):]
+                os._exit(0)
+            finally:  # never back into the caller's frames or its stdio buffers
+                os._exit(1)
+        os.close(tasks)
+        os.close(result_writer)
+        workers[result_reader] = _Worker(pid, task_writer)
+        poller.register(result_reader, select.POLLIN)
+        feed(workers[result_reader])
+
+    def end(fd: int) -> int:
+        """Close the pipes of the worker whose results come back on ``fd``, reap it and remove
+        the temp files it left in the directory of the project it held; its exit code."""
+        worker = workers.pop(fd)
+        poller.unregister(fd)
+        os.close(fd)
+        os.close(worker.tasks)  # an idle worker reads its end and exits
+        code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+        if worker.project is not None:
+            remove_temp_files(config.out_dir / config.projects[worker.project].name, worker.pid)
+        return code
+
+    try:
+        for _ in range(min(config.workers, len(config.projects))):
+            fork()
+        while any(worker.project is not None for worker in workers.values()):
+            for fd, _ in poller.poll():
+                worker = workers[fd]
+                if chunk := os.read(fd, 1 << 16):
+                    worker.data += chunk
+                    if len(worker.data) == 8 + int.from_bytes(worker.data[:8], "little"):
+                        results[worker.project], worker.data = pickle.loads(worker.data[8:]), b""
+                        feed(worker)
+                    continue
+                code, project = end(fd), worker.project
+                if project is not None:  # it died holding this project, which runs once more
+                    if results[project] is None:  # the rerun's result replaces this error
+                        todo.append(project)
+                    error = f"worker process died (exit code {code})"
+                    results[project] = ProjectResult(config.projects[project].name, error=error)
+                    if todo:  # a fresh worker takes its place, and the rerun first
+                        fork()
+    except BaseException:  # no worker outlives a failed run either
+        import signal  # only this path needs it
+
+        for worker in workers.values():
+            os.kill(worker.pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in list(workers):
+            end(fd)
     return results
 
 

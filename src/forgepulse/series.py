@@ -6,8 +6,8 @@ without activity are materialized as zero points so the time axis is true;
 leading/trailing inactivity is not padded.
 
 Contributors are listed in order of first commit, and each month's units
-in order of their first commit in the whole input.  No artifact depends on
-these orders: every consumer sorts, adds integers or sums exactly.
+in key order.  No artifact depends on these orders: every consumer sorts,
+adds integers or sums exactly.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def build_monthly_series(
     one-person unit keyed by the trimmed, lowercased raw string, so every
     record lands in exactly one month bucket (conservation: sum of monthly
     commit counts equals the record count).  Order-insensitive, except that
-    contributors are listed in order of first commit, and each month's units
-    in unit-id order, which is the order of each unit's first commit in the
-    whole input.  No artifact depends on either order.
+    contributors are listed in order of first commit.  Each month's units
+    come in key order, which spares ``dumps_stable`` most of its sort.  No
+    artifact depends on either order.
 
     Each author id of a block's table is resolved once, through its raw
     address, which is normalized once, and its unit resolved once per
@@ -158,7 +158,8 @@ def build_monthly_series(
     record only its month index and contributor id are kept, and the counts
     come from those two columns: ``np.bincount`` for commits, and one
     ``np.unique`` each over the (month, contributor) keys for active
-    contributors and over the (month, unit) keys for each month's units.
+    contributors and over the (month, unit rank) keys for each month's
+    units, where a unit's rank is its place in key order.
     """
     ids = _ContributorIds(config)
     month_blocks, contributor_blocks = [], []
@@ -193,11 +194,11 @@ def build_monthly_series(
     # 29.7 ms against 3.0 ms on the (month, contributor) keys of 200k commits.
     distinct = np.unique(month * len(key_ids) + contributor, return_counts=True)[0]
     active = np.bincount(distinct // len(key_ids), minlength=span)
-    pairs, counts = np.unique(
-        month * len(unit_ids) + np.asarray(ids.contributor_unit, dtype=np.int64)[contributor], return_counts=True
-    )
+    unit_keys = sorted(unit_ids)
+    rank = np.empty(len(unit_keys), dtype=np.int64)  # unit id -> place in key order
+    rank[[unit_ids[key] for key in unit_keys]] = np.arange(len(unit_keys))
+    pairs, counts = np.unique(month * len(unit_ids) + rank[ids.contributor_unit][contributor], return_counts=True)
     pair_month, pair_unit = np.divmod(pairs, len(unit_ids))
-    unit_keys = list(unit_ids)
     month_orgs: list[dict[str, int]] = [{} for _ in range(span)]
     for m, u, c in zip(pair_month.tolist(), pair_unit.tolist(), counts.tolist()):
         month_orgs[m][unit_keys[u]] = c

@@ -225,9 +225,19 @@ def test_a_dead_worker_fails_only_its_project(tmp_path, monkeypatch, capsys):
     assert (out / "summary.txt").exists()
     for artifact in (tmp_path / "out1" / "a").iterdir():
         assert (out / "a" / artifact.name).read_bytes() == artifact.read_bytes(), artifact.name
-    # Neither b's worker nor the worker its death killed left a temp file.
+    # b's two workers left no temp file, and the files of other writers are kept.
     assert sorted((out / "a").glob("*.tmp")) + sorted((out / "b").glob("*.tmp")) == sorted(foreign)
     assert all(path.read_text() == "kept" for path in foreign)
+
+
+def test_workers_need_fork(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"projects": [{"name": "p", "log": str(DATA_DIR / "fixture_500.log")}],
+                                  "out_dir": str(tmp_path / "out"), "workers": 2}))
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, "run", "--config", str(config)) == (
+        2, "", "config error: workers above 1 need os.fork, which this platform lacks\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_summary_command_rebuilds_the_run_tables_byte_for_byte(tmp_path, capsys):

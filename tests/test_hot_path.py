@@ -140,13 +140,9 @@ def test_series_matches_the_dict_and_set_oracle(batch, group_providers, aliases)
     expected = build_monthly_series_oracle(batch, config)
     assert series_to_dict(built) == series_to_dict(expected)
     assert list(built.contributor_commits.items()) == list(expected.contributor_commits.items())
-    # Each month's units come in order of their first commit in the batch.
-    first_sight: dict[str, int] = {}
-    for record in batch:
-        unit = next(iter(build_monthly_series_oracle([record], config).points[0]["org_commits"]))
-        first_sight.setdefault(unit, len(first_sight))
+    # Each month's units come in key order.
     assert [list(p["org_commits"].items()) for p in built.points] == [
-        sorted(p["org_commits"].items(), key=lambda item: first_sight[item[0]]) for p in expected.points
+        sorted(p["org_commits"].items()) for p in expected.points
     ]
 
 

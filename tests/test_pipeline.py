@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from forgepulse import (
     run_pipeline,
     summarize,
 )
-from forgepulse.jsonio import dumps_stable
+from forgepulse.jsonio import atomic_writer, dumps_stable
 from forgepulse.pipeline import _percentile_range, summary_csv, summary_text
 from forgepulse.series import MonthlySeries, series_to_dict
 
@@ -204,19 +205,121 @@ def test_internal_error_stays_in_its_project(tmp_path, monkeypatch, workers):
     assert report["projects"][survivor] == {"status": "ok", "error": None}
 
 
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 def test_run_pipeline_workers(tmp_path):
-    config = make_config(
-        tmp_path,
-        [
-            ProjectSource(name="a", log=DATA_DIR / "fixture_500.log"),
-            ProjectSource(name="b", log=DATA_DIR / "fixture_500.log"),
-        ],
-        workers=2,
-    )
-    outcome = run_pipeline(config)
-    assert outcome.exit_code == 0
-    assert (tmp_path / "out" / "a" / "summary.json").exists()
-    assert (tmp_path / "out" / "b" / "summary.json").exists()
+    # Projects of different sizes, so that workers finish them out of order.
+    lines = (DATA_DIR / "fixture_500.log").read_text().splitlines(keepends=True)
+    projects = []
+    for name, count in (("p500", 500), ("p60", 60), ("p300", 300), ("p120", 120), ("p400", 400)):
+        log = tmp_path / f"{name}.log"
+        log.write_text("".join(lines[:count]))
+        projects.append(ProjectSource(name=name, log=log))
+    runs = {}
+    for workers in (1, 2, 3):
+        out = tmp_path / f"out{workers}"
+        outcome = run_pipeline(RunConfig(projects=tuple(projects), out_dir=out, biphase=True, workers=workers))
+        assert outcome.exit_code == 0
+        runs[workers] = outcome.results, artifact_bytes(out)
+    assert [r.name for r in runs[1][0]] == [source.name for source in projects]
+    assert all((tmp_path / "out1" / source.name / "summary.json").exists() for source in projects)
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def wait_for(path: Path) -> None:
+    deadline = time.monotonic() + 60
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def test_a_dead_worker_costs_only_its_own_project(tmp_path, monkeypatch):
+    from forgepulse import pipeline
+
+    run_project = pipeline.run_project
+    started = tmp_path / "a-started"
+
+    def die_in_b(source, config):  # forked workers inherit it
+        if source.name == "b":
+            wait_for(started)
+            (config.out_dir / "b").mkdir(parents=True, exist_ok=True)
+            with atomic_writer(config.out_dir / "b" / "series.json"):  # a temp file, left half-written
+                (tmp_path / "b-died").touch()
+                os._exit(9)
+        runs = 0
+        while True:  # one marker per run of a, even across processes
+            try:
+                os.close(os.open(tmp_path / f"a-run{runs}", os.O_CREAT | os.O_EXCL))
+                break
+            except FileExistsError:
+                runs += 1
+        started.touch()
+        wait_for(tmp_path / "b-died")  # a is still running when b's worker dies
+        return run_project(source, config)
+
+    monkeypatch.setattr(pipeline, "run_project", die_in_b)
+    projects = [ProjectSource(name=name, log=DATA_DIR / "fixture_500.log") for name in ("a", "b")]
+    outcome = run_pipeline(make_config(tmp_path, projects, workers=2))
+    assert outcome.exit_code == 1
+    assert [(r.name, r.error) for r in outcome.results] == [("a", None), ("b", "worker process died (exit code 9)")]
+    assert sorted(path.name for path in tmp_path.glob("a-run*")) == ["a-run0"]
+    assert list((tmp_path / "out").rglob("*.tmp")) == []
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_projects_left_when_every_worker_has_died_still_run(tmp_path, monkeypatch):
+    from forgepulse import pipeline
+
+    run_project = pipeline.run_project
+
+    def die_in_a_and_b(source, config):  # every worker that takes a or b dies
+        if source.name in ("a", "b"):
+            os._exit(9)
+        return run_project(source, config)
+
+    monkeypatch.setattr(pipeline, "run_project", die_in_a_and_b)
+    projects = [ProjectSource(name=name, log=DATA_DIR / "fixture_500.log") for name in "abcd"]
+    outcome = run_pipeline(make_config(tmp_path, projects, workers=2))
+    died = "worker process died (exit code 9)"
+    assert [(r.name, r.error) for r in outcome.results] == [("a", died), ("b", died), ("c", None), ("d", None)]
+    assert outcome.exit_code == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="lists open descriptors through /proc")
+def test_a_failed_fork_ends_the_run_without_a_worker_a_pipe_or_a_temp_file(tmp_path, monkeypatch):
+    from forgepulse import pipeline
+
+    fork, run_project, started = os.fork, pipeline.run_project, tmp_path / "started"
+    forks = []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) == 1:
+            return fork()
+        wait_for(started)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def run_until_killed(source, config):  # in the first worker, holding a temp file
+        with atomic_writer(config.out_dir / source.name / "series.json"):
+            started.touch()
+            time.sleep(60)
+        return run_project(source, config)
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(pipeline, "run_project", run_until_killed)
+    projects = [ProjectSource(name=name, log=DATA_DIR / "fixture_500.log") for name in ("a", "b")]
+    (tmp_path / "out" / "a").mkdir(parents=True)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with pytest.raises(BlockingIOError):
+        run_pipeline(make_config(tmp_path, projects, workers=2))
+    assert time.monotonic() - start < 30  # the first worker was killed, not waited for
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
+    assert list((tmp_path / "out").rglob("*.tmp")) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_empty_project_list_rejected(tmp_path):
